@@ -17,9 +17,9 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
-from .degree_sets import DegreeSet
+from .degree_sets import DegreeSet, require_zero
 from .exact import marked_count_pmf
-from .offspring import OffspringDist, format_rational
+from .offspring import OffspringDist, format_rational, validate
 from .samplers import SamplerTables, sample_conditioned
 from .scaling import TestFunction, root_limit_statistic, root_split_measure, top_share_mean
 from .streams import RandomStream
@@ -45,7 +45,6 @@ class RunConfig:
     seed: int | None = None
     cache_dir: str | None = None
     out_format: str = "text"
-    threads: int = 1
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)
@@ -73,7 +72,6 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
         seed=base.get("seed"),
         cache_dir=base.get("cache_dir"),
         out_format=base.get("out_format", "text"),
-        threads=base.get("threads", 1),
     )
     if getattr(args, "dist", None):
         try:
@@ -82,7 +80,7 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"--dist is not valid JSON: {exc}") from exc
     if getattr(args, "degree_set", None):
         cfg.degree_set = args.degree_set
-    for name in ("n", "max_n", "count", "seed", "cache_dir", "threads"):
+    for name in ("n", "max_n", "count", "seed", "cache_dir"):
         val = getattr(args, name, None)
         if val is not None:
             setattr(cfg, name, val)
@@ -92,31 +90,40 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _require(cfg: RunConfig, *fields: str) -> None:
+    """Each field must be set; the size options must also be at least 1."""
     for f in fields:
-        if getattr(cfg, f) is None:
+        val = getattr(cfg, f)
+        if val is None:
             raise ConfigError(f"missing required option --{f.replace('_', '-')}")
+        if f in ("n", "max_n") and val < 1:
+            raise ConfigError(f"--{f.replace('_', '-')} must be at least 1, got {val}")
 
 
 def _dist(cfg: RunConfig) -> OffspringDist:
     if cfg.dist is None:
         raise ConfigError("missing required option --dist")
     try:
-        return OffspringDist.from_json(cfg.dist)
+        dist = OffspringDist.from_json(cfg.dist)
+        validate(dist)
     except (ValueError, KeyError) as exc:
         raise ConfigError(f"bad distribution spec: {exc}") from exc
+    return dist
 
 
-def _marks(cfg: RunConfig) -> DegreeSet:
+def _marks(text: str) -> DegreeSet:
+    """A degree set that contains 0, as every counting construction needs."""
     try:
-        return DegreeSet.parse(cfg.degree_set)
+        marks = DegreeSet.parse(text)
+        require_zero(marks)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    return marks
 
 
 def cmd_exact(cfg: RunConfig) -> int:
     _require(cfg, "max_n")
     dist = _dist(cfg)
-    marks = _marks(cfg)
+    marks = _marks(cfg.degree_set)
     cache_file = None
     if cfg.cache_dir:
         tag = f"exact-{json.dumps(cfg.dist, sort_keys=True)}-{marks.spec()}-{cfg.max_n}"
@@ -151,7 +158,11 @@ def _emit_exact(cfg: RunConfig, values: list[str]) -> None:
 def cmd_sample(cfg: RunConfig) -> int:
     _require(cfg, "seed", "n")
     dist = _dist(cfg)
-    marks = _marks(cfg)
+    marks = _marks(cfg.degree_set)
+    try:
+        tables = SamplerTables(dist, marks, cfg.n, exact=cfg.n <= 256)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     stream = RandomStream(cfg.seed)
     header = {
         "dist": cfg.dist,
@@ -162,17 +173,13 @@ def cmd_sample(cfg: RunConfig) -> int:
         "version": __version__,
     }
     print(json.dumps(header, sort_keys=True))
-    try:
-        tables = SamplerTables(dist, marks, cfg.n, exact=cfg.n <= 256)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
     for _ in range(cfg.count):
         print(format_tree(sample_conditioned(tables, stream)))
     return 0
 
 
 def cmd_transform(args: argparse.Namespace) -> int:
-    marks = DegreeSet.parse(args.degree_set or "0")
+    marks = _marks(args.degree_set or "0")
     lines = [ln.strip() for ln in sys.stdin if ln.strip()]
     for line in lines:
         try:
@@ -189,7 +196,7 @@ def cmd_transform(args: argparse.Namespace) -> int:
 def cmd_root_partition(cfg: RunConfig) -> int:
     _require(cfg, "n")
     dist = _dist(cfg)
-    marks = _marks(cfg)
+    marks = _marks(cfg.degree_set)
     try:
         tables = SamplerTables(dist, marks, cfg.n)
     except ValueError as exc:
@@ -233,6 +240,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     unknown = [s for s in names if s not in SUITES]
     if unknown:
         raise ConfigError(f"unknown suite(s): {', '.join(unknown)}; pick from {', '.join(SUITES)} or 'all'")
+    if args.max_n is not None and args.max_n < 1:
+        raise ConfigError(f"--max-n must be at least 1, got {args.max_n}")
     needs_seed = {"hat-law", "mb-equivalence", "universality"}
     if needs_seed & set(names) and args.seed is None:
         raise ConfigError("--seed is required for stochastic suites")
@@ -240,14 +249,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
     results = []
     for name in names:
         kwargs = {}
-        if name == "universality":
-            kwargs["threads"] = args.threads or 1
         if name == "otter-dwass":
             if args.dist:
                 kwargs["dists"] = [_named_family(args.dist)]
             if args.sets:
                 kwargs["set_specs"] = args.sets
-            if args.max_n:
+            if args.max_n is not None:
                 kwargs["max_n"] = args.max_n
                 kwargs["enum_n"] = min(8, args.max_n)
         t0 = time.time()
@@ -274,7 +281,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    payload = json.loads(Path(args.path).read_text())
+    try:
+        payload = json.loads(Path(args.path).read_text())
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"cannot read report: {exc}") from exc
     if args.csv:
         # stored reports carry the ECDF grid; raw samples are only available
         # at run time through `verify --csv-out`
@@ -302,19 +312,17 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, *, dist: bool = True) -> None:
-        if dist:
-            p.add_argument("--dist", help='offspring law as JSON, e.g. {"family":"binary"}')
-            p.add_argument("--set", dest="degree_set", help='degree set: "0", "0,2", "all", "geq:k", "not:..."')
+    def common(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--dist", help='offspring law as JSON, e.g. {"family":"binary"}')
+        p.add_argument("--set", dest="degree_set", help='degree set: "0", "0,2", "all", "geq:k", "not:..."')
         p.add_argument("--seed", type=int)
         p.add_argument("--config", help="JSON config file; explicit flags win")
         p.add_argument("--format", dest="out_format", choices=("text", "json", "csv"))
-        p.add_argument("--cache-dir", dest="cache_dir")
-        p.add_argument("--threads", type=int)
 
     p = sub.add_parser("exact", help="exact marked-count tables")
     common(p)
     p.add_argument("--max-n", dest="max_n", type=int)
+    p.add_argument("--cache-dir", dest="cache_dir")
 
     p = sub.add_parser("sample", help="sample conditioned trees")
     common(p)
@@ -332,7 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run named acceptance suites")
     p.add_argument("suites", nargs="+", help=f"any of: {', '.join(SUITES)}, or 'all'")
     p.add_argument("--seed", type=int)
-    p.add_argument("--threads", type=int)
     p.add_argument("--dist", help="restrict the first-passage suite to one named family")
     p.add_argument("--sets", nargs="+", help="degree-set specs for the first-passage suite")
     p.add_argument("--max-n", dest="max_n", type=int)

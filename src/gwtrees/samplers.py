@@ -12,6 +12,7 @@ cross-validation oracle for small sizes).
 from __future__ import annotations
 
 import itertools
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -127,7 +128,7 @@ class SamplerTables:
         if self.count[n] == 0:
             raise ValueError(f"marked count {n} has probability zero")
         self._tau: list = [self._tau_zero(), list(self.count) if exact else np.array(self.count)]
-        self._split_cum: dict[tuple[int, int], list[float]] = {}
+        self._split_cum: dict[tuple[int, int], array] = {}
         self._degree_cum: dict[int, tuple[list[int], list[float]]] = {}
         self.marked_degree = [k in marks for k in range(n + 2)]
         if not exact:
@@ -220,7 +221,9 @@ class SamplerTables:
             tau_prev = self.tau(k - 1)
             stop = k - 2  # slice runs over tau_prev[r-1] down to tau_prev[k-1]
             w = np.asarray(self.count[1 : r - k + 2]) * tau_prev[r - 1 : stop if stop >= 0 else None : -1]
-            cum = np.cumsum(w).tolist()
+            # 8 bytes per entry instead of a list of float objects; bisect
+            # reads it unchanged and returns the same index
+            cum = array("d", np.cumsum(w).tobytes())
             self._split_cum[key] = cum
         if len(cum) == 1:
             return 1
@@ -266,28 +269,33 @@ def sample_conditioned(tables: SamplerTables, stream: RandomStream) -> OrderedTr
 def sample_marked_depth(tables: SamplerTables, stream: RandomStream) -> int:
     """Depth of a uniformly chosen marked vertex of a conditioned tree.
 
-    Runs the same decomposition as sample_conditioned but never materialises
-    the tree, which matters for the large-size experiments.  The uniform
-    choice uses the fact that the marked count is the target size exactly.
+    Picks the marked vertex by its rank in preorder, then descends only the
+    branch that holds it: at each level it draws the root degree and the
+    child sizes, and steps into the child whose marked range contains the
+    rank.  This is exact because a subtree's marked count is its target
+    size, so the sizes alone locate the rank, and the subtrees off the path
+    are independent of the path given their sizes and need not be drawn.
+    The cost is O(height), about sqrt(n) levels, against O(n) for building
+    the whole tree.
     """
     pick = stream.randbelow(tables.n)
     marked_degree = tables.marked_degree
-    seen = 0
-    depth_of_pick = -1
-    stack: list[tuple[int, int]] = [(0, tables.n)]  # (depth, target count)
-    while stack:
-        d, s = stack.pop()
+    depth = 0
+    s = tables.n
+    while True:
         p = tables.draw_root_degree(s, stream)
         if marked_degree[p]:
-            if seen == pick:
-                depth_of_pick = d
-            seen += 1
-        target = s - 1 if marked_degree[p] else s
-        for size in reversed(tables.draw_split_sizes(p, target, stream)):
-            stack.append((d + 1, size))
-    if seen != tables.n:
-        raise AssertionError("conditioned walk produced a wrong marked count")
-    return depth_of_pick
+            if pick == 0:
+                return depth
+            pick -= 1
+        for size in tables.draw_split_sizes(p, s - 1 if marked_degree[p] else s, stream):
+            if pick < size:
+                break
+            pick -= size
+        else:
+            raise AssertionError("conditioned descent produced a wrong marked count")
+        depth += 1
+        s = size
 
 
 def sample_conditioned_rejection(

@@ -13,11 +13,6 @@ from fractions import Fraction
 Coeffs = list
 
 
-def zero(order: int, exact: bool = True) -> Coeffs:
-    z = Fraction(0) if exact else 0.0
-    return [z] * (order + 1)
-
-
 def add(a: Sequence, b: Sequence) -> Coeffs:
     if len(a) != len(b):
         raise ValueError("order mismatch")

@@ -27,7 +27,6 @@ from .samplers import (
     sample_markov_branching,
 )
 from .scaling import (
-    DepthArm,
     ExperimentReport,
     SplitMeasure,
     TestFunction,
@@ -459,7 +458,7 @@ def depth_convergence(a: RescaledLaw, b: RescaledLaw, n: int, threshold: float, 
     }
 
 
-def run_universality(seed: int, n: int = 2000, samples: int = 5000, threads: int = 1) -> SuiteResult:
+def run_universality(seed: int, n: int = 2000, samples: int = 5000) -> SuiteResult:
     """Rescaled depth of a uniform marked vertex across degree sets and laws.
 
     Each arm's sampled depths are tested against its own exact law
@@ -481,18 +480,10 @@ def run_universality(seed: int, n: int = 2000, samples: int = 5000, threads: int
         ("binary/all", binary, all_deg, n_all),
         ("geometric/all", geometric, all_deg, n),
     ]
-
-    def build(spec) -> DepthArm:
-        label, dist, marks, size = spec
-        return depth_experiment(dist, marks, size, samples, stream.split("arm", label), label=label)
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            arms = list(pool.map(build, specs))
-    else:
-        arms = [build(s) for s in specs]
+    arms = [
+        depth_experiment(dist, marks, size, samples, stream.split("arm", label), label=label)
+        for label, dist, marks, size in specs
+    ]
     by_label = {a.label: a for a in arms}
     # each exact law is computed once: the size-n laws serve ks-exact and
     # both convergence checks, and binary/all enters both of those

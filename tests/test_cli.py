@@ -100,6 +100,40 @@ def test_bad_distribution_spec():
     assert proc.returncode == 2
 
 
+def _assert_config_error(proc):
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    err = json.loads(proc.stderr)
+    assert isinstance(err, dict) and err["error"] == "config"
+
+
+def test_exact_rejects_set_without_zero():
+    _assert_config_error(run_cli(["exact", "--dist", '{"family":"binary"}', "--set", "1", "--max-n", "5"]))
+
+
+def test_exact_rejects_nonpositive_max_n():
+    _assert_config_error(run_cli(["exact", "--dist", '{"family":"binary"}', "--set", "0", "--max-n", "0"]))
+
+
+def test_sample_rejects_nonpositive_size_before_any_output():
+    _assert_config_error(run_cli(["sample", "--dist", '{"family":"binary"}', "--set", "0", "--n", "0", "--seed", "1"]))
+
+
+def test_exact_validates_distribution():
+    # probabilities summing to 1/2 are not a law
+    proc = run_cli(["exact", "--dist", '{"probs":["1/4","1/4"]}', "--set", "0", "--max-n", "4"])
+    _assert_config_error(proc)
+    assert "sum" in json.loads(proc.stderr)["message"]
+
+
+def test_verify_rejects_nonpositive_max_n():
+    _assert_config_error(run_cli(["verify", "otter-dwass", "--max-n", "-1"]))
+
+
+def test_report_rejects_missing_file(tmp_path):
+    _assert_config_error(run_cli(["report", str(tmp_path / "missing.json")]))
+
+
 def test_verify_unknown_suite():
     proc = run_cli(["verify", "nonsense", "--seed", "1"])
     assert proc.returncode == 2

@@ -12,6 +12,7 @@ import math
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 from gwtrees.degree_sets import DegreeSet
 from gwtrees.exact import marked_count_pmf
@@ -85,6 +86,19 @@ def _mine(dist, marks, n, m, seed):
     stream = RandomStream(seed)
     scale = 1.0 / math.sqrt(n)
     return [sample_marked_depth(tab, stream) * scale for _ in range(m)]
+
+
+@pytest.mark.parametrize("exact, n, m", [(False, 200, 4000), (True, 100, 1000)])
+@pytest.mark.parametrize("marks", [A0, DegreeSet.of(0, 2)], ids=["0", "0,2"])
+def test_geometric_depth_sampler_matches_exact_law(marks, exact, n, m):
+    # the rotation oracles mark every degree or only leaves of a law without
+    # degree one; here {0} leaves unmarked degree-one stalks, so the descent
+    # passes roots that can never be the pick, and {0,2} marks inner
+    # vertices, so it can stop above the leaves
+    tab = SamplerTables(geometric_dist(), marks, n, exact=exact)
+    stream = RandomStream(12)
+    depths_ = [sample_marked_depth(tab, stream) for _ in range(m)]
+    assert ks_one_sample(depths_, depth_law(geometric_dist(), marks, n)) < ks_threshold(m)
 
 
 def test_binary_all_matches_rotation_oracle():

@@ -2,6 +2,7 @@ import math
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from gwtrees.degree_sets import DegreeSet
@@ -24,7 +25,7 @@ from gwtrees.samplers import (
     sample_markov_branching,
     split_measure,
 )
-from gwtrees.scaling import chi_square_test
+from gwtrees.scaling import chi_square_test, depth_law
 from gwtrees.streams import RandomStream
 from gwtrees.trees import canonical_key, count_marked, leaf_augment, parse_tree, single_vertex
 
@@ -233,7 +234,20 @@ def test_hat_offspring_sampler_mean():
     assert abs(mean - 1) < 0.05
 
 
+# exact depth law of a uniform leaf of a binary tree with 5 leaves, from the
+# 14 such trees: P(depth = 1, 2, 3, 4)
+DEPTH_LAW_BINARY_5 = {1: Fraction(1, 7), 2: Fraction(2, 7), 3: Fraction(12, 35), 4: Fraction(8, 35)}
+
+
+def _depth_law_p(counts: Counter, m: int) -> float:
+    _stat, _df, p = chi_square_test(counts, DEPTH_LAW_BINARY_5, m)
+    return p
+
+
 def test_sample_marked_depth_matches_tree_route():
+    # both routes are tested against the exact law, not against each other
+    law = depth_law(binary_dist(), A0, 5)
+    assert np.allclose(law, [float(DEPTH_LAW_BINARY_5.get(k, 0)) for k in range(5)], atol=1e-12)
     s = stream(47)
     tab = SamplerTables(binary_dist(), A0, 5)
     from gwtrees.trees import depths
@@ -245,9 +259,28 @@ def test_sample_marked_depth_matches_tree_route():
         marked = [v for v in range(t.n) if t.degree(v) == 0]
         direct[d[marked[s.randbelow(len(marked))]]] += 1
     fast = Counter(sample_marked_depth(tab, s) for _ in range(4000))
-    expected = {k: v / 4000 for k, v in direct.items()}
-    _stat, _df, p = chi_square_test(fast, expected, 4000)
-    assert p > 0.001
+    assert _depth_law_p(direct, 4000) > 0.001
+    assert _depth_law_p(fast, 4000) > 0.001
+
+
+def test_depth_check_rejects_uniform_child_descent():
+    # the descent must step into a child with probability proportional to
+    # its marked count; stepping into a uniform child changes the law
+    def uniform_child_depth(tab, s):
+        depth, size = 0, tab.n
+        while True:
+            p = tab.draw_root_degree(size, s)
+            marked = tab.marked_degree[p]
+            if marked and s.randbelow(size) == 0:
+                return depth
+            sizes = tab.draw_split_sizes(p, size - 1 if marked else size, s)
+            size = sizes[s.randbelow(len(sizes))]
+            depth += 1
+
+    s = stream(47)
+    tab = SamplerTables(binary_dist(), A0, 5)
+    mutant = Counter(uniform_child_depth(tab, s) for _ in range(4000))
+    assert _depth_law_p(mutant, 4000) < 1e-6
 
 
 def test_stream_split_determinism():
