@@ -256,7 +256,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 kwargs["set_specs"] = args.sets
             if args.max_n is not None:
                 kwargs["max_n"] = args.max_n
-                kwargs["enum_n"] = min(8, args.max_n)
         t0 = time.time()
         result = SUITES[name](args.seed, **kwargs)
         results.append(result)

@@ -7,14 +7,19 @@ Three independent routes live here:
     C = z*xi0 + sum_j xi_j C^j, solved one coefficient per step;
   * brute-force enumeration of depth-first queues with their product weights.
 
-Rational mode is exact; a float backend based on FFT powering covers the
+The first is the exact engine behind `marked_count_pmf`; its walk keeps
+integer numerators over one common denominator, with one gcd pass per step
+instead of one per Fraction operation.  The other two are oracles for the
+suites and tests.  A float backend based on FFT powering covers the
 truncation orders needed for large-size sampling tables.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 import numpy as np
 
@@ -47,42 +52,51 @@ def _step_values(dist: OffspringDist, max_value: int) -> list[tuple[int, Fractio
     return [(k - 1, dist.pmf(k)) for k in range(0, max_value + 2) if dist.pmf(k) != 0]
 
 
+def _walk(dist: OffspringDist, k: int, top: int) -> Iterator[tuple[dict[int, int], int]]:
+    """Walk states after steps 1..k as (integer numerators, common denominator).
+
+    Step probabilities are scaled to integers by the lcm of their denominators;
+    after each step the state and its denominator are divided by their gcd.
+    Values above top - j after step j cannot fall back to top - k and are dropped.
+    """
+    if not dist.exact:
+        raise ValueError("the exact walk needs rational coefficients")
+    steps = _step_values(dist, max(top - 1, -1))
+    scale = lcm(*(p.denominator for _, p in steps))
+    weights = [(v, p.numerator * (scale // p.denominator)) for v, p in steps]
+    cur: dict[int, int] = {0: 1}
+    den = 1
+    for j in range(1, k + 1):
+        cap = top - j
+        nxt: dict[int, int] = {}
+        for s, c in cur.items():
+            for v, w in weights:
+                s2 = s + v
+                if s2 > cap:
+                    break
+                nxt[s2] = nxt.get(s2, 0) + c * w
+        # gcd stops combining once it reaches 1; the rest is only type-checked
+        g = gcd(den * scale, *nxt.values())
+        cur = {s: c // g for s, c in nxt.items()}
+        den = den * scale // g
+        yield cur, den
+
+
 def walk_pmf(dist: OffspringDist, k: int, lo: int, hi: int) -> WalkPmf:
     """Exact pmf of the k-step walk on the window [lo, hi] by dense convolution."""
     if k < 0:
         raise ValueError("step count must be non-negative")
-    # a single step larger than hi + k - 1 can never fall back into the window
-    steps = _step_values(dist, max(hi + k - 1, -1))
-    cur: dict[int, Fraction] = {0: Fraction(1)}
-    for j in range(1, k + 1):
-        cap = hi + (k - j)  # values above cap cannot fall back into the window
-        nxt: dict[int, Fraction] = {}
-        for s, pr in cur.items():
-            for v, pv in steps:
-                s2 = s + v
-                if s2 > cap:
-                    break
-                nxt[s2] = nxt.get(s2, Fraction(0)) + pr * pv
-        cur = nxt
-    return WalkPmf(k, lo, hi, {m: p for m, p in cur.items() if lo <= m <= hi})
+    cur, den = {0: 1}, 1
+    for cur, den in _walk(dist, k, hi + k):
+        pass
+    return WalkPmf(k, lo, hi, {m: Fraction(c, den) for m, c in cur.items() if lo <= m <= hi})
 
 
 def progeny_pmf(dist: OffspringDist, max_n: int) -> list[Fraction]:
     """Total-progeny law: entry n is (1/n) P(S_n = -1); entry 0 is unused (zero)."""
-    steps = _step_values(dist, max(max_n - 2, -1))
-    out = [Fraction(0)] * (max_n + 1)
-    cur: dict[int, Fraction] = {0: Fraction(1)}
-    for n in range(1, max_n + 1):
-        cap = max_n - n - 1  # highest value that can still return to -1 in time
-        nxt: dict[int, Fraction] = {}
-        for s, pr in cur.items():
-            for v, pv in steps:
-                s2 = s + v
-                if s2 > cap:
-                    break
-                nxt[s2] = nxt.get(s2, Fraction(0)) + pr * pv
-        out[n] = nxt.get(-1, Fraction(0)) / n
-        cur = nxt
+    out = [Fraction(0)]
+    for n, (cur, den) in enumerate(_walk(dist, max_n, max_n - 1), start=1):
+        out.append(Fraction(cur.get(-1, 0), den * n))
     return out
 
 
@@ -123,26 +137,16 @@ def leaf_pmf_fixed_point(dist: OffspringDist, max_n: int) -> list[Fraction]:
     return c
 
 
-def marked_count_pmf(
-    dist: OffspringDist, marks: DegreeSet, max_n: int, cross_check: bool | None = None
-) -> list[Fraction]:
+def marked_count_pmf(dist: OffspringDist, marks: DegreeSet, max_n: int) -> list[Fraction]:
     """P(marked count = n) for n <= max_n, exact.
 
-    Computed through the collapsed offspring law and the first-passage
-    formula.  For the leaf set {0} the independent functional-equation route
-    is recomputed and must agree exactly (on by default in that case).
+    The one exact route used by the samplers and the CLI: the progeny law of
+    the collapsed offspring law, by the first-passage formula on the integer
+    walk.  The functional-equation and enumeration routes are oracles for it
+    in the otter-dwass suite and the tests.
     """
     require_zero(marks)
-    zeta = collapsed_offspring(dist, marks, max_n)
-    out = progeny_pmf(zeta, max_n)
-    is_leaf_set = not marks.cofinite and marks.members == frozenset({0})
-    if cross_check is None:
-        cross_check = is_leaf_set
-    if cross_check and is_leaf_set:
-        alt = leaf_pmf_fixed_point(dist, max_n)
-        if out != alt:
-            raise ArithmeticError("walk route and functional-equation route disagree")
-    return out
+    return progeny_pmf(collapsed_offspring(dist, marks, max_n), max_n)
 
 
 def forest_leaf_pmf(dist: OffspringDist, n_trees: int, k: int) -> Fraction:

@@ -22,7 +22,10 @@ from .degree_sets import DegreeSet, require_zero
 
 
 def parse_rational(text: str) -> Fraction:
-    return Fraction(text.strip())
+    try:
+        return Fraction(text.strip())
+    except ZeroDivisionError as exc:
+        raise ValueError(f"zero denominator in {text!r}") from exc
 
 
 def format_rational(x: Fraction) -> str:
@@ -137,7 +140,11 @@ class OffspringDist:
             import json
 
             spec = json.loads(spec)
+        if not isinstance(spec, dict):
+            raise ValueError(f"distribution spec must be a JSON object: {spec!r}")
         if "probs" in spec:
+            if not isinstance(spec["probs"], list):
+                raise ValueError(f"probs must be a list: {spec['probs']!r}")
             return OffspringDist("finite", tuple(parse_rational(str(p)) for p in spec["probs"]))
         family = spec.get("family")
         if family == "binary":

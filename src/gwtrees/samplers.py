@@ -118,15 +118,14 @@ class SamplerTables:
         self.exact = exact
         if exact:
             self.count = marked_count_pmf(dist, marks, n)
-            self._eps = 0
         else:
             self.count = marked_count_pmf_float(dist, marks, n)
             # structural zeros come back from the FFT as noise around 1e-15;
             # genuine masses at the sizes used here sit far above this floor
-            self._eps = 1e-10
-            self.count[self.count <= self._eps] = 0.0
+            self.count[self.count <= 1e-10] = 0.0
         if self.count[n] == 0:
             raise ValueError(f"marked count {n} has probability zero")
+        self._admissible = [bool(c > 0) for c in self.count]
         self._tau: list = [self._tau_zero(), list(self.count) if exact else np.array(self.count)]
         self._split_cum: dict[tuple[int, int], array] = {}
         self._degree_cum: dict[int, tuple[list[int], list[float]]] = {}
@@ -147,7 +146,7 @@ class SamplerTables:
         return row
 
     def admissible(self, m: int) -> bool:
-        return 1 <= m <= self.n and self.count[m] > self._eps
+        return 1 <= m <= self.n and self._admissible[m]
 
     def tau(self, p: int):
         """P(sum of p independent marked counts = s), s = 0..n."""
@@ -413,27 +412,34 @@ def split_measure(tables: SamplerTables, m: int) -> dict[Partition, Fraction]:
 
     The weight of a partition is the number of its orderings times the root
     degree probability times the product of part probabilities, normalised by
-    the size-m probability.
+    the size-m probability.  Exact tables only: each weight is a product of
+    integer numerators over a product of denominators, made a Fraction once.
     """
+    if not tables.exact:
+        raise ValueError("split_measure needs exact tables")
     if not tables.admissible(m):
         raise ValueError(f"size {m} has probability zero")
     marks = tables.marks
     z = tables.count[m]
+    nums = [c.numerator for c in tables.count]
+    dens = [c.denominator for c in tables.count]
     atoms: dict[Partition, Fraction] = {}
     for p in tables.dist.support_iter(m):
         xi_p = tables.dist.pmf(p)
         if xi_p == 0:
             continue
         target = m - (1 if p in marks else 0)
+        # a partition has p parts, so each one is reached from one degree only
         for lam in partitions_into(target, p, part_ok=tables.admissible):
-            w = distinct_arrangements(lam) * xi_p
+            num = distinct_arrangements(lam) * xi_p.numerator * z.denominator
+            den = xi_p.denominator * z.numerator
             for part in lam:
-                w *= tables.count[part]
-            atoms[lam] = atoms.get(lam, Fraction(0)) + w / z
-    if tables.exact:
-        total = sum(atoms.values())
-        if total != 1:
-            raise AssertionError(f"split weights at {m} sum to {total}")
+                num *= nums[part]
+                den *= dens[part]
+            atoms[lam] = Fraction(num, den)
+    total = sum(atoms.values())
+    if total != 1:
+        raise AssertionError(f"split weights at {m} sum to {total}")
     return atoms
 
 

@@ -132,7 +132,7 @@ def run_otter_dwass(
             # enumeration oracle: complete wherever the vertex count is forced
             mismatches = []
             complete_cases = 0
-            for n in range(1, enum_n + 1):
+            for n in range(1, min(enum_n, max_n) + 1):
                 if dist_name == BINARY:
                     if table[n] == 0:
                         continue
@@ -148,13 +148,14 @@ def run_otter_dwass(
             res.add(f"enumeration[{label}]", not mismatches, cases=complete_cases, mismatches=mismatches)
             if dist_name == GEOMETRIC and set_name == "0":
                 # enumeration is never complete here; partial mass grows monotonically
+                k = min(3, max_n)
                 prev = Fraction(0)
                 good = True
                 for cap in (6, 8, 10):
-                    part, _ = enumerate_mass(dist, marks, 3, cap)
-                    good = good and prev <= part <= table[3]
+                    part, _ = enumerate_mass(dist, marks, k, cap)
+                    good = good and prev <= part <= table[k]
                     prev = part
-                res.add(f"partial-mass-monotone[{label}]", good, final=float(prev), bound=float(table[3]))
+                res.add(f"partial-mass-monotone[{label}]", good, n=k, final=float(prev), bound=float(table[k]))
     # spot values: binary leaves start 1/2, 1/8, 1/16
     tb = marked_count_pmf(binary_dist(), DegreeSet.of(0), 3)
     res.add(

@@ -1,6 +1,12 @@
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gwtrees.cli import main
 
@@ -191,3 +197,71 @@ def test_main_entrypoint_inprocess(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert json.loads(out) == ["1/2", "0", "1/8"]
+
+
+def test_verify_otter_dwass_at_small_max_n():
+    # the geometric partial-mass check used to read table[3] at every size
+    for max_n in ("1", "2"):
+        proc = run_cli(["verify", "otter-dwass", "--max-n", max_n])
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "[FAIL]" not in proc.stdout and "[PASS]" in proc.stdout
+
+
+def _weights_as_law(weights):
+    return json.dumps({"probs": [f"{w}/{sum(weights)}" for w in weights]})
+
+
+LAWS = st.one_of(
+    st.sampled_from(
+        [
+            '{"family":"binary"}',
+            '{"family":"geometric"}',
+            '{"family":"geometric","p":"2/3"}',
+            '{"family":"geometric","p":"1/3"}',
+            '{"family":"geometric","p":"0"}',
+            '{"family":"cauchy"}',
+            '{"probs":["1/0"]}',
+            '{"probs":5}',
+            '{"probs":[NaN]}',
+            "[1, 2]",
+            "5",
+            "null",
+            '"binary"',
+            "{",
+        ]
+    ),
+    # normalised laws: valid unless supercritical or without mass at 0
+    st.lists(st.integers(0, 9), min_size=1, max_size=5).filter(any).map(_weights_as_law),
+    # arbitrary rationals, zero and negative denominators included
+    st.lists(st.builds("{}/{}".format, st.integers(-2, 12), st.integers(-1, 12)), max_size=4).map(
+        lambda ps: json.dumps({"probs": ps})
+    ),
+    st.text(max_size=12),
+)
+SETS = st.one_of(
+    st.sampled_from(["0", "0,1", "0,2", "all", "geq:2", "geq:3", "not:1", "not:0", "not:-1", "1", "", "x", "geq:", "not:"]),
+    st.lists(st.integers(-1, 5), min_size=1, max_size=4).map(lambda ks: ",".join(map(str, ks))),
+)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(dist=st.none() | LAWS, marks=st.none() | SETS, max_n=st.none() | st.integers(-2, 40))
+def test_exact_error_contract(dist, marks, max_n):
+    # either a table, or exit 2 with a JSON error object and nothing on stdout
+    argv = ["exact", "--format", "json"]
+    for flag, value in (("--dist", dist), ("--set", marks), ("--max-n", max_n)):
+        if value is not None:
+            argv.append(f"{flag}={value}")
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    if code == 0:
+        table = [Fraction(v) for v in json.loads(out.getvalue())]
+        assert len(table) == max_n
+        assert all(0 <= p <= 1 for p in table) and sum(table) <= 1
+    else:
+        assert code == 2
+        assert out.getvalue() == ""
+        error = json.loads(err.getvalue())
+        assert isinstance(error, dict) and error["error"] == "config"

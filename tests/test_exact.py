@@ -18,6 +18,42 @@ from gwtrees.offspring import binary_dist, collapsed_offspring, from_probs, geom
 A0 = DegreeSet.of(0)
 A02 = DegreeSet.of(0, 2)
 ALL = DegreeSet.all_degrees()
+SETS = (A0, DegreeSet.of(0, 1), A02, ALL)
+# laws whose step denominators are not all powers of two; in COPRIME no
+# denominator is a multiple of all the others, so the walk's common
+# denominator must be their lcm, not the largest of them
+THIRDS = from_probs([Fraction(1, 3)] * 3)
+MIXED = from_probs([Fraction(7, 12), Fraction(1, 6), Fraction(0), Fraction(1, 4)])
+COPRIME = from_probs([Fraction(1, 2), Fraction(1, 5), Fraction(1, 6), Fraction(2, 15)])
+
+
+def _fraction_walk(dist, k, top):
+    """Reference walk in Fraction arithmetic: the states after steps 1..k,
+    keeping only values that can still fall back to top - k."""
+    steps = [(j - 1, dist.pmf(j)) for j in range(max(top - 1, -1) + 2) if dist.pmf(j) != 0]
+    states = []
+    cur = {0: Fraction(1)}
+    for j in range(1, k + 1):
+        nxt = {}
+        for s, pr in cur.items():
+            for v, pv in steps:
+                if s + v > top - j:
+                    break
+                nxt[s + v] = nxt.get(s + v, Fraction(0)) + pr * pv
+        cur = nxt
+        states.append(cur)
+    return states
+
+
+def _reference_progeny(dist, max_n):
+    states = _fraction_walk(dist, max_n, max_n - 1)
+    return [Fraction(0)] + [st.get(-1, Fraction(0)) / n for n, st in enumerate(states, start=1)]
+
+
+def _reference_window(dist, k, lo, hi):
+    states = _fraction_walk(dist, k, hi + k)
+    last = states[-1] if states else {0: Fraction(1)}
+    return {m: p for m, p in last.items() if lo <= m <= hi}
 
 
 def test_walk_pmf_examples():
@@ -61,11 +97,37 @@ def test_marked_count_binary_all():
 
 
 def test_leaf_routes_agree():
-    # walk-formula route vs functional-equation route, exact to order 60
-    for dist in (binary_dist(), geometric_dist()):
-        a = marked_count_pmf(dist, A0, 60, cross_check=False)
-        b = leaf_pmf_fixed_point(dist, 60)
-        assert a == b
+    # walk-formula route vs functional-equation route, exact; the benchmark's
+    # table sizes (binary n=100, geometric n=64) and a mixed-denominator law
+    for dist, n in ((binary_dist(), 100), (geometric_dist(), 64), (MIXED, 40)):
+        assert marked_count_pmf(dist, A0, n) == leaf_pmf_fixed_point(dist, n)
+
+
+@pytest.mark.parametrize(
+    "dist",
+    [binary_dist(), geometric_dist(), THIRDS, MIXED, COPRIME],
+    ids=["binary", "geometric", "thirds", "mixed", "coprime"],
+)
+def test_integer_walk_matches_fraction_walk(dist):
+    for marks in SETS:
+        zeta = collapsed_offspring(dist, marks, 40)
+        assert progeny_pmf(zeta, 40) == _reference_progeny(zeta, 40)
+        for k, lo, hi in ((40, -40, 0), (20, -5, 10), (1, -1, 0), (0, 0, 0)):
+            assert walk_pmf(zeta, k, lo, hi).probs == _reference_window(zeta, k, lo, hi)
+    assert progeny_pmf(dist, 40) == _reference_progeny(dist, 40)
+
+
+def test_integer_walk_degenerate_law():
+    one = from_probs([1])
+    assert progeny_pmf(one, 12) == _reference_progeny(one, 12) == [0, 1] + [0] * 11
+    assert walk_pmf(one, 5, -6, 0).probs == _reference_window(one, 5, -6, 0) == {-5: 1}
+
+
+def test_integer_walk_rejects_float_laws():
+    with pytest.raises(ValueError):
+        progeny_pmf(binary_dist().to_float(), 5)
+    with pytest.raises(ValueError):
+        walk_pmf(geometric_dist(0.5), 3, -1, -1)
 
 
 def test_marked_count_equals_collapsed_progeny():
