@@ -32,6 +32,14 @@ class ConfigError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors (a non-integer --n, an unknown flag) raise ConfigError, so
+    they exit 2 with the JSON error object like every other misuse."""
+
+    def error(self, message: str):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 @dataclass
 class RunConfig:
     """Flags shared by the table- and sampling-oriented subcommands."""
@@ -307,7 +315,7 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="gwtrees", description=__doc__)
+    parser = _Parser(prog="gwtrees", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -354,9 +362,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if args.command == "exact":
             return cmd_exact(_load_config(args))
         if args.command == "sample":

@@ -15,10 +15,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import accumulate
 from typing import Callable, NamedTuple
 
 from . import series
 from .degree_sets import DegreeSet, require_zero
+from .streams import common_denominator
 
 
 def parse_rational(text: str) -> Fraction:
@@ -66,11 +69,20 @@ class OffspringDist:
 
     # -- basic access -------------------------------------------------------
 
-    @property
+    # the fields are frozen, so derived values are computed once per object
+
+    @cached_property
     def exact(self) -> bool:
         if self.family == "geometric":
             return isinstance(self.param, Fraction)
         return all(isinstance(p, (Fraction, int)) for p in self.probs)
+
+    @cached_property
+    def integer_cdf(self) -> tuple[list[int], int]:
+        """Cumulative probabilities of a finite exact law as integer
+        numerators over the lcm of their denominators."""
+        nums, den = common_denominator(self.probs)
+        return list(accumulate(nums)), den
 
     def pmf(self, k: int):
         if k < 0:

@@ -7,7 +7,6 @@ unmarked together with partitions of n-1 whose block count is marked.
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Callable, Iterator
 from math import factorial
 
@@ -23,15 +22,20 @@ def block_count(lam: Partition) -> int:
     return len(lam) if lam else -1
 
 
-def multiplicities(lam: Partition) -> Counter[int]:
-    return Counter(lam)
-
-
 def distinct_arrangements(lam: Partition) -> int:
-    """Number of ordered tuples with the given non-increasing rearrangement."""
+    """Number of ordered tuples with the given non-increasing rearrangement.
+
+    Equal parts of a sorted tuple sit in one run; dividing by 2, 3, ..., m
+    along a run of length m divides by m!, and every quotient is exact.
+    """
     count = factorial(len(lam))
-    for m in multiplicities(lam).values():
-        count //= factorial(m)
+    run = 1
+    for i in range(1, len(lam)):
+        if lam[i] == lam[i - 1]:
+            run += 1
+            count //= run
+        else:
+            run = 1
     return count
 
 

@@ -14,9 +14,11 @@ from __future__ import annotations
 import itertools
 from array import array
 from bisect import bisect_right
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import partial
+from math import gcd, lcm
 
 import numpy as np
 
@@ -30,7 +32,13 @@ from .partitions import (
     iota,
     partitions_into,
 )
-from .streams import RandomStream, draw_cdf, draw_weights
+from .streams import (
+    RandomStream,
+    common_denominator,
+    draw_cdf_int,
+    draw_geometric,
+    draw_weights_int,
+)
 from .trees import OrderedTree, count_marked, decode
 
 
@@ -42,19 +50,12 @@ class TryBudgetExceeded(RuntimeError):
     """Rejection sampling used up its allowed attempts."""
 
 
-@lru_cache(maxsize=64)
-def _finite_cum(dist: OffspringDist) -> tuple:
-    probs = dist.probs
-    cum = list(itertools.accumulate(probs))
-    return tuple(cum)
-
-
 def draw_offspring(dist: OffspringDist, stream: RandomStream) -> int:
     """One child count with exactly the distribution's law."""
     if dist.family == "finite" and dist.exact:
-        return draw_cdf(_finite_cum(dist), stream)
+        return draw_cdf_int(*dist.integer_cdf, stream)
     if dist.exact:
-        return draw_weights((dist.pmf(k) for k in itertools.count()), Fraction(1), stream)
+        return draw_geometric(dist.param.numerator, dist.param.denominator, stream)
     u = stream.random()
     acc = 0.0
     k = 0
@@ -100,11 +101,29 @@ def sample_hat_offspring(dist: OffspringDist, marks: DegreeSet, stream: RandomSt
 # conditioned sampling
 
 
+@dataclass(eq=False)
+class _DegreeCdf:
+    """Exact root-degree CDF at one size, built only as far as draws reach.
+
+    cum[i] / den is the weight of degrees[0..i] and total / den the size's
+    probability.  A weight whose denominator does not divide den rescales
+    the list in place, which leaves every ratio, and so every draw, as it was.
+    """
+
+    degrees: list[int]
+    cum: list[int]
+    den: int
+    total: int
+    todo: Iterator[int]
+
+
 class SamplerTables:
     """Marked-count law and its convolution powers for one (law, set, size).
 
-    Exact mode stores rationals and draws with exact inversion; float mode
-    stores numpy vectors and memoizes split tables for large sizes.
+    Exact mode keeps each power as integer numerators over one denominator
+    per row, caches root-degree and split CDFs as integer lists and draws
+    them with exact dyadic inversion; float mode keeps numpy vectors and
+    float CDFs.  Both modes cache the CDFs per key in the same dicts.
     """
 
     def __init__(self, dist: OffspringDist, marks: DegreeSet, n: int, exact: bool = True):
@@ -126,63 +145,73 @@ class SamplerTables:
         if self.count[n] == 0:
             raise ValueError(f"marked count {n} has probability zero")
         self._admissible = [bool(c > 0) for c in self.count]
-        self._tau: list = [self._tau_zero(), list(self.count) if exact else np.array(self.count)]
-        self._split_cum: dict[tuple[int, int], array] = {}
-        self._degree_cum: dict[int, tuple[list[int], list[float]]] = {}
+        self._split_cum: dict[tuple[int, int], list[int] | array] = {}
+        self._degree_cum: dict[int, _DegreeCdf | tuple[list[int], list[float]]] = {}
         self.marked_degree = [k in marks for k in range(n + 2)]
-        if not exact:
+        if exact:
+            # row p of _tau: numerators of the p-th convolution power, and
+            # their denominator, both divided by their gcd
+            self._tau: list = [([1] + [0] * n, 1), common_denominator(self.count)]
+            self._pmf_q = [(q.numerator, q.denominator) for q in map(Fraction, dist.coeffs(n + 1))]
+        else:
+            self._tau = [np.zeros(n + 1), np.array(self.count)]
+            self._tau[0][0] = 1.0
             # flat float mirrors keep the per-vertex draw loops cheap
             self._pmf_f = [float(dist.pmf(k)) for k in range(n + 2)]
             self._count_l: list[float] = self.count.tolist()
             self._tau_l: list[list[float]] = [self._tau[0].tolist(), self._count_l]
 
-    def _tau_zero(self):
-        if self.exact:
-            row = [Fraction(0)] * (self.n + 1)
-            row[0] = Fraction(1)
-            return row
-        row = np.zeros(self.n + 1)
-        row[0] = 1.0
-        return row
-
     def admissible(self, m: int) -> bool:
         return 1 <= m <= self.n and self._admissible[m]
 
-    def tau(self, p: int):
-        """P(sum of p independent marked counts = s), s = 0..n."""
-        while len(self._tau) <= p:
-            last = self._tau[-1]
+    def _power(self, p: int):
+        """Row p of the convolution powers, built on first use."""
+        tau = self._tau
+        while len(tau) <= p:
             if self.exact:
-                nxt = [Fraction(0)] * (self.n + 1)
+                last, den = tau[-1]
+                count, count_den = tau[1]
+                n = self.n
+                nxt = [0] * (n + 1)
                 for i, ai in enumerate(last):
                     if ai:
-                        for j in range(1, self.n - i + 1):
-                            cj = self.count[j]
+                        for j in range(1, n - i + 1):
+                            cj = count[j]
                             if cj:
                                 nxt[i + j] += ai * cj
+                den *= count_den
+                g = gcd(den, *nxt)
+                tau.append(([c // g for c in nxt], den // g))
             else:
-                nxt = np.convolve(last, self.count)[: self.n + 1]
+                nxt = np.convolve(tau[-1], self.count)[: self.n + 1]
+                tau.append(nxt)
                 self._tau_l.append(nxt.tolist())
-            self._tau.append(nxt)
-        return self._tau[p]
+        return tau[p]
+
+    def tau(self, p: int):
+        """P(sum of p independent marked counts = s), s = 0..n."""
+        row = self._power(p)
+        if self.exact:
+            nums, den = row
+            return [Fraction(c, den) for c in nums]
+        return row
 
     def tau_list(self, p: int) -> list[float]:
-        self.tau(p)
+        self._power(p)
         return self._tau_l[p]
 
     # -- draws ---------------------------------------------------------------
 
     def draw_root_degree(self, s: int, stream: RandomStream) -> int:
         """Root degree conditional on the subtree's marked count being s."""
-        if self.exact:
-            total = self.count[s]
-            weights = (
-                self.dist.pmf(p) * self.tau(p)[s - (1 if p in self.marks else 0)]
-                for p in self.dist.support_iter(s)
-            )
-            degrees = list(self.dist.support_iter(s))
-            return degrees[draw_weights(weights, total, stream)]
         entry = self._degree_cum.get(s)
+        if self.exact:
+            if entry is None:
+                size = self.count[s]
+                entry = _DegreeCdf([], [], size.denominator, size.numerator, self.dist.support_iter(s))
+                self._degree_cum[s] = entry
+            i = draw_weights_int(entry.cum, entry.total, stream, partial(self._grow_degrees, s, entry))
+            return entry.degrees[i]
         if entry is None:
             degrees: list[int] = []
             cum: list[float] = []
@@ -208,16 +237,48 @@ class SamplerTables:
         u = stream.random() * cum[-1]
         return degrees[min(bisect_right(cum, u), len(degrees) - 1)]
 
+    def _grow_degrees(self, s: int, entry: _DegreeCdf) -> int | None:
+        """Append the next positive root-degree weight at size s to its CDF.
+
+        Returns the total over the CDF's denominator, or None once every
+        degree is in; the complete CDF must then end exactly at the total.
+        """
+        for p in entry.todo:
+            x, x_den = self._pmf_q[p]
+            nums, den = self._power(p)
+            w = x * nums[s - 1 if self.marked_degree[p] else s]
+            if not w:
+                continue
+            den *= x_den
+            common = lcm(entry.den, den)
+            if common != entry.den:
+                # in place: the draw in progress holds this list
+                scale = common // entry.den
+                entry.cum[:] = [c * scale for c in entry.cum]
+                entry.total *= scale
+                entry.den = common
+            entry.degrees.append(p)
+            entry.cum.append((entry.cum[-1] if entry.cum else 0) + w * (common // den))
+            return entry.total
+        if not entry.cum or entry.cum[-1] != entry.total:
+            raise AssertionError(f"root-degree weights at size {s} do not sum to its probability")
+        return None
+
     def _draw_first_part(self, k: int, r: int, stream: RandomStream) -> int:
         """First of k sizes summing to r, from its sequential conditional."""
-        if self.exact:
-            tau_prev = self.tau(k - 1)
-            weights = (self.count[m] * tau_prev[r - m] for m in range(1, r - k + 2))
-            return 1 + draw_weights(weights, self.tau(k)[r], stream)
         key = (k, r)
         cum = self._split_cum.get(key)
+        if self.exact:
+            if cum is None:
+                # weights count[m] * tau(k-1)[r-m] over one denominator; their
+                # sum is tau(k)[r], so the list's last entry is the total
+                count = self._tau[1][0]
+                prev = self._power(k - 1)[0]
+                cum = list(itertools.accumulate(count[m] * prev[r - m] for m in range(1, r - k + 2)))
+                self._split_cum[key] = cum
+            return 1 + draw_weights_int(cum, cum[-1], stream)
         if cum is None:
-            tau_prev = self.tau(k - 1)
+            tau_prev = self._power(k - 1)
             stop = k - 2  # slice runs over tau_prev[r-1] down to tau_prev[k-1]
             w = np.asarray(self.count[1 : r - k + 2]) * tau_prev[r - 1 : stop if stop >= 0 else None : -1]
             # 8 bytes per entry instead of a list of float objects; bisect
@@ -333,7 +394,7 @@ class QFamily:
     marks: DegreeSet
     splits: dict[int, dict[Partition, Fraction | float]]
     q1_empty: Fraction | float
-    _cond_cum: dict[int, tuple[list[Partition], list]] = field(default_factory=dict, repr=False)
+    _cond_cum: dict[int, tuple] = field(default_factory=dict, repr=False)
 
     def sizes(self) -> list[int]:
         return [1] + sorted(self.splits)
@@ -371,29 +432,45 @@ class QFamily:
                 if w > 0 and any(part not in defined for part in lam):
                     raise ValueError(f"partition {lam} uses sizes without a split law")
 
-    def draw_conditioned(self, n: int, stream: RandomStream) -> Partition:
-        """Draw a partition at size n conditioned away from the whole block (n,)."""
+    def _conditioned(self, n: int) -> tuple:
+        """(partitions, CDF, CDF denominator, mass off the whole block) at size n.
+
+        Exact entries put the atoms' cumulative weights and the mass off (n,)
+        over one lcm denominator, so the CDF is integers over that mass; float
+        entries hold a normalised CDF and no denominator.
+        """
         entry = self._cond_cum.get(n)
         if entry is None:
             atoms = sorted((lam, w) for lam, w in self.splits[n].items() if lam != (n,) and w > 0)
-            rest = 1 - self.splits[n].get((n,), 0)
+            rest = 1 - self.whole_mass(n)
             lams = [lam for lam, _ in atoms]
-            cum = list(itertools.accumulate(w / rest for _, w in atoms))
-            entry = (lams, cum)
+            if self.is_exact:
+                nums, _den = common_denominator([*(w for _, w in atoms), rest])
+                entry = (lams, list(itertools.accumulate(nums[:-1])), nums[-1], rest)
+            else:
+                entry = (lams, list(itertools.accumulate(w / rest for _, w in atoms)), None, rest)
             self._cond_cum[n] = entry
-        lams, cum = entry
+        return entry
+
+    def split_mass(self, n: int):
+        """Mass off the undivided partition (n,): the success probability of
+        the stalk above a branch vertex of size n."""
+        return self._conditioned(n)[3]
+
+    def draw_conditioned(self, n: int, stream: RandomStream) -> Partition:
+        """Draw a partition at size n conditioned away from the whole block (n,)."""
+        lams, cum, den, _rest = self._conditioned(n)
         if not lams:
             raise ValueError(f"no admissible split at size {n}")
-        if self.is_exact:
-            return lams[draw_cdf(cum, stream)]
+        if den is not None:
+            return lams[draw_cdf_int(cum, den, stream)]
         return lams[min(bisect_right(cum, stream.random()), len(lams) - 1)]
 
 
 def _draw_geometric0(success, stream: RandomStream) -> int:
     """Number of failures before the first success; exact when `success` is."""
     if isinstance(success, Fraction):
-        fail = 1 - success
-        return draw_weights((success * fail**j for j in itertools.count()), Fraction(1), stream)
+        return draw_geometric(success.numerator, success.denominator, stream)
     u = stream.random()
     acc = 0.0
     j = 0
@@ -476,7 +553,7 @@ def sample_markov_branching(q: QFamily, n: int, stream: RandomStream) -> Ordered
             continue
         lam = q.draw_conditioned(s, stream)
         if stalks:
-            below = 1 + _draw_geometric0(1 - q.whole_mass(s), stream)
+            below = 1 + _draw_geometric0(q.split_mass(s), stream)
         else:
             below = 1
         cur = node

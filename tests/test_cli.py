@@ -5,10 +5,13 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gwtrees.cli import main
+from gwtrees.degree_sets import DegreeSet
+from gwtrees.trees import count_marked, parse_tree
 
 BIN = [sys.executable, "-m", "gwtrees.cli"]
 
@@ -265,3 +268,83 @@ def test_exact_error_contract(dist, marks, max_n):
         assert out.getvalue() == ""
         error = json.loads(err.getvalue())
         assert isinstance(error, dict) and error["error"] == "config"
+
+
+def _main(argv):
+    """Run the CLI in-process: (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _assert_json_error(code, out, err):
+    assert code == 2
+    assert out == ""
+    error = json.loads(err)
+    assert isinstance(error, dict) and error["error"] == "config"
+
+
+BINARY = '{"family":"binary"}'
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["exact", "--dist", BINARY, "--max-n", "abc"],
+        ["sample", "--dist", BINARY, "--n", "2.5", "--seed", "1"],
+        ["sample", "--dist", BINARY, "--n", "3", "--count", "x", "--seed", "1"],
+        ["sample", "--dist", BINARY, "--n", "3", "--seed", "0x1"],
+    ],
+    ids=["max-n", "n", "count", "seed"],
+)
+def test_non_integer_option_is_a_json_error(argv):
+    code, out, err = _main(argv)
+    _assert_json_error(code, out, err)
+    assert "invalid int value" in json.loads(err)["message"]
+
+
+def test_unknown_option_is_a_json_error():
+    _assert_json_error(*_main(["exact", "--dist", BINARY, "--max-n", "3", "--frobnicate"]))
+
+
+def _argv(command, **flags):
+    argv = [command]
+    for flag, value in flags.items():
+        if value is not None:
+            argv.append(f"--{flag.replace('_', '-')}={value}")
+    return argv
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(
+    dist=st.none() | LAWS,
+    marks=st.none() | SETS,
+    n=st.none() | st.integers(-2, 40),
+    count=st.none() | st.integers(1, 3),
+    seed=st.none() | st.integers(0, 2**40),
+)
+def test_sample_error_contract(dist, marks, n, count, seed):
+    # either every tree has exactly n marked vertices, or exit 2 with a JSON
+    # error object and nothing at all on stdout
+    code, out, err = _main(_argv("sample", dist=dist, set=marks, n=n, count=count, seed=seed))
+    if code != 0:
+        _assert_json_error(code, out, err)
+        return
+    header, *lines = out.splitlines()
+    degree_set = DegreeSet.parse(json.loads(header)["set"])
+    assert len(lines) == (count or 1)
+    assert all(count_marked(parse_tree(line), degree_set) == n for line in lines)
+
+
+# the root-split sweep enumerates every partition of every size up to n;
+# geometric/{0} takes about 14 s at n=40, so sizes stop at 20 here
+@settings(max_examples=30, deadline=None, database=None)
+@given(dist=st.none() | LAWS, marks=st.none() | SETS, n=st.none() | st.integers(-2, 20))
+def test_root_partition_error_contract(dist, marks, n):
+    code, out, err = _main(_argv("root-partition", dist=dist, set=marks, n=n, format="json"))
+    if code != 0:
+        _assert_json_error(code, out, err)
+        return
+    sizes = [row["n"] for row in json.loads(out)]
+    assert sizes == sorted(set(sizes)) and sizes[-1] == n

@@ -1,3 +1,5 @@
+import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -8,7 +10,6 @@ from gwtrees.partitions import (
     block_count,
     distinct_arrangements,
     iota,
-    multiplicities,
     partitions_into,
     partitions_of,
     split_partitions,
@@ -53,7 +54,15 @@ def test_block_count_and_arrangements():
     assert distinct_arrangements((3, 1)) == 2
     assert distinct_arrangements((2, 2)) == 1
     assert distinct_arrangements((2, 1, 1)) == 3
-    assert multiplicities((2, 1, 1))[1] == 2
+
+
+def test_distinct_arrangements_matches_multinomial_of_multiplicities():
+    for n in range(21):
+        for lam in partitions_of(n):
+            want = math.factorial(len(lam))
+            for m in Counter(lam).values():
+                want //= math.factorial(m)
+            assert distinct_arrangements(lam) == want, lam
 
 
 def test_iota():

@@ -1,4 +1,8 @@
+import hashlib
+import itertools
 import math
+import random
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from fractions import Fraction
 
@@ -26,7 +30,15 @@ from gwtrees.samplers import (
     split_measure,
 )
 from gwtrees.scaling import chi_square_test, depth_law
-from gwtrees.streams import RandomStream
+from gwtrees.streams import (
+    RandomStream,
+    common_denominator,
+    draw_cdf,
+    draw_cdf_int,
+    draw_geometric,
+    draw_weights,
+    draw_weights_int,
+)
 from gwtrees.trees import canonical_key, count_marked, leaf_augment, parse_tree, single_vertex
 
 A0 = DegreeSet.of(0)
@@ -301,3 +313,227 @@ def test_exact_draws_match_fractions():
     assert abs(counts[0] / 30000 - 1 / 3) < 0.01
     assert abs(counts[1] / 30000 - 1 / 6) < 0.01
     assert abs(counts[2] / 30000 - 1 / 2) < 0.01
+
+
+# ---------------------------------------------------------------------------
+# exact draws on integers: same decisions on the same random bits
+
+
+def _fraction_draw_cdf(cum, stream):
+    """Reference: draw_cdf as a loop over Fraction comparisons."""
+    num = 0
+    bits = 0
+    while True:
+        num = (num << 16) | stream.getrandbits(16)
+        bits += 16
+        den = 1 << bits
+        i_lo = bisect_right(cum, Fraction(num, den))
+        i_hi = bisect_left(cum, Fraction(num + 1, den))
+        if i_lo >= i_hi or bits >= 1024:
+            return min(i_lo, len(cum) - 1)
+
+
+def _fraction_draw_weights(weights, total, stream):
+    """Reference: draw_weights as a lazy loop over Fraction partial sums."""
+    num = stream.getrandbits(64)
+    bits = 64
+    acc = total * 0
+    last_positive = None
+    for i, w in enumerate(weights):
+        if w == 0:
+            continue
+        acc += w
+        last_positive = i
+        while True:
+            den = 1 << bits
+            if acc * den >= (num + 1) * total:
+                return i
+            if acc * den <= num * total:
+                break
+            num = (num << 16) | stream.getrandbits(16)
+            bits += 16
+            if bits >= 1024:
+                return i
+    if last_positive is None:
+        raise ValueError("all weights vanish")
+    return last_positive
+
+
+def _random_weights(rng, many=(1000, 4000)):
+    """Rational weights of two kinds: a few with large unrelated
+    denominators, or `many` small ones; with thousands, a 16-bit dyadic
+    interval often straddles a cumulative weight."""
+    if rng.random() < 0.5:
+        ws = [
+            Fraction(rng.choice((0, 0, 1, 2, 3, 7, 10**9 + 7)), rng.randint(1, 10 ** rng.randint(1, 30)))
+            for _ in range(rng.randint(1, 8))
+        ]
+    else:
+        den = rng.randint(2**15, 2**17)
+        ws = [Fraction(rng.randint(0, 3), den) for _ in range(rng.randint(*many))]
+    if not any(ws):
+        ws[0] = Fraction(1, 3)
+    return ws
+
+
+def _cdf_mismatches(core, cases=60, draws=40) -> int:
+    """Draws of `core` on integer CDFs that differ from the Fraction loop,
+    index for index or in the random bits consumed."""
+    rng = random.Random(71)
+    bad = 0
+    for _ in range(cases):
+        ws = _random_weights(rng)
+        total = sum(ws)
+        cum = list(itertools.accumulate(w / total for w in ws))
+        nums, den = common_denominator(cum)
+        seed = rng.randrange(2**32)
+        a, b = RandomStream(seed), RandomStream(seed)
+        bad += sum(_fraction_draw_cdf(cum, a) != core(nums, den, b) for _ in range(draws))
+        bad += a.getrandbits(64) != b.getrandbits(64)
+    return bad
+
+
+def test_integer_cdf_core_matches_fraction_loop():
+    assert _cdf_mismatches(draw_cdf_int) == 0
+
+
+def test_cdf_check_rejects_floor_upper_threshold():
+    # cum[i]/den < (num+1)/2^b needs cum[i] < ceil((num+1)*den / 2^b); with
+    # the floor the draw stops while the interval still straddles cum[i]
+    def floor_mutant(cum, den, stream):
+        num = 0
+        bits = 0
+        while True:
+            num = (num << 16) | stream.getrandbits(16)
+            bits += 16
+            i_lo = bisect_right(cum, (num * den) >> bits)
+            i_hi = bisect_left(cum, ((num + 1) * den) >> bits)
+            if i_lo >= i_hi or bits >= 1024:
+                return min(i_lo, len(cum) - 1)
+
+    assert _cdf_mismatches(floor_mutant) > 0
+
+
+def test_integer_weight_draws_match_fraction_loop():
+    rng = random.Random(73)
+    for case in range(60):
+        ws = _random_weights(rng, many=(20, 200))
+        # every third case has a total above the sum: U may pass every weight
+        total = sum(ws) * (2 if case % 3 == 0 else 1)
+        nums, den = common_denominator([*ws, total])
+        cum = list(itertools.accumulate(nums[:-1]))
+        seed = rng.randrange(2**32)
+        a, b, c = RandomStream(seed), RandomStream(seed), RandomStream(seed)
+        for _ in range(40):
+            want = _fraction_draw_weights(ws, total, a)
+            assert draw_weights_int(cum, nums[-1], b) == want
+            assert draw_weights(ws, total, c) == want
+        assert a.getrandbits(64) == b.getrandbits(64) == c.getrandbits(64)
+    with pytest.raises(ValueError):
+        draw_weights([Fraction(0)] * 3, Fraction(1), stream())
+
+
+def test_public_cdf_draw_matches_fraction_loop():
+    cum = [Fraction(1, 3), Fraction(1, 2), Fraction(1)]
+    a, b = stream(79), stream(79)
+    assert [_fraction_draw_cdf(cum, a) for _ in range(2000)] == [draw_cdf(cum, b) for _ in range(2000)]
+
+
+@pytest.mark.parametrize("p", ["1/2", "1/3", "2/3", "999/1000", "1/10", "1"])
+def test_closed_form_geometric_matches_lazy_weights(p):
+    p = Fraction(p)
+    a, b = stream(83), stream(83)
+    for _ in range(400):
+        want = _fraction_draw_weights((p * (1 - p) ** j for j in itertools.count()), Fraction(1), a)
+        assert draw_geometric(p.numerator, p.denominator, b) == want
+    assert a.getrandbits(64) == b.getrandbits(64)
+
+
+def test_extending_a_degree_cdf_keeps_its_total():
+    # degree CDFs grow one weight at a time and rescale to a common
+    # denominator; growing one completely must land exactly on count[s]
+    mixed = from_probs([Fraction(7, 12), Fraction(1, 6), Fraction(0), Fraction(1, 4)])
+    for dist, marks, n in [(mixed, A0, 21), (geometric_dist(), DegreeSet.of(0, 2), 20)]:
+        tab = SamplerTables(dist, marks, n)
+        for s in range(1, n + 1):
+            if tab.admissible(s):
+                tab.draw_root_degree(s, stream(s))
+                entry = tab._degree_cum[s]
+                while tab._grow_degrees(s, entry) is not None:
+                    pass
+                assert Fraction(entry.cum[-1], entry.den) == tab.count[s]
+
+
+def test_exact_tau_rows_are_convolution_powers():
+    mixed = from_probs([Fraction(7, 12), Fraction(1, 6), Fraction(0), Fraction(1, 4)])
+    tab = SamplerTables(mixed, A0, 15)
+    row = [Fraction(1)] + [Fraction(0)] * 15
+    for p in range(6):
+        assert tab.tau(p) == row
+        row = [sum((row[i] * tab.count[s - i] for i in range(s + 1)), Fraction(0)) for s in range(16)]
+
+
+def test_root_degree_cdf_builds_only_the_powers_it_reaches():
+    # a complete root-degree CDF at the top size would need every power up
+    # to n; draws that stop early leave the higher powers unbuilt
+    tab = SamplerTables(geometric_dist(), A0, 120)
+    s = stream(89)
+    for _ in range(20):
+        sample_conditioned(tab, s)
+    assert len(tab._tau) < 40
+
+
+MIXED = from_probs([Fraction(7, 12), Fraction(1, 6), Fraction(0), Fraction(1, 4)])
+DIGEST_ARMS = {
+    "binary/0": (binary_dist(), A0),
+    "geometric/0": (geometric_dist(), A0),
+    "geometric/0,2": (geometric_dist(), DegreeSet.of(0, 2)),
+    "mixed/0": (MIXED, A0),
+}
+# SHA-256 of seeded exact-mode output as drawn by the Fraction loops above;
+# the integer draws must reproduce it byte for byte.  A changed digest is a
+# changed stream, which is a bug, not a new baseline.
+PINNED_DIGESTS = {
+    "trees.binary/0": "a7cdee6a70c26ec468df8dc72f0cc041da2310ef17df978dfdf9e91bda81b789",
+    "depths.binary/0": "fa685b1ab5613e422ebd8790d2c1380e5764a28e45fd0e7829e8f0fd59c8520e",
+    "hat.binary/0": "aee3a0d2c57d8c41a7915f31702fb26a4886cc311f34424b516f099ef0db18ce",
+    "offspring.binary/0": "1062bbc44417f5c349d6c7686968307afb602296501ecafeb63e39ddf925d6f3",
+    "mb.binary/0": "df25aa0473d1dff1a6dad49728d557ec2322f7e5516f60704f7f91be6bd625aa",
+    "trees.geometric/0": "58ea315139e6717142bb1c049296daadad05163fd8cd38b35824933badb23d5a",
+    "depths.geometric/0": "76ad9fd705a34ec3b2372ef7ade7cb81013cc8bc71b842e9d28c5fee9c08bacb",
+    "hat.geometric/0": "9b7c8a68fb5db1f8030ac76c7b20d04246e2fc762a898da1cc9e127e5aafb318",
+    "offspring.geometric/0": "f6e27d2103de127898e1899aafca5c56c546122e21d7cce8eb222d4f42dacb09",
+    "mb.geometric/0": "024687c96f7d97c9f5559cad4882b80c931026bc61785df496c33f3901483845",
+    "trees.geometric/0,2": "26f9229b1fdf31340380d07dbab71fef4c36711591aef9dbb288d061c8a981cb",
+    "depths.geometric/0,2": "f39675f73357b8ec592be9a6817830793c514be9568863686365f35b47ce56bd",
+    "hat.geometric/0,2": "1571f0daf177db28961c4e275d2665ba6104953c20d5b77a29735ff2701f1798",
+    "offspring.geometric/0,2": "9f9ad6d5d19ebdda100ad62d2f67c69dc39fa71e110237381ab982de1f41ae99",
+    "mb.geometric/0,2": "a1f4bee44f9cb6c9161c63f9d29fdcd3c853bece4d8246619da39d8fd8c3d296",
+    "trees.mixed/0": "46b9e3f776de730c0c0eaf543e5e979f906fb24f23387f8b4b025cde683e2c64",
+    "depths.mixed/0": "23663dbcd9aa271b2aff0b926ca8c5258115487c8f0b91988ba36a27170bf8ae",
+    "hat.mixed/0": "c626855ce3c5cffdebe666985624007d6fe1d1546b64e4ec8415c7ce25484fb0",
+    "offspring.mixed/0": "4ecff3e4df38723ea9f1c9cc92706c552bc5ed1d667fa1fcc4a2953f0e031d1e",
+    "mb.mixed/0": "56f0967a2c19eb03a81c23cf7c895ba4e997791289c4d684c1b61a7eb14a2065",
+    "offspring.geometric-1/3": "f6124ed0ed37003781b4c8c1da9fc2c7bd33449ef19b3c5bf7990989980e5a4b",
+}
+
+
+def _sha(items) -> str:
+    return hashlib.sha256("\n".join(map(str, items)).encode()).hexdigest()
+
+
+def test_seeded_exact_output_is_pinned():
+    got = {}
+    for name, (dist, marks) in DIGEST_ARMS.items():
+        s = RandomStream(61).split(name)
+        got[f"trees.{name}"] = _sha(sample_conditioned(SamplerTables(dist, marks, 25), s) for _ in range(20))
+        tab = SamplerTables(dist, marks, 61)
+        got[f"depths.{name}"] = _sha(sample_marked_depth(tab, s) for _ in range(100))
+        got[f"hat.{name}"] = _sha(sample_hat_offspring(dist, marks, s) for _ in range(200))
+        got[f"offspring.{name}"] = _sha(draw_offspring(dist, s) for _ in range(300))
+        fam = family_from_tables(SamplerTables(dist, marks, 9))
+        got[f"mb.{name}"] = _sha(sample_markov_branching(fam, 9, s) for _ in range(40))
+    s = RandomStream(62)
+    got["offspring.geometric-1/3"] = _sha(draw_offspring(geometric_dist(Fraction(1, 3)), s) for _ in range(300))
+    changed = sorted(k for k in PINNED_DIGESTS if got[k] != PINNED_DIGESTS[k])
+    assert not changed, f"seeded exact output changed: {changed}"
