@@ -3,8 +3,8 @@
 Three independent routes live here:
   * first-passage formulas for left-continuous random walks (the total
     progeny of a branching law equals (1/n) P(S_n = -1));
-  * coefficient extraction from the leaf-count functional equation
-    C = z*xi0 + sum_j xi_j C^j, solved one coefficient per step;
+  * coefficient extraction from the marked-count functional equation
+    F = sum_k xi_k z^[k in A] F^k, solved one coefficient per step;
   * brute-force enumeration of depth-first queues with their product weights.
 
 The first is the exact engine behind `marked_count_pmf`; its walk keeps
@@ -24,7 +24,7 @@ from math import gcd, lcm
 import numpy as np
 
 from .degree_sets import DegreeSet, require_zero
-from .offspring import OffspringDist, collapsed_offspring
+from .offspring import OffspringDist, collapsed_coeffs_float, collapsed_offspring
 from .trees import canonical_key, decode
 
 MAX_ENUM_VERTICES = 16
@@ -100,25 +100,27 @@ def progeny_pmf(dist: OffspringDist, max_n: int) -> list[Fraction]:
     return out
 
 
-def leaf_pmf_fixed_point(dist: OffspringDist, max_n: int) -> list[Fraction]:
-    """Leaf-count law from its functional equation, one coefficient per step.
+def marked_count_fixed_point(dist: OffspringDist, marks: DegreeSet, max_n: int) -> list[Fraction]:
+    """Marked-count law from its functional equation, one coefficient per step.
 
-    Writing C(z) for the generating function of the number of leaves, the
-    root decomposition gives C = z*xi0 + sum_{j>=1} xi_j C^j.  Maintaining the
-    powers of C incrementally fixes exactly one new coefficient per outer
-    step.  Independent of the walk route above.
+    Writing F(z) for the generating function of the marked count, the root
+    decomposition gives F = sum_k xi_k z^[k in A] F^k.  Maintaining the
+    powers of F incrementally fixes exactly one new coefficient per outer
+    step: an unmarked k=1 term moves to the left-hand side, a marked one
+    contributes xi_1 times the previous coefficient.  Independent of the walk
+    route above and of the collapsed offspring law.
     """
+    require_zero(marks)
     xs = dist.coeffs(max_n)
-    xi0, xi1 = xs[0], xs[1]
+    xi0, xi1 = dist.pmf(0), dist.pmf(1)
     if xi1 == 1:
         raise ValueError("degenerate law with all mass on one child")
+    one_marked = 1 in marks
     bound = dist.support_bound()
     jmax = max_n if bound is None else min(bound, max_n)
     c = [Fraction(0)] * (max_n + 1)
-    # pw[j][m] = coefficient of z^m in C(z)^j
+    # pw[j][m] = coefficient of z^m in F(z)^j, for j >= 1
     pw = [[Fraction(0)] * (max_n + 1) for _ in range(jmax + 1)]
-    if jmax >= 0:
-        pw[0][0] = Fraction(1)
     for m in range(1, max_n + 1):
         for j in range(2, min(m, jmax) + 1):
             acc = Fraction(0)
@@ -128,13 +130,21 @@ def leaf_pmf_fixed_point(dist: OffspringDist, max_n: int) -> list[Fraction]:
                     acc += c[k] * row[m - k]
             pw[j][m] = acc
         total = xi0 if m == 1 else Fraction(0)
+        if one_marked:
+            total += xi1 * c[m - 1]
         for j in range(2, min(m, jmax) + 1):
-            if xs[j] != 0 and pw[j][m] != 0:
-                total += xs[j] * pw[j][m]
-        c[m] = total / (1 - xi1)
+            t = m - 1 if j in marks else m
+            if xs[j] != 0 and pw[j][t] != 0:
+                total += xs[j] * pw[j][t]
+        c[m] = total if one_marked else total / (1 - xi1)
         if jmax >= 1:
             pw[1][m] = c[m]
     return c
+
+
+def leaf_pmf_fixed_point(dist: OffspringDist, max_n: int) -> list[Fraction]:
+    """Leaf-count law from its functional equation: C = z*xi0 + sum_{j>=1} xi_j C^j."""
+    return marked_count_fixed_point(dist, DegreeSet.of(0), max_n)
 
 
 def marked_count_pmf(dist: OffspringDist, marks: DegreeSet, max_n: int) -> list[Fraction]:
@@ -160,23 +170,6 @@ def forest_leaf_pmf(dist: OffspringDist, n_trees: int, k: int) -> Fraction:
     zeta = collapsed_offspring(dist, DegreeSet.of(0), k)
     w = walk_pmf(zeta, k, -n_trees, -n_trees)
     return Fraction(n_trees, k) * w.prob(-n_trees)
-
-
-def collapsed_coeffs_float(dist: OffspringDist, marks: DegreeSet, order: int) -> np.ndarray:
-    """Float collapsed offspring coefficients; same series algebra as the exact
-    path but vectorised (the reciprocal becomes a running dot product)."""
-    require_zero(marks)
-    xs = np.array([float(dist.pmf(k)) for k in range(order + 2)])
-    in_marks = np.array([k in marks for k in range(order + 2)])
-    marked = np.where(in_marks[: order + 1], xs[: order + 1], 0.0)
-    unmarked = np.where(~in_marks[1 : order + 2], xs[1 : order + 2], 0.0)
-    # out = marked / (1 - unmarked): (1-u) * out = a gives the recurrence
-    out = np.zeros(order + 1)
-    inv = 1.0 / (1.0 - unmarked[0])
-    out[0] = marked[0] * inv
-    for m in range(1, order + 1):
-        out[m] = (marked[m] + np.dot(unmarked[1 : m + 1], out[m - 1 :: -1])) * inv
-    return np.clip(out, 0.0, None)
 
 
 def marked_count_pmf_float(dist: OffspringDist, marks: DegreeSet, max_n: int) -> np.ndarray:

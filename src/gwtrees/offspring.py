@@ -17,9 +17,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
+from math import gcd
 from typing import Callable, NamedTuple
 
-from . import series
+import numpy as np
+
 from .degree_sets import DegreeSet, require_zero
 from .streams import common_denominator
 
@@ -206,26 +208,54 @@ def validate(dist: OffspringDist) -> None:
 def collapsed_offspring(dist: OffspringDist, marks: DegreeSet, order: int) -> OffspringDist:
     """First `order`+1 coefficients of the collapsed offspring law.
 
-    When the set covers the whole support the law is unchanged and the
-    original distribution is returned.
+    The law is a / (1 - u), with a the marked coefficients and u the
+    unmarked ones shifted down once, solved by the one-pass recurrence
+    (1 - u) * out = a.  Exact laws run it on integer numerators over one
+    common denominator, divided by their gcd after each step; float laws run
+    it in numpy.  When the set covers the whole support the law is
+    unchanged and the original distribution is returned.
     """
     require_zero(marks)
     if marks.covers_support(dist):
         return dist
-    xs = dist.coeffs(order + 1)
-    marked = [xs[k] if k in marks else xs[k] * 0 for k in range(order + 1)]
-    # unmarked coefficients shifted down once: the constant term vanishes
-    # because degree 0 is always marked, so the shifted series is honest.
-    unmarked = [xs[k + 1] if (k + 1) not in marks else xs[k + 1] * 0 for k in range(order + 1)]
-    one = [xs[0] * 0 for _ in range(order + 1)]
-    one[0] = Fraction(1) if dist.exact else 1.0
-    out = series.mul(marked, series.reciprocal(series.sub(one, unmarked)))
-    for k, c in enumerate(out):
-        if c < 0:
-            if dist.exact or c < -1e-13:
-                raise ArithmeticError(f"negative collapsed coefficient at {k}: {c}")
-            out[k] = c * 0
-    return OffspringDist("finite", tuple(out), truncated=True)
+    if not dist.exact:
+        return OffspringDist("finite", tuple(collapsed_coeffs_float(dist, marks, order).tolist()), truncated=True)
+    xs, den = common_denominator(dist.coeffs(order + 1))
+    a = [x if k in marks else 0 for k, x in enumerate(xs[:-1])]
+    u = [x if k not in marks else 0 for k, x in enumerate(xs) if k]
+    # out[k] = vals[k] / q; each step puts the new coefficient over q * (den - u[0])
+    e = den - u[0]
+    vals: list[int] = []
+    q = 1
+    for m in range(order + 1):
+        v = a[m] * q
+        for j in range(1, m + 1):
+            if u[j]:
+                v += u[j] * vals[m - j]
+        vals = [x * e for x in vals]
+        vals.append(v)
+        q *= e
+        g = gcd(q, *vals)
+        vals = [x // g for x in vals]
+        q //= g
+    return OffspringDist("finite", tuple(Fraction(v, q) for v in vals), truncated=True)
+
+
+def collapsed_coeffs_float(dist: OffspringDist, marks: DegreeSet, order: int) -> np.ndarray:
+    """Float collapsed offspring coefficients by the recurrence of
+    `collapsed_offspring`, with each step a dot product."""
+    require_zero(marks)
+    xs = np.array([float(dist.pmf(k)) for k in range(order + 2)])
+    in_marks = np.array([k in marks for k in range(order + 2)])
+    marked = np.where(in_marks[: order + 1], xs[: order + 1], 0.0)
+    unmarked = np.where(~in_marks[1 : order + 2], xs[1 : order + 2], 0.0)
+    # out = marked / (1 - unmarked): (1-u) * out = a gives the recurrence
+    out = np.zeros(order + 1)
+    inv = 1.0 / (1.0 - unmarked[0])
+    out[0] = marked[0] * inv
+    for m in range(1, order + 1):
+        out[m] = (marked[m] + np.dot(unmarked[1 : m + 1], out[m - 1 :: -1])) * inv
+    return np.clip(out, 0.0, None)
 
 
 class Moments(NamedTuple):

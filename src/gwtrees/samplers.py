@@ -18,20 +18,14 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from math import gcd, lcm
+from math import comb, gcd, lcm
 
 import numpy as np
 
 from .degree_sets import DegreeSet, require_zero
 from .exact import marked_count_pmf, marked_count_pmf_float
 from .offspring import OffspringDist, validate
-from .partitions import (
-    Partition,
-    block_count,
-    distinct_arrangements,
-    iota,
-    partitions_into,
-)
+from .partitions import Partition, block_count, iota
 from .streams import (
     RandomStream,
     common_denominator,
@@ -489,34 +483,86 @@ def split_measure(tables: SamplerTables, m: int) -> dict[Partition, Fraction]:
 
     The weight of a partition is the number of its orderings times the root
     degree probability times the product of part probabilities, normalised by
-    the size-m probability.  Exact tables only: each weight is a product of
-    integer numerators over a product of denominators, made a Fraction once.
+    the size-m probability.  Exact tables only.
+
+    Each degree's partitions come from one depth-first enumeration, in
+    decreasing lexicographic order, in which a prefix carries running integer
+    state: its arrangement count, updated from the run of equal parts that
+    ends it, the products of its parts' reduced numerators and denominators,
+    which give each atom's Fraction, and the product of its parts' integer
+    numerators over the count table's common denominator, which gives the
+    exact sum-to-one check with one Fraction per degree.
     """
     if not tables.exact:
         raise ValueError("split_measure needs exact tables")
     if not tables.admissible(m):
         raise ValueError(f"size {m} has probability zero")
-    marks = tables.marks
-    z = tables.count[m]
-    nums = [c.numerator for c in tables.count]
-    dens = [c.denominator for c in tables.count]
+    count = tables.count
+    nums = [c.numerator for c in count]
+    dens = [c.denominator for c in count]
+    ints, int_den = tables._tau[1]  # count[j] == ints[j] / int_den; zero marks an inadmissible part
     atoms: dict[Partition, Fraction] = {}
+
+    def place(prefix, i, rest, k, prev, run, arr, num, den, prod) -> int:
+        """Add the atoms that complete prefix, whose i parts end in `run`
+        copies of prev, with k >= 2 more parts summing to rest, none above
+        prev.  Returns the sum over them of arrangements times the product
+        of the parts' integer numerators."""
+        if rest == k:
+            # only ones are left, and every part before them is larger
+            if not ints[1]:
+                return 0
+            arr *= comb(i + k, k)
+            atoms[prefix + (1,) * k] = Fraction(arr * num * nums[1] ** k, den * dens[1] ** k)
+            return arr * prod * ints[1] ** k
+        total = 0
+        # the next part leaves at least 1 for each later part and is at least rest / k
+        for first in range(min(rest - k + 1, prev), (rest - 1) // k, -1):
+            c = ints[first]
+            if not c:
+                continue
+            r = run + 1 if first == prev else 1
+            a = arr * (i + 1) // r
+            if k > 2:
+                total += place(
+                    prefix + (first,), i + 1, rest - first, k - 1, first, r, a,
+                    num * nums[first], den * dens[first], prod * c,
+                )
+                continue
+            last = rest - first  # at most first, because first >= rest / 2
+            c_last = ints[last]
+            if c_last:
+                a = a * (i + 2) // (r + 1 if last == first else 1)
+                atoms[prefix + (first, last)] = Fraction(
+                    a * num * nums[first] * nums[last], den * dens[first] * dens[last]
+                )
+                total += a * prod * c * c_last
+        return total
+
+    z = count[m]
+    mass = Fraction(0)
     for p in tables.dist.support_iter(m):
-        xi_p = tables.dist.pmf(p)
-        if xi_p == 0:
+        xi = tables.dist.pmf(p)
+        if xi == 0:
             continue
-        target = m - (1 if p in marks else 0)
-        # a partition has p parts, so each one is reached from one degree only
-        for lam in partitions_into(target, p, part_ok=tables.admissible):
-            num = distinct_arrangements(lam) * xi_p.numerator * z.denominator
-            den = xi_p.denominator * z.numerator
-            for part in lam:
-                num *= nums[part]
-                den *= dens[part]
-            atoms[lam] = Fraction(num, den)
-    total = sum(atoms.values())
-    if total != 1:
-        raise AssertionError(f"split weights at {m} sum to {total}")
+        target = m - 1 if tables.marked_degree[p] else m
+        if p >= 2:
+            if target >= p:
+                # prev = target only caps the first part, which is smaller
+                s = place(
+                    (), 0, target, p, target, 0, 1, xi.numerator * z.denominator, xi.denominator * z.numerator, 1
+                )
+                mass += Fraction(xi.numerator * s, xi.denominator * int_den**p)
+        elif (ints[target] if p == 1 else target == 0):
+            # the single part (target,), or () at size 1
+            w = xi * count[target] if p == 1 else xi
+            atoms[(target,) * p] = w / z
+            mass += w
+    # place reaches itself through its closure; breaking that cycle frees the
+    # closure, and the atoms it holds, as soon as the caller drops them
+    del place
+    if mass != z:
+        raise AssertionError(f"split weights at {m} sum to {mass / z}")
     return atoms
 
 

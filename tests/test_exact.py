@@ -8,6 +8,7 @@ from gwtrees.exact import (
     enumerate_mass,
     forest_leaf_pmf,
     leaf_pmf_fixed_point,
+    marked_count_fixed_point,
     marked_count_pmf,
     marked_count_pmf_float,
     progeny_pmf,
@@ -131,10 +132,11 @@ def test_integer_walk_rejects_float_laws():
 
 
 def test_marked_count_equals_collapsed_progeny():
-    for dist in (binary_dist(), geometric_dist()):
-        for marks in (A0, DegreeSet.of(0, 1), A02, ALL):
-            zeta = collapsed_offspring(dist, marks, 40)
-            assert marked_count_pmf(dist, marks, 40) == progeny_pmf(zeta, 40)
+    # the engine (walk formula on the collapsed law) against the functional
+    # equation of the original law, which never builds the collapsed law
+    for dist in (binary_dist(), geometric_dist(), MIXED):
+        for marks in (*SETS, DegreeSet.parse("not:1,3")):
+            assert marked_count_pmf(dist, marks, 40) == marked_count_fixed_point(dist, marks, 40)
 
 
 def test_forest_leaf_examples():

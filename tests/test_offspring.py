@@ -76,6 +76,49 @@ def test_collapsed_offspring_requires_zero():
         collapsed_offspring(binary_dist(), DegreeSet.of(2), 6)
 
 
+def _series_mul(a, b):
+    return [sum(a[i] * b[m - i] for i in range(m + 1)) for m in range(len(a))]
+
+
+def _series_reciprocal(a):
+    out = [Fraction(1) / a[0]]
+    for m in range(1, len(a)):
+        out.append(-sum(a[k] * out[m - k] for k in range(1, m + 1)) / a[0])
+    return out
+
+
+def _reference_collapsed(dist, marks, order):
+    """The collapsed law a / (1 - u) by Fraction series arithmetic."""
+    xs = dist.coeffs(order + 1)
+    marked = [xs[k] if k in marks else Fraction(0) for k in range(order + 1)]
+    one_minus_u = [(k == 0) - (xs[k + 1] if k + 1 not in marks else 0) for k in range(order + 1)]
+    return _series_mul(marked, _series_reciprocal(one_minus_u))
+
+
+@pytest.mark.parametrize(
+    "dist",
+    [
+        binary_dist(),
+        geometric_dist(),
+        geometric_dist(Fraction(2, 3)),
+        from_probs([Fraction(7, 12), Fraction(1, 6), Fraction(0), Fraction(1, 4)]),
+        from_probs([Fraction(1, 2), Fraction(1, 5), Fraction(1, 6), Fraction(2, 15)]),
+    ],
+    ids=["binary", "geometric", "geometric-2/3", "mixed", "coprime"],
+)
+def test_collapsed_offspring_matches_fraction_series(dist):
+    for spec in ("0", "0,1", "0,2", "0,3", "not:1,3"):
+        marks = DegreeSet.parse(spec)
+        zeta = collapsed_offspring(dist, marks, 40)
+        if marks.covers_support(dist):
+            assert zeta is dist
+            continue
+        want = _reference_collapsed(dist, marks, 40)
+        assert list(zeta.probs) == want, spec
+        floats = collapsed_offspring(dist.to_float(), marks, 40).probs
+        assert all(abs(x - float(w)) <= 1e-12 * float(w) for x, w in zip(floats, want)), spec
+
+
 def test_moments():
     m = moments(binary_dist())
     assert (m.mean, m.variance) == (1, 1)

@@ -4,7 +4,6 @@ from fractions import Fraction
 
 import pytest
 
-from gwtrees import series
 from gwtrees.degree_sets import DegreeSet
 from gwtrees.partitions import (
     block_count,
@@ -83,40 +82,3 @@ def test_split_partitions_definition():
     assert set(split_partitions(1, A0)) == {(), (1,)}
     with pytest.raises(ValueError):
         list(split_partitions(0, A0))
-
-
-# ---------------------------------------------------------------------------
-# series arithmetic
-
-
-def F(*nums):
-    return [Fraction(x) for x in nums]
-
-
-def test_series_add_sub_scale():
-    assert series.add(F(1, 2), F(3, 4)) == F(4, 6)
-    assert series.sub(F(1, 2), F(3, 4)) == F(-2, -2)
-    assert series.scale(Fraction(1, 2), F(2, 4)) == F(1, 2)
-    with pytest.raises(ValueError):
-        series.add(F(1), F(1, 2))
-
-
-def test_series_mul_truncates():
-    a = F(1, 1, 0)
-    assert series.mul(a, a) == F(1, 2, 1)
-    assert series.mul(F(0, 1, 0), F(0, 1, 0)) == F(0, 0, 1)
-
-
-def test_series_reciprocal_exact_roundtrip():
-    a = F(1, Fraction(-1, 2), Fraction(1, 3), Fraction(-1, 4), 0, 7)
-    inv = series.reciprocal(a)
-    prod = series.mul(a, inv)
-    assert prod[0] == 1 and all(c == 0 for c in prod[1:])
-    with pytest.raises(ZeroDivisionError):
-        series.reciprocal(F(0, 1))
-
-
-def test_series_reciprocal_known():
-    # 1/(1 - z) = 1 + z + z^2 + ...
-    geom = series.reciprocal(F(1, -1, 0, 0, 0))
-    assert geom == F(1, 1, 1, 1, 1)

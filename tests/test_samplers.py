@@ -9,10 +9,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from gwtrees import samplers
 from gwtrees.degree_sets import DegreeSet
-from gwtrees.exact import enumerate_mass
+from gwtrees.exact import enumerate_mass, marked_count_pmf
 from gwtrees.offspring import binary_dist, from_probs, geometric_dist
-from gwtrees.partitions import block_count
+from gwtrees.partitions import block_count, distinct_arrangements, partitions_into
 from gwtrees.samplers import (
     QFamily,
     SamplerTables,
@@ -171,6 +172,70 @@ def test_split_family_block_marginal_formula():
             target = n - (1 if p in tables.marks else 0)
             want = tables.dist.pmf(p) * tables.tau(p)[target] / tables.count[n]
             assert got == want
+
+
+def _reference_split_measure(tables, m):
+    """Root-split law by the partition generator, one atom rebuilt at a
+    time: the former implementation, kept as the reference."""
+    z = tables.count[m]
+    nums = [c.numerator for c in tables.count]
+    dens = [c.denominator for c in tables.count]
+    atoms = {}
+    for p in tables.dist.support_iter(m):
+        xi_p = tables.dist.pmf(p)
+        if xi_p == 0:
+            continue
+        target = m - (1 if p in tables.marks else 0)
+        for lam in partitions_into(target, p, part_ok=tables.admissible):
+            num = distinct_arrangements(lam) * xi_p.numerator * z.denominator
+            den = xi_p.denominator * z.numerator
+            for part in lam:
+                num *= nums[part]
+                den *= dens[part]
+            atoms[lam] = Fraction(num, den)
+    assert sum(atoms.values()) == 1
+    return atoms
+
+
+SPLIT_LAWS = {
+    "binary": binary_dist(),
+    "geometric": geometric_dist(),
+    "mixed": from_probs([Fraction(7, 12), Fraction(1, 6), Fraction(0), Fraction(1, 4)]),
+    "coprime": from_probs([Fraction(1, 2), Fraction(1, 5), Fraction(1, 6), Fraction(2, 15)]),
+}
+
+
+@pytest.mark.parametrize("law", sorted(SPLIT_LAWS))
+def test_split_measure_matches_partition_enumeration(law):
+    # keys, exact values and their order, at every admissible size up to 24
+    dist = SPLIT_LAWS[law]
+    for spec in ("0", "0,1", "0,2", "all", "not:1,3"):
+        marks = DegreeSet.parse(spec)
+        table = marked_count_pmf(dist, marks, 24)
+        tables = SamplerTables(dist, marks, max(m for m in range(25) if table[m]))
+        for m in range(1, tables.n + 1):
+            if tables.admissible(m):
+                got = list(split_measure(tables, m).items())
+                assert got == list(_reference_split_measure(tables, m).items()), (spec, m)
+
+
+@pytest.mark.parametrize("entry, m", [(3, 8), (8, 8), (1, 2)])
+def test_split_measure_rejects_a_perturbed_count_table(monkeypatch, entry, m):
+    # one count entry off by a factor 1001/1000, in a part (3, 1) or in the
+    # size's own probability (8): the weights no longer sum to one
+    table = marked_count_pmf(geometric_dist(), A0, 8)
+    table[entry] *= Fraction(1001, 1000)
+    monkeypatch.setattr(samplers, "marked_count_pmf", lambda *args: list(table))
+    tables = SamplerTables(geometric_dist(), A0, 8)
+    with pytest.raises(AssertionError, match="split weights"):
+        split_measure(tables, m)
+
+
+def test_split_measure_rejects_float_tables_and_inadmissible_sizes():
+    with pytest.raises(ValueError):
+        split_measure(SamplerTables(binary_dist(), A0, 6, exact=False), 4)
+    with pytest.raises(ValueError):
+        split_measure(SamplerTables(binary_dist(), ALL, 7), 4)
 
 
 def test_markov_branching_matches_conditioned_law():
