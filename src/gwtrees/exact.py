@@ -7,11 +7,14 @@ Three independent routes live here:
     F = sum_k xi_k z^[k in A] F^k, solved one coefficient per step;
   * brute-force enumeration of depth-first queues with their product weights.
 
-The first is the exact engine behind `marked_count_pmf`; its walk keeps
-integer numerators over one common denominator, with one gcd pass per step
-instead of one per Fraction operation.  The other two are oracles for the
-suites and tests.  A float backend based on FFT powering covers the
-truncation orders needed for large-size sampling tables.
+The first is the exact engine behind `marked_count_pmf`.  Every law and set
+handled here has a collapsed law with a rational generating function N/M of
+small integer polynomials, so one walk step multiplies the state's series by
+N and divides it by M: O(n) integer operations per step and O(n^2) for a
+table, with one gcd pass per step instead of one per Fraction operation.
+The other two are oracles for the suites and tests.  A float backend based
+on FFT powering covers the truncation orders needed for large-size sampling
+tables.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 import numpy as np
 
@@ -45,58 +48,70 @@ class WalkPmf:
         return self.probs.get(m, Fraction(0))
 
 
-def _step_values(dist: OffspringDist, max_value: int) -> list[tuple[int, Fraction]]:
-    # step = (child count) - 1, so values run from -1 upward
-    if dist.truncated and len(dist.probs) - 1 < max_value + 1:
-        raise ValueError("distribution prefix too short for the requested window")
-    return [(k - 1, dist.pmf(k)) for k in range(0, max_value + 2) if dist.pmf(k) != 0]
+def _walk(dist: OffspringDist, k: int, top: int) -> Iterator[tuple[list[int], int, int]]:
+    """Walk states after steps 1..k as (numerators c, denominator D, base E).
 
+    After j steps the walk sits at s with probability [x^(s+j)] zeta(x)^j,
+    zeta the step law's generating function N/M, so a state is the series
+    zeta^j to order `top`: values above top - j cannot fall back to top - k.
+    Coefficient e is c[e] / (D * E^e).  One step multiplies by N and
+    divides by M; with E = M[0] both stay on integers:
 
-def _walk(dist: OffspringDist, k: int, top: int) -> Iterator[tuple[dict[int, int], int]]:
-    """Walk states after steps 1..k as (integer numerators, common denominator).
+        q_e = sum_i N_i E^i c_(e-i),   r_e = q_e - sum_(i>=1) M_i E^(i-1) r_(e-i),
 
-    Step probabilities are scaled to integers by the lcm of their denominators;
-    after each step the state and its denominator are divided by their gcd.
-    Values above top - j after step j cannot fall back to top - k and are dropped.
+    and D becomes D * M[0].  A constant M (every finite law) takes E = 1,
+    and the step is the plain convolution with the law's numerators.  After
+    each step D and the r_e are divided by their gcd.
     """
     if not dist.exact:
         raise ValueError("the exact walk needs rational coefficients")
-    steps = _step_values(dist, max(top - 1, -1))
-    scale = lcm(*(p.denominator for _, p in steps))
-    weights = [(v, p.numerator * (scale // p.denominator)) for v, p in steps]
-    cur: dict[int, int] = {0: 1}
-    den = 1
-    for j in range(1, k + 1):
-        cap = top - j
-        nxt: dict[int, int] = {}
-        for s, c in cur.items():
-            for v, w in weights:
-                s2 = s + v
-                if s2 > cap:
-                    break
-                nxt[s2] = nxt.get(s2, 0) + c * w
+    if dist.truncated and len(dist.probs) - 1 < top:
+        raise ValueError("distribution prefix too short for the requested window")
+    num, den = dist.generating_function
+    base = den[0] if len(den) > 1 else 1
+    mul = [(i, x * base**i) for i, x in enumerate(num) if x]
+    div = [(i, x * base ** (i - 1)) for i, x in enumerate(den) if i and x]
+    cur = [1] + [0] * top if top >= 0 else []
+    scale = 1
+    for _ in range(k):
+        nxt = [0] * (top + 1)
+        for i, x in mul:
+            nxt[i:] = [a + x * b for a, b in zip(nxt[i:], cur)]
+        if div:
+            for e in range(1, top + 1):
+                v = nxt[e]
+                for i, x in div:
+                    if i > e:
+                        break
+                    v -= x * nxt[e - i]
+                nxt[e] = v
+        scale *= den[0]
         # gcd stops combining once it reaches 1; the rest is only type-checked
-        g = gcd(den * scale, *nxt.values())
-        cur = {s: c // g for s, c in nxt.items()}
-        den = den * scale // g
-        yield cur, den
+        g = gcd(scale, *nxt)
+        if g > 1:
+            nxt = [v // g for v in nxt]
+            scale //= g
+        cur = nxt
+        yield cur, scale, base
 
 
 def walk_pmf(dist: OffspringDist, k: int, lo: int, hi: int) -> WalkPmf:
-    """Exact pmf of the k-step walk on the window [lo, hi] by dense convolution."""
+    """Exact pmf of the k-step walk on the window [lo, hi]."""
     if k < 0:
         raise ValueError("step count must be non-negative")
-    cur, den = {0: 1}, 1
-    for cur, den in _walk(dist, k, hi + k):
+    top = hi + k
+    cur, scale, base = ([1] + [0] * top if top >= 0 else []), 1, 1
+    for cur, scale, base in _walk(dist, k, top):
         pass
-    return WalkPmf(k, lo, hi, {m: Fraction(c, den) for m, c in cur.items() if lo <= m <= hi})
+    probs = {m: Fraction(cur[m + k], scale * base ** (m + k)) for m in range(max(lo, -k), hi + 1) if cur[m + k]}
+    return WalkPmf(k, lo, hi, probs)
 
 
 def progeny_pmf(dist: OffspringDist, max_n: int) -> list[Fraction]:
     """Total-progeny law: entry n is (1/n) P(S_n = -1); entry 0 is unused (zero)."""
     out = [Fraction(0)]
-    for n, (cur, den) in enumerate(_walk(dist, max_n, max_n - 1), start=1):
-        out.append(Fraction(cur.get(-1, 0), den * n))
+    for n, (cur, scale, base) in enumerate(_walk(dist, max_n, max_n - 1), start=1):
+        out.append(Fraction(cur[n - 1], scale * base ** (n - 1) * n))
     return out
 
 

@@ -13,7 +13,7 @@ unmarked ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
@@ -51,13 +51,16 @@ class OffspringDist:
 
     `truncated` marks a distribution whose stored coefficients are only the
     prefix of a longer law (as produced by collapsed_offspring); such objects
-    expose partial moments and are not valid sampling laws.
+    expose partial moments and are not valid sampling laws.  An exact
+    truncated law carries the generating function of the whole law in
+    `rational`.
     """
 
     family: str  # "finite" or "geometric"
     probs: tuple = ()
     param: Fraction | float | None = None
     truncated: bool = False
+    rational: tuple | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.family == "finite":
@@ -85,6 +88,24 @@ class OffspringDist:
         numerators over the lcm of their denominators."""
         nums, den = common_denominator(self.probs)
         return list(accumulate(nums)), den
+
+    @cached_property
+    def generating_function(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The generating function of an exact law as integer polynomials
+        (N, M), lowest degree first, with value N(s)/M(s) and M[0] > 0.
+
+        A finite law gives its numerators over their lcm and (lcm,); the
+        geometric law with p = a/b gives (a,) and (b, a - b).
+        """
+        if self.rational is not None:
+            return self.rational
+        if not self.exact or self.truncated:
+            raise ValueError("only an exact, complete law has a rational generating function")
+        if self.family == "geometric":
+            a, b = self.param.numerator, self.param.denominator
+            return (a,), (b, a - b)
+        nums, den = common_denominator(self.probs)
+        return tuple(nums), (den,)
 
     def pmf(self, k: int):
         if k < 0:
@@ -205,45 +226,76 @@ def validate(dist: OffspringDist) -> None:
         raise InvalidDistribution("supercritical", f"mean {dist.mean()} exceeds 1")
 
 
+def _poly_mul(a: list[int], b: list[int]) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _poly_sub(a: list[int], b: list[int]) -> list[int]:
+    width = max(len(a), len(b))
+    a, b = a + [0] * (width - len(a)), b + [0] * (width - len(b))
+    return [x - y for x, y in zip(a, b)]
+
+
+def _collapsed_generating_function(dist: OffspringDist, marks: DegreeSet) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(N, M) of the collapsed law a / (1 - u) from the law's own pair.
+
+    P = Np / L is the polynomial of the degrees the set lists: the marked
+    ones of a finite set, the unmarked ones of a cofinite set.  With
+    R = L M (xi - P) = N L - M Np, a finite set gives a = P and
+    u = (xi - P) / s, so zeta = Np M / (M L - R/s); a cofinite set gives
+    a = xi - P and u = P / s, so zeta = R / (M (L - Np/s)).  R has no
+    constant term in the first case, Np none in the second, because degree
+    0 is always marked.  The pair is divided by the gcd of its coefficients.
+    """
+    num, den = (list(p) for p in dist.generating_function)
+    top = max(marks.members, default=0)
+    listed, scale = common_denominator(dist.pmf(k) if k in marks.members else 0 for k in range(top + 1))
+    rest = _poly_sub([x * scale for x in num], _poly_mul(den, listed))
+    if marks.cofinite:
+        num, den = rest, _poly_mul(den, _poly_sub([scale], listed[1:]))
+    else:
+        num, den = _poly_mul(den, listed), _poly_sub([x * scale for x in den], rest[1:])
+    g = gcd(*num, *den)
+    return tuple(x // g for x in num), tuple(x // g for x in den)
+
+
 def collapsed_offspring(dist: OffspringDist, marks: DegreeSet, order: int) -> OffspringDist:
     """First `order`+1 coefficients of the collapsed offspring law.
 
     The law is a / (1 - u), with a the marked coefficients and u the
-    unmarked ones shifted down once, solved by the one-pass recurrence
-    (1 - u) * out = a.  Exact laws run it on integer numerators over one
-    common denominator, divided by their gcd after each step; float laws run
-    it in numpy.  When the set covers the whole support the law is
-    unchanged and the original distribution is returned.
+    unmarked ones shifted down once.  For an exact law it is the ratio N/M
+    of two integer polynomials built from the law's own pair; the returned
+    truncated law carries that pair, and its coefficients come from the
+    series division out * M = N.  Float laws run the recurrence
+    (1 - u) * out = a in numpy.  When the set covers the whole support the
+    law is unchanged and the original distribution is returned.
     """
     require_zero(marks)
     if marks.covers_support(dist):
         return dist
     if not dist.exact:
         return OffspringDist("finite", tuple(collapsed_coeffs_float(dist, marks, order).tolist()), truncated=True)
-    xs, den = common_denominator(dist.coeffs(order + 1))
-    a = [x if k in marks else 0 for k, x in enumerate(xs[:-1])]
-    u = [x if k not in marks else 0 for k, x in enumerate(xs) if k]
-    # out[k] = vals[k] / q; each step puts the new coefficient over q * (den - u[0])
-    e = den - u[0]
+    num, den = _collapsed_generating_function(dist, marks)
+    # out[e] = vals[e] / den[0]^(e+1)
+    head = den[0]
     vals: list[int] = []
-    q = 1
-    for m in range(order + 1):
-        v = a[m] * q
-        for j in range(1, m + 1):
-            if u[j]:
-                v += u[j] * vals[m - j]
-        vals = [x * e for x in vals]
+    for e in range(order + 1):
+        v = num[e] * head**e if e < len(num) else 0
+        for i in range(1, min(e, len(den) - 1) + 1):
+            v -= den[i] * head ** (i - 1) * vals[e - i]
         vals.append(v)
-        q *= e
-        g = gcd(q, *vals)
-        vals = [x // g for x in vals]
-        q //= g
-    return OffspringDist("finite", tuple(Fraction(v, q) for v in vals), truncated=True)
+    probs = tuple(Fraction(v, head ** (e + 1)) for e, v in enumerate(vals))
+    return OffspringDist("finite", probs, truncated=True, rational=(num, den))
 
 
 def collapsed_coeffs_float(dist: OffspringDist, marks: DegreeSet, order: int) -> np.ndarray:
-    """Float collapsed offspring coefficients by the recurrence of
-    `collapsed_offspring`, with each step a dot product."""
+    """Float collapsed offspring coefficients by the recurrence
+    (1 - u) * out = a, with each step a dot product."""
     require_zero(marks)
     xs = np.array([float(dist.pmf(k)) for k in range(order + 2)])
     in_marks = np.array([k in marks for k in range(order + 2)])

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import __version__
 from .degree_sets import DegreeSet
-from .exact import enumerate_mass, leaf_pmf_fixed_point, marked_count_fixed_point, marked_count_pmf
+from .exact import enumerate_mass, marked_count_fixed_point, marked_count_pmf
 from .offspring import OffspringDist, binary_dist, collapsed_moments, collapsed_offspring, geometric_dist
 from .samplers import (
     SamplerTables,
@@ -104,6 +104,16 @@ def _gw_weight(dist: OffspringDist, t) -> Fraction:
     return mass
 
 
+def _first_mismatch(got: list[Fraction], expected: list[Fraction]) -> dict:
+    """The first size at which two exact tables differ, with both values as
+    p/q; empty when they agree."""
+    for n, (g, e) in enumerate(zip(got, expected)):
+        if g != e:
+            mismatch = {"n": n, "expected": f"{e.numerator}/{e.denominator}", "got": f"{g.numerator}/{g.denominator}"}
+            return {"first_mismatch": mismatch}
+    return {}
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -124,12 +134,13 @@ def run_otter_dwass(
             label = f"{dist_name}/{set_name}"
             table = marked_count_pmf(dist, marks, max_n)
             # the walk formula on the collapsed law must reproduce the law
-            # solved from the functional equation of the original law
+            # solved from the functional equation of the original law, which
+            # at the leaf set is also the leaf-count equation
             alt = marked_count_fixed_point(dist, marks, max_n)
-            res.add(f"walk-formula[{label}]", table == alt, n=max_n)
+            detail = _first_mismatch(table, alt)
+            res.add(f"walk-formula[{label}]", table == alt, n=max_n, **detail)
             if set_name == "0":
-                alt = leaf_pmf_fixed_point(dist, max_n)
-                res.add(f"functional-equation[{label}]", table == alt, n=max_n)
+                res.add(f"functional-equation[{label}]", table == alt, n=max_n, **detail)
             # enumeration oracle: complete wherever the vertex count is forced
             mismatches = []
             complete_cases = 0

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import cache
 from math import comb
 
 import pytest
@@ -26,6 +27,8 @@ SETS = (A0, DegreeSet.of(0, 1), A02, ALL)
 THIRDS = from_probs([Fraction(1, 3)] * 3)
 MIXED = from_probs([Fraction(7, 12), Fraction(1, 6), Fraction(0), Fraction(1, 4)])
 COPRIME = from_probs([Fraction(1, 2), Fraction(1, 5), Fraction(1, 6), Fraction(2, 15)])
+# sets that give the geometric laws' collapsed pairs denominators of degree >= 2
+WIDE_SETS = tuple(DegreeSet.parse(spec) for spec in ("geq:3", "0,3,5", "not:1,3"))
 
 
 def _fraction_walk(dist, k, top):
@@ -106,16 +109,48 @@ def test_leaf_routes_agree():
 
 @pytest.mark.parametrize(
     "dist",
-    [binary_dist(), geometric_dist(), THIRDS, MIXED, COPRIME],
-    ids=["binary", "geometric", "thirds", "mixed", "coprime"],
+    [binary_dist(), geometric_dist(), geometric_dist(Fraction(1, 3)), THIRDS, MIXED, COPRIME],
+    ids=["binary", "geometric", "geometric-1/3", "thirds", "mixed", "coprime"],
 )
 def test_integer_walk_matches_fraction_walk(dist):
-    for marks in SETS:
+    for marks in (*SETS, *WIDE_SETS):
         zeta = collapsed_offspring(dist, marks, 40)
         assert progeny_pmf(zeta, 40) == _reference_progeny(zeta, 40)
         for k, lo, hi in ((40, -40, 0), (20, -5, 10), (1, -1, 0), (0, 0, 0)):
             assert walk_pmf(zeta, k, lo, hi).probs == _reference_window(zeta, k, lo, hi)
     assert progeny_pmf(dist, 40) == _reference_progeny(dist, 40)
+
+
+@cache
+def _table_1000(name, spec):
+    dist = binary_dist() if name == "binary" else geometric_dist()
+    return marked_count_pmf(dist, DegreeSet.parse(spec), 1000)
+
+
+def _catalan(k):
+    return comb(2 * k, k) // (k + 1)
+
+
+def test_closed_forms_to_n_1000():
+    # binary leaves and geometric total progeny: C_(n-1) / 2^(2n-1);
+    # binary total progeny: C_k / 2^(2k+1) at n = 2k+1, none at even n
+    leaves, progeny = _table_1000("binary", "0"), _table_1000("geometric", "all")
+    assert leaves == progeny == [0] + [Fraction(_catalan(n - 1), 2 ** (2 * n - 1)) for n in range(1, 1001)]
+    odd = _table_1000("binary", "all")
+    assert odd[0::2] == [0] * 501
+    assert odd[1::2] == [Fraction(_catalan(k), 2 ** (2 * k + 1)) for k in range(500)]
+
+
+@pytest.mark.parametrize("name,spec", [("binary", "0"), ("binary", "all"), ("geometric", "0"), ("geometric", "0,2")])
+def test_float_table_certified_to_n_1000(name, spec):
+    exact = _table_1000(name, spec)
+    dist = binary_dist() if name == "binary" else geometric_dist()
+    approx = marked_count_pmf_float(dist, DegreeSet.parse(spec), 1000)
+    for n in range(1, 1001):
+        if exact[n] == 0:
+            assert abs(approx[n]) <= 1e-15, n
+        else:
+            assert abs(approx[n] - float(exact[n])) <= 1e-12 * float(exact[n]), n
 
 
 def test_integer_walk_degenerate_law():

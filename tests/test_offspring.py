@@ -119,6 +119,47 @@ def test_collapsed_offspring_matches_fraction_series(dist):
         assert all(abs(x - float(w)) <= 1e-12 * float(w) for x, w in zip(floats, want)), spec
 
 
+def _series_quotient(num, den, order):
+    """Coefficients of num/den to `order` by Fraction series division."""
+    out = []
+    for e in range(order + 1):
+        v = Fraction(num[e] if e < len(num) else 0)
+        v -= sum(den[i] * out[e - i] for i in range(1, min(e, len(den) - 1) + 1))
+        out.append(v / den[0])
+    return out
+
+
+@pytest.mark.parametrize(
+    "dist",
+    [
+        binary_dist(),
+        geometric_dist(),
+        geometric_dist(Fraction(1, 3)),
+        geometric_dist(Fraction(2, 3)),
+        from_probs([Fraction(7, 12), Fraction(1, 6), Fraction(0), Fraction(1, 4)]),
+        from_probs([Fraction(1, 2), Fraction(1, 5), Fraction(1, 6), Fraction(2, 15)]),
+    ],
+    ids=["binary", "geometric", "geometric-1/3", "geometric-2/3", "mixed", "coprime"],
+)
+def test_generating_function_series_matches_pmf(dist):
+    pairs = [(dist, dist.coeffs(40))]
+    for spec in ("0", "0,1", "0,2", "0,3", "0,3,5", "geq:3", "not:1,3", "all"):
+        marks = DegreeSet.parse(spec)
+        pairs.append((collapsed_offspring(dist, marks, 40), _reference_collapsed(dist, marks, 40)))
+    for law, want in pairs:
+        num, den = law.generating_function
+        assert all(type(x) is int for x in (*num, *den)) and den[0] > 0
+        assert _series_quotient(num, den, 40) == want
+        assert law.coeffs(40) == want
+
+
+def test_generating_function_needs_an_exact_complete_law():
+    with pytest.raises(ValueError):
+        binary_dist().to_float().generating_function
+    with pytest.raises(ValueError):
+        OffspringDist("finite", (Fraction(1, 2), Fraction(1, 4)), truncated=True).generating_function
+
+
 def test_moments():
     m = moments(binary_dist())
     assert (m.mean, m.variance) == (1, 1)

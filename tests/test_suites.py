@@ -1,4 +1,6 @@
 import json
+from fractions import Fraction
+from math import comb
 
 from gwtrees.suites import (
     SUITES,
@@ -27,6 +29,33 @@ def test_suite_registry_names():
 def test_otter_dwass_small():
     result = run_otter_dwass(max_n=12, enum_n=4)
     assert result.ok(), [c.name for c in result.checks if not c.passed]
+
+
+def test_otter_dwass_mismatch_names_first_size(monkeypatch):
+    # one engine entry perturbed past the enumeration sizes: both exact
+    # checks fail and report where, with both values as p/q
+    from gwtrees import suites
+
+    engine = suites.marked_count_pmf
+
+    def perturbed(dist, marks, max_n):
+        table = engine(dist, marks, max_n)
+        if max_n == 12:
+            table[7] += Fraction(1, 10**6)
+        return table
+
+    monkeypatch.setattr(suites, "marked_count_pmf", perturbed)
+    result = run_otter_dwass(max_n=12, enum_n=4, dists=["binary"], set_specs=["0"])
+    failed = {c.name: c.detail for c in result.checks if not c.passed}
+    assert set(failed) == {"walk-formula[binary/0]", "functional-equation[binary/0]"}
+    want = Fraction(comb(12, 6), 7 * 2**13)
+    got = want + Fraction(1, 10**6)
+    for detail in failed.values():
+        assert detail["first_mismatch"] == {
+            "n": 7,
+            "expected": f"{want.numerator}/{want.denominator}",
+            "got": f"{got.numerator}/{got.denominator}",
+        }
 
 
 def test_checkmap_small():
