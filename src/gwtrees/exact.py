@@ -187,6 +187,42 @@ def forest_leaf_pmf(dist: OffspringDist, n_trees: int, k: int) -> Fraction:
     return Fraction(n_trees, k) * w.prob(-n_trees)
 
 
+def marked_count_support(dist: OffspringDist, marks: DegreeSet, max_n: int) -> list[bool]:
+    """Entry n is True iff P(marked count = n) > 0, for n = 0..max_n, on integers.
+
+    The marked count is the size of a tree of the collapsed law zeta, whose
+    support is (supp xi & A) + <d - 1 : d in supp xi - A>, where <G> is the
+    set of sums of elements of G, 0 included.  A tree of n vertices exists
+    iff n - 1 is a sum of nonzero values of zeta (the rest are zeros, which
+    exist because xi_0 > 0 and 0 is marked).  Those sums are the sums of the
+    generators d in supp xi & A and d - 1 for d in supp xi - A, so one bitset
+    of the reachable values n - 1 < max_n, closed under each generator by
+    doubling shifts, decides every size.
+    """
+    require_zero(marks)
+    if not dist.pmf(0) > 0:
+        return [False] * (max_n + 1)
+    full = (1 << max_n) - 1
+    reach = 1  # bit v: v is a sum of generators
+    for d in dist.support_iter(max_n):
+        g = d if d in marks else d - 1
+        if reach == full:
+            break
+        if g < 1 or reach >> g & 1 or not dist.pmf(d) > 0:
+            continue
+        step = g
+        # after the shifts by g, 2g, ..., 2^(k-1) g, reach adds up to 2^k - 1 copies of g
+        while step < max_n:
+            reach |= (reach << step) & full
+            step *= 2
+    return [False] + [bool(reach >> v & 1) for v in range(max_n)]
+
+
+# Relative error of marked_count_pmf_float against the exact tables, which
+# tests/test_exact.py certifies up to n=1000; float sampler CDFs stop there.
+FLOAT_TABLE_RTOL = 1e-12
+
+
 def marked_count_pmf_float(dist: OffspringDist, marks: DegreeSet, max_n: int) -> np.ndarray:
     """Float marked-count law via FFT powering; entry n is (1/n)[z^{n-1}] zeta(z)^n."""
     require_zero(marks)

@@ -12,6 +12,7 @@ cross-validation oracle for small sizes).
 from __future__ import annotations
 
 import itertools
+import sys
 from array import array
 from bisect import bisect_right
 from collections.abc import Iterator
@@ -23,7 +24,7 @@ from math import comb, gcd, lcm
 import numpy as np
 
 from .degree_sets import DegreeSet, require_zero
-from .exact import marked_count_pmf, marked_count_pmf_float
+from .exact import FLOAT_TABLE_RTOL, marked_count_pmf, marked_count_pmf_float, marked_count_support
 from .offspring import OffspringDist, validate
 from .partitions import Partition, block_count, iota
 from .streams import (
@@ -111,13 +112,27 @@ class _DegreeCdf:
     todo: Iterator[int]
 
 
+def _approx_bytes(obj) -> int:
+    """Rough bytes held by a cache: buffers by size, containers by slot and item."""
+    if isinstance(obj, np.ndarray):
+        return obj.nbytes
+    if isinstance(obj, array):
+        return obj.itemsize * len(obj)
+    if isinstance(obj, _DegreeCdf):
+        return _approx_bytes(obj.degrees) + _approx_bytes(obj.cum)
+    if isinstance(obj, (list, tuple)):
+        return 8 * len(obj) + sum(map(_approx_bytes, obj))
+    return sys.getsizeof(obj)
+
+
 class SamplerTables:
     """Marked-count law and its convolution powers for one (law, set, size).
 
     Exact mode keeps each power as integer numerators over one denominator
     per row, caches root-degree and split CDFs as integer lists and draws
-    them with exact dyadic inversion; float mode keeps numpy vectors and
-    float CDFs.  Both modes cache the CDFs per key in the same dicts.
+    them with exact dyadic inversion; float mode keeps each power once, as a
+    numpy vector, and float CDFs as arrays of doubles.  Both modes cache the
+    CDFs per key in the same dicts; `stats()` reports their sizes.
     """
 
     def __init__(self, dist: OffspringDist, marks: DegreeSet, n: int, exact: bool = True):
@@ -133,14 +148,18 @@ class SamplerTables:
             self.count = marked_count_pmf(dist, marks, n)
         else:
             self.count = marked_count_pmf_float(dist, marks, n)
-            # structural zeros come back from the FFT as noise around 1e-15;
-            # genuine masses at the sizes used here sit far above this floor
-            self.count[self.count <= 1e-10] = 0.0
+            # the FFT returns structural zeros as noise around 1e-17; the
+            # integer support decides which sizes are zero
+            support = np.array(marked_count_support(dist, marks, n))
+            self.count[~support] = 0.0
+            lost = np.flatnonzero(support & (self.count <= 0.0))
+            if lost.size:
+                raise ArithmeticError(f"float table is not positive at admissible sizes {lost[:5].tolist()}")
         if self.count[n] == 0:
             raise ValueError(f"marked count {n} has probability zero")
         self._admissible = [bool(c > 0) for c in self.count]
         self._split_cum: dict[tuple[int, int], list[int] | array] = {}
-        self._degree_cum: dict[int, _DegreeCdf | tuple[list[int], list[float]]] = {}
+        self._degree_cum: dict[int, _DegreeCdf | tuple[list[int], array]] = {}
         self.marked_degree = [k in marks for k in range(n + 2)]
         if exact:
             # row p of _tau: numerators of the p-th convolution power, and
@@ -150,10 +169,7 @@ class SamplerTables:
         else:
             self._tau = [np.zeros(n + 1), np.array(self.count)]
             self._tau[0][0] = 1.0
-            # flat float mirrors keep the per-vertex draw loops cheap
             self._pmf_f = [float(dist.pmf(k)) for k in range(n + 2)]
-            self._count_l: list[float] = self.count.tolist()
-            self._tau_l: list[list[float]] = [self._tau[0].tolist(), self._count_l]
 
     def admissible(self, m: int) -> bool:
         return 1 <= m <= self.n and self._admissible[m]
@@ -177,9 +193,7 @@ class SamplerTables:
                 g = gcd(den, *nxt)
                 tau.append(([c // g for c in nxt], den // g))
             else:
-                nxt = np.convolve(tau[-1], self.count)[: self.n + 1]
-                tau.append(nxt)
-                self._tau_l.append(nxt.tolist())
+                tau.append(np.convolve(tau[-1], self.count)[: self.n + 1])
         return tau[p]
 
     def tau(self, p: int):
@@ -190,14 +204,37 @@ class SamplerTables:
             return [Fraction(c, den) for c in nums]
         return row
 
-    def tau_list(self, p: int) -> list[float]:
-        self._power(p)
-        return self._tau_l[p]
+    def stats(self) -> dict[str, int]:
+        """Sizes of the caches, read from them on demand.
+
+        `powers` counts the convolution powers held (tau_0 and tau_1
+        included), `*_cdfs` the cached CDFs and `*_entries` their entries;
+        `cache_bytes` approximates the bytes of all three caches.  Nothing
+        on the draw path counts.
+        """
+        degree_cums = [e.cum if isinstance(e, _DegreeCdf) else e[1] for e in self._degree_cum.values()]
+        return {
+            "powers": len(self._tau),
+            "degree_cdfs": len(degree_cums),
+            "degree_entries": sum(map(len, degree_cums)),
+            "split_cdfs": len(self._split_cum),
+            "split_entries": sum(map(len, self._split_cum.values())),
+            "cache_bytes": _approx_bytes([self._tau, *self._degree_cum.values(), *self._split_cum.values()]),
+        }
 
     # -- draws ---------------------------------------------------------------
 
     def draw_root_degree(self, s: int, stream: RandomStream) -> int:
-        """Root degree conditional on the subtree's marked count being s."""
+        """Root degree conditional on the subtree's marked count being s.
+
+        The weight of degree p is xi_p * tau_p(s - [p marked]).  Exact CDFs
+        grow only as far as draws reach.  A float CDF is built whole on first
+        use and stops at the first degree where its sum comes within
+        FLOAT_TABLE_RTOL (relative) of count[s], the error the float tables
+        are certified to; the degrees after it carry less than that, and the
+        powers they would need are never built.  A support that ends further
+        short than that raises ArithmeticError.
+        """
         entry = self._degree_cum.get(s)
         if self.exact:
             if entry is None:
@@ -208,19 +245,25 @@ class SamplerTables:
             return entry.degrees[i]
         if entry is None:
             degrees: list[int] = []
-            cum: list[float] = []
+            cum = array("d")  # bisect_right reads it like the list of its floats
             acc = 0.0
-            total = self._count_l[s]
+            total = float(self.count[s])
+            stop = total * (1.0 - FLOAT_TABLE_RTOL)
             pmf = self._pmf_f
             marked = self.marked_degree
             for p in self.dist.support_iter(s):
-                w = pmf[p] * self.tau_list(p)[s - 1 if marked[p] else s]
+                w = pmf[p] * float(self._power(p)[s - 1 if marked[p] else s])
                 if w > 0.0:
                     acc += w
                     degrees.append(p)
                     cum.append(acc)
-                    if acc >= total * (1.0 - 1e-15):
+                    if acc >= stop:
                         break
+            else:
+                if acc < stop:
+                    raise ArithmeticError(
+                        f"root-degree weights at size {s} sum to {acc}, short of count[{s}] = {total}"
+                    )
             if not degrees:
                 raise ValueError(f"no admissible root degree at size {s}")
             entry = (degrees, cum)

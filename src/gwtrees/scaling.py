@@ -104,11 +104,17 @@ def root_limit_statistic(measure: SplitMeasure, f) -> float:
 
 
 def top_share_mean(measure: SplitMeasure) -> Fraction:
-    """Mean of the largest normalised part; tends to one as sizes grow."""
-    total = Fraction(0)
+    """Mean of the largest normalised part; tends to one as sizes grow.
+
+    Only each atom's top part counts, so w * lam[0] is summed per total
+    sum(lam) and divided by it once per total; the empty partition adds 0.
+    """
+    by_total: dict[int, Fraction] = {}
     for lam, w in measure.atoms.items():
-        total += w * _top(measure.pushed(lam))
-    return total
+        if lam:
+            t = sum(lam)
+            by_total[t] = by_total.get(t, 0) + w * lam[0]
+    return sum((v / t for t, v in by_total.items()), Fraction(0))
 
 
 def block_count_marginal(measure: SplitMeasure) -> dict[int, Fraction]:

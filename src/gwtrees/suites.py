@@ -16,7 +16,7 @@ import numpy as np
 
 from . import __version__
 from .degree_sets import DegreeSet
-from .exact import enumerate_mass, marked_count_fixed_point, marked_count_pmf
+from .exact import enumerate_mass, marked_count_fixed_point, marked_count_pmf, marked_count_support
 from .offspring import OffspringDist, binary_dist, collapsed_moments, collapsed_offspring, geometric_dist
 from .samplers import (
     SamplerTables,
@@ -372,12 +372,10 @@ def run_follower(max_n: int = 12) -> SuiteResult:
 
 
 def snap_admissible(dist: OffspringDist, marks: DegreeSet, n: int, max_n: int | None = None) -> int:
-    """Smallest admissible size >= n (sizes with zero probability are skipped)."""
-    from .exact import marked_count_pmf_float
-
-    probe = marked_count_pmf_float(dist, marks, (max_n or n + 8))
-    for m in range(n, len(probe)):
-        if probe[m] > 1e-10:  # float tables return structural zeros as tiny noise
+    """Smallest admissible size >= n, up to max_n (default n + 8), from the exact support."""
+    support = marked_count_support(dist, marks, max_n or n + 8)
+    for m in range(n, len(support)):
+        if support[m]:
             return m
     raise ValueError("no admissible size found near the target")
 

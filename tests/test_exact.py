@@ -6,12 +6,14 @@ import pytest
 
 from gwtrees.degree_sets import DegreeSet
 from gwtrees.exact import (
+    FLOAT_TABLE_RTOL,
     enumerate_mass,
     forest_leaf_pmf,
     leaf_pmf_fixed_point,
     marked_count_fixed_point,
     marked_count_pmf,
     marked_count_pmf_float,
+    marked_count_support,
     progeny_pmf,
     walk_pmf,
 )
@@ -150,7 +152,31 @@ def test_float_table_certified_to_n_1000(name, spec):
         if exact[n] == 0:
             assert abs(approx[n]) <= 1e-15, n
         else:
-            assert abs(approx[n] - float(exact[n])) <= 1e-12 * float(exact[n]), n
+            assert abs(approx[n] - float(exact[n])) <= FLOAT_TABLE_RTOL * float(exact[n]), n
+
+
+def test_support_matches_exact_table():
+    # supp zeta = (supp xi & A) + <d - 1 : d in supp xi - A>; n is admissible
+    # iff n - 1 is a sum of nonzero values of zeta
+    laws = (
+        binary_dist(),
+        geometric_dist(),
+        MIXED,
+        from_probs([Fraction(4, 5), 0, 0, 0, 0, Fraction(1, 5)]),
+        from_probs([Fraction(13, 20), 0, Fraction(1, 4), 0, 0, Fraction(1, 10)]),
+    )
+    specs = ("0", "0,1", "0,2", "all", "not:1,3", "0,3,5")
+    for dist in laws:
+        for spec in specs:
+            marks = DegreeSet.parse(spec)
+            table = marked_count_pmf(dist, marks, 60)
+            assert marked_count_support(dist, marks, 60) == [c > 0 for c in table], spec
+
+
+def test_support_parity_of_binary_total_progeny():
+    support = marked_count_support(binary_dist(), ALL, 2001)
+    assert support == [n % 2 == 1 for n in range(2002)]
+    assert marked_count_support(binary_dist(), ALL, 0) == [False]
 
 
 def test_integer_walk_degenerate_law():

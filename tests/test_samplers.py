@@ -11,7 +11,7 @@ import pytest
 
 from gwtrees import samplers
 from gwtrees.degree_sets import DegreeSet
-from gwtrees.exact import enumerate_mass, marked_count_pmf
+from gwtrees.exact import FLOAT_TABLE_RTOL, enumerate_mass, marked_count_pmf
 from gwtrees.offspring import binary_dist, from_probs, geometric_dist
 from gwtrees.partitions import block_count, distinct_arrangements, partitions_into
 from gwtrees.samplers import (
@@ -548,6 +548,55 @@ def test_root_degree_cdf_builds_only_the_powers_it_reaches():
     assert len(tab._tau) < 40
 
 
+@pytest.mark.parametrize("spec", ["all", "0", "0,2"])
+def test_float_root_degree_cdfs_stop_at_the_certified_error(spec):
+    # a float CDF stops once its sum is within FLOAT_TABLE_RTOL of count[s];
+    # stopping at 1e-15, below the float routes' agreement, ran some sizes to
+    # p = s - 1 and built hundreds of powers
+    tab = SamplerTables(geometric_dist(), DegreeSet.parse(spec), 2000, exact=False)
+    s = stream(97)
+    for m in range(1, 2001):
+        if tab.admissible(m):
+            tab.draw_root_degree(m, s)
+            end, want = tab._degree_cum[m][1][-1], tab.count[m]
+            assert want * (1 - FLOAT_TABLE_RTOL) <= end <= want * (1 + FLOAT_TABLE_RTOL), m
+    stats = tab.stats()
+    assert stats["powers"] <= 64
+    assert stats["degree_cdfs"] == sum(map(tab.admissible, range(1, 2001)))
+    assert stats["split_cdfs"] == stats["split_entries"] == 0
+
+
+def test_float_table_zeros_come_from_the_exact_support():
+    tab = SamplerTables(binary_dist(), ALL, 2001, exact=False)
+    assert not tab.count[0::2].any()
+    assert (tab.count[1::2] > 0).all()
+    with pytest.raises(ValueError):
+        SamplerTables(binary_dist(), ALL, 2000, exact=False)
+
+
+def test_finite_support_short_of_the_table_raises():
+    tab = SamplerTables(binary_dist(), A0, 50, exact=False)
+    tab.count[30] *= 1 + 1e-9  # a table entry the root-degree weights cannot reach
+    with pytest.raises(ArithmeticError, match="size 30"):
+        tab.draw_root_degree(30, stream())
+
+
+def test_stats_follow_the_caches():
+    tab = SamplerTables(geometric_dist(), A0, 60)
+    empty = tab.stats()
+    assert empty["powers"] == 2 and empty["degree_cdfs"] == empty["split_cdfs"] == 0
+    s = stream(5)
+    for _ in range(5):
+        sample_conditioned(tab, s)
+    stats = tab.stats()
+    assert stats["powers"] == len(tab._tau)
+    assert stats["degree_cdfs"] == len(tab._degree_cum) > 0
+    assert stats["degree_entries"] == sum(len(e.cum) for e in tab._degree_cum.values())
+    assert stats["split_entries"] == sum(map(len, tab._split_cum.values())) > 0
+    assert stats["cache_bytes"] > empty["cache_bytes"]
+    assert tab.stats() == stats  # reading them changes nothing
+
+
 MIXED = from_probs([Fraction(7, 12), Fraction(1, 6), Fraction(0), Fraction(1, 4)])
 DIGEST_ARMS = {
     "binary/0": (binary_dist(), A0),
@@ -581,6 +630,21 @@ PINNED_DIGESTS = {
     "mb.mixed/0": "56f0967a2c19eb03a81c23cf7c895ba4e997791289c4d684c1b61a7eb14a2065",
     "offspring.geometric-1/3": "f6124ed0ed37003781b4c8c1da9fc2c7bd33449ef19b3c5bf7990989980e5a4b",
 }
+# the three criterion-7 arms, on float tables
+FLOAT_DIGEST_ARMS = {
+    "binary/0": (binary_dist(), A0, 2000),
+    "binary/all": (binary_dist(), ALL, 2001),
+    "geometric/all": (geometric_dist(), ALL, 2000),
+}
+# SHA-256 of seeded float-mode output while the root-degree CDFs stopped at
+# 1e-15 of count[s]; stopping at the certified 1e-12 drops only degrees of
+# relative weight below 1e-12, so the draws must stay the same
+FLOAT_PINNED_DIGESTS = {
+    "depths.binary/0": "ceeb3f4b4701d36fef217787e1e47780fee0d8c3b06159c02de248d01ff7323f",
+    "depths.binary/all": "d6e9b36b784ea2d52a808c81e4c15f757ae4c605fdcba405cf26f6e74653b4cc",
+    "depths.geometric/all": "64d56374e5ef1b25bb46a1679db19613c8b7859d8884731b651e4df32a148f0c",
+    "trees.geometric/all": "6659be6d9f2b5b75ba6544afc6df8755f85295753013533b18bc22fda8dcd6c4",
+}
 
 
 def _sha(items) -> str:
@@ -602,3 +666,16 @@ def test_seeded_exact_output_is_pinned():
     got["offspring.geometric-1/3"] = _sha(draw_offspring(geometric_dist(Fraction(1, 3)), s) for _ in range(300))
     changed = sorted(k for k in PINNED_DIGESTS if got[k] != PINNED_DIGESTS[k])
     assert not changed, f"seeded exact output changed: {changed}"
+
+
+def test_seeded_float_output_is_pinned():
+    got = {}
+    for name, (dist, marks, n) in FLOAT_DIGEST_ARMS.items():
+        tab = SamplerTables(dist, marks, n, exact=False)
+        s = RandomStream(64).split(name)
+        got[f"depths.{name}"] = _sha(sample_marked_depth(tab, s) for _ in range(400))
+    tab = SamplerTables(*FLOAT_DIGEST_ARMS["geometric/all"], exact=False)
+    s = RandomStream(65)
+    got["trees.geometric/all"] = _sha(sample_conditioned(tab, s) for _ in range(5))
+    changed = sorted(k for k in FLOAT_PINNED_DIGESTS if got[k] != FLOAT_PINNED_DIGESTS[k])
+    assert not changed, f"seeded float output changed: {changed}"
