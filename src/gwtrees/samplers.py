@@ -12,7 +12,6 @@ cross-validation oracle for small sizes).
 from __future__ import annotations
 
 import itertools
-import sys
 from array import array
 from bisect import bisect_right
 from collections.abc import Iterator
@@ -24,7 +23,13 @@ from math import comb, gcd, lcm
 import numpy as np
 
 from .degree_sets import DegreeSet, require_zero
-from .exact import FLOAT_TABLE_RTOL, marked_count_pmf, marked_count_pmf_float, marked_count_support
+from .exact import (
+    FLOAT_TABLE_ATOL,
+    FLOAT_TABLE_RTOL,
+    marked_count_pmf,
+    marked_count_pmf_float,
+    marked_count_support,
+)
 from .offspring import OffspringDist, validate
 from .partitions import Partition, block_count, iota
 from .streams import (
@@ -112,19 +117,6 @@ class _DegreeCdf:
     todo: Iterator[int]
 
 
-def _approx_bytes(obj) -> int:
-    """Rough bytes held by a cache: buffers by size, containers by slot and item."""
-    if isinstance(obj, np.ndarray):
-        return obj.nbytes
-    if isinstance(obj, array):
-        return obj.itemsize * len(obj)
-    if isinstance(obj, _DegreeCdf):
-        return _approx_bytes(obj.degrees) + _approx_bytes(obj.cum)
-    if isinstance(obj, (list, tuple)):
-        return 8 * len(obj) + sum(map(_approx_bytes, obj))
-    return sys.getsizeof(obj)
-
-
 class SamplerTables:
     """Marked-count law and its convolution powers for one (law, set, size).
 
@@ -146,18 +138,22 @@ class SamplerTables:
         self.exact = exact
         if exact:
             self.count = marked_count_pmf(dist, marks, n)
+            self._admissible = [bool(c > 0) for c in self.count]
         else:
             self.count = marked_count_pmf_float(dist, marks, n)
             # the FFT returns structural zeros as noise around 1e-17; the
             # integer support decides which sizes are zero
-            support = np.array(marked_count_support(dist, marks, n))
+            self._admissible = marked_count_support(dist, marks, n)
+            support = np.array(self._admissible)
             self.count[~support] = 0.0
             lost = np.flatnonzero(support & (self.count <= 0.0))
             if lost.size:
-                raise ArithmeticError(f"float table is not positive at admissible sizes {lost[:5].tolist()}")
-        if self.count[n] == 0:
+                raise ValueError(
+                    f"float table cannot resolve the marked count at sizes {lost[:5].tolist()}: "
+                    f"their mass is below its absolute error {FLOAT_TABLE_ATOL}; use a smaller n"
+                )
+        if not self._admissible[n]:
             raise ValueError(f"marked count {n} has probability zero")
-        self._admissible = [bool(c > 0) for c in self.count]
         self._split_cum: dict[tuple[int, int], list[int] | array] = {}
         self._degree_cum: dict[int, _DegreeCdf | tuple[list[int], array]] = {}
         self.marked_degree = [k in marks for k in range(n + 2)]
@@ -209,18 +205,21 @@ class SamplerTables:
 
         `powers` counts the convolution powers held (tau_0 and tau_1
         included), `*_cdfs` the cached CDFs and `*_entries` their entries;
-        `cache_bytes` approximates the bytes of all three caches.  Nothing
-        on the draw path counts.
+        `cache_bytes` counts 8 bytes per power and CDF entry, which is what
+        float mode's doubles take and a lower bound for exact mode's
+        integers.  Nothing on the draw path counts.
         """
         degree_cums = [e.cum if isinstance(e, _DegreeCdf) else e[1] for e in self._degree_cum.values()]
-        return {
+        stats = {
             "powers": len(self._tau),
             "degree_cdfs": len(degree_cums),
             "degree_entries": sum(map(len, degree_cums)),
             "split_cdfs": len(self._split_cum),
             "split_entries": sum(map(len, self._split_cum.values())),
-            "cache_bytes": _approx_bytes([self._tau, *self._degree_cum.values(), *self._split_cum.values()]),
         }
+        entries = stats["powers"] * (self.n + 1) + stats["degree_entries"] + stats["split_entries"]
+        stats["cache_bytes"] = 8 * entries
+        return stats
 
     # -- draws ---------------------------------------------------------------
 
@@ -232,8 +231,11 @@ class SamplerTables:
         use and stops at the first degree where its sum comes within
         FLOAT_TABLE_RTOL (relative) of count[s], the error the float tables
         are certified to; the degrees after it carry less than that, and the
-        powers they would need are never built.  A support that ends further
-        short than that raises ArithmeticError.
+        powers they would need are never built.  A support that ends short of
+        the stop, as at subcritical sizes whose mass nears the FFT's absolute
+        error, is drawn against its own sum; one that ends more than
+        FLOAT_TABLE_RTOL * count[s] + FLOAT_TABLE_ATOL short raises
+        ArithmeticError.
         """
         entry = self._degree_cum.get(s)
         if self.exact:
@@ -260,7 +262,7 @@ class SamplerTables:
                     if acc >= stop:
                         break
             else:
-                if acc < stop:
+                if total - acc > FLOAT_TABLE_RTOL * total + FLOAT_TABLE_ATOL:
                     raise ArithmeticError(
                         f"root-degree weights at size {s} sum to {acc}, short of count[{s}] = {total}"
                     )

@@ -104,6 +104,16 @@ def test_sample_rejects_impossible_size():
     assert proc.returncode == 2
 
 
+def test_sample_subcritical_float_sizes():
+    # n > 256 samples on float tables: a subcritical law works while its
+    # masses stay above the FFT's absolute error, and is a config error after
+    geo = '{"family":"geometric","p":"%s"}'
+    proc = run_cli(["sample", "--dist", geo % "11/20", "--set", "0", "--n", "400", "--seed", "1"])
+    assert proc.returncode == 0, proc.stderr
+    assert count_marked(parse_tree(proc.stdout.splitlines()[1]), DegreeSet.of(0)) == 400
+    _assert_config_error(run_cli(["sample", "--dist", geo % "2/3", "--set", "all", "--n", "300", "--seed", "1"]))
+
+
 def test_bad_distribution_spec():
     proc = run_cli(["exact", "--dist", '{"family":"cauchy"}', "--set", "0", "--max-n", "4", "--seed", "1"])
     assert proc.returncode == 2

@@ -6,6 +6,7 @@ import pytest
 
 from gwtrees.degree_sets import DegreeSet
 from gwtrees.exact import (
+    FLOAT_TABLE_ATOL,
     FLOAT_TABLE_RTOL,
     enumerate_mass,
     forest_leaf_pmf,
@@ -153,6 +154,16 @@ def test_float_table_certified_to_n_1000(name, spec):
             assert abs(approx[n]) <= 1e-15, n
         else:
             assert abs(approx[n] - float(exact[n])) <= FLOAT_TABLE_RTOL * float(exact[n]), n
+
+
+@pytest.mark.parametrize("p", [Fraction(11, 20), Fraction(3, 5), Fraction(2, 3)])
+@pytest.mark.parametrize("spec", ["0", "all"])
+def test_float_table_absolute_error_on_subcritical_laws(p, spec):
+    # subcritical masses decay exponentially, so the FFT's error is bounded
+    # in absolute terms only; 1.1e-16 is the largest seen here
+    exact = marked_count_pmf(geometric_dist(p), DegreeSet.parse(spec), 400)
+    approx = marked_count_pmf_float(geometric_dist(p), DegreeSet.parse(spec), 400)
+    assert max(abs(approx[n] - float(exact[n])) for n in range(401)) <= FLOAT_TABLE_ATOL
 
 
 def test_support_matches_exact_table():

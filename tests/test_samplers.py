@@ -11,7 +11,7 @@ import pytest
 
 from gwtrees import samplers
 from gwtrees.degree_sets import DegreeSet
-from gwtrees.exact import FLOAT_TABLE_RTOL, enumerate_mass, marked_count_pmf
+from gwtrees.exact import FLOAT_TABLE_ATOL, FLOAT_TABLE_RTOL, enumerate_mass, marked_count_pmf
 from gwtrees.offspring import binary_dist, from_probs, geometric_dist
 from gwtrees.partitions import block_count, distinct_arrangements, partitions_into
 from gwtrees.samplers import (
@@ -579,6 +579,32 @@ def test_finite_support_short_of_the_table_raises():
     tab.count[30] *= 1 + 1e-9  # a table entry the root-degree weights cannot reach
     with pytest.raises(ArithmeticError, match="size 30"):
         tab.draw_root_degree(30, stream())
+
+
+@pytest.mark.parametrize("p,n", [(Fraction(11, 20), 400), (Fraction(3, 5), 300)])
+def test_float_subcritical_cdfs_end_within_the_absolute_error(p, n):
+    # subcritical masses fall towards the FFT's absolute error, where the
+    # root-degree weights can run out before the relative stop; such a CDF
+    # is drawn against its own sum as long as the gap is within the error
+    tab = SamplerTables(geometric_dist(p), A0, n, exact=False)
+    s = stream(41)
+    short = 0
+    for m in range(1, n + 1):
+        tab.draw_root_degree(m, s)
+        end, want = tab._degree_cum[m][1][-1], tab.count[m]
+        assert abs(end - want) <= FLOAT_TABLE_RTOL * want + FLOAT_TABLE_ATOL, m
+        short += end < want * (1 - FLOAT_TABLE_RTOL)
+    if p == Fraction(3, 5):
+        assert short > 0  # the case the absolute term is there for
+    for _ in range(3):
+        assert count_marked(sample_conditioned(tab, s), A0) == n
+
+
+def test_float_table_below_its_absolute_error_is_a_value_error():
+    # geometric(2/3)/all masses near n=282 are about 1e-17, inside the FFT's
+    # noise, and some come back as zero at admissible sizes
+    with pytest.raises(ValueError, match="cannot resolve"):
+        SamplerTables(geometric_dist(Fraction(2, 3)), ALL, 300, exact=False)
 
 
 def test_stats_follow_the_caches():
