@@ -11,8 +11,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-from scipy import integrate
-from scipy.stats import chi2 as chi2_dist
 
 from .degree_sets import DegreeSet
 from .exact import marked_count_pmf_float
@@ -139,6 +137,9 @@ def brownian_dislocation(f, rel_tol: float = 1e-9) -> float:
     The (1-s) damping makes the s -> 1 endpoint integrable; adaptive
     quadrature handles the remaining inverse-square-root singularity.
     """
+    # scipy is imported here and in chi_square_test only: at module level it
+    # would cost about 1 s and 65 MB in every process that imports gwtrees.
+    from scipy import integrate
 
     def integrand(s: float) -> float:
         return _density(s) * (1.0 - s) * float(f((s, 1.0 - s)))
@@ -353,6 +354,8 @@ def chi_square_test(observed: dict, expected_probs: dict, total: int, min_expect
     `expected_probs` may sum to less than one; the remainder becomes an
     "other" cell collecting observations outside the listed keys.
     """
+    from scipy.stats import chi2 as chi2_dist  # see brownian_dislocation
+
     keys = sorted(expected_probs, key=repr)
     exp = [float(expected_probs[k]) * total for k in keys]
     obs = [float(observed.get(k, 0)) for k in keys]

@@ -60,6 +60,23 @@ def test_transform_hat_stdin():
     assert proc.stdout.strip() == "0,-1"
 
 
+def test_cli_import_loads_no_scipy_submodule():
+    # scipy costs about 1 s and 65 MB to import; only the chi-square checks
+    # and the dislocation integral load it, on first call
+    code = (
+        "import sys\n"
+        "import gwtrees.cli\n"
+        "heavy = ('scipy.stats', 'scipy.integrate', 'scipy.special')\n"
+        "print(sorted(m for m in heavy if m in sys.modules))\n"
+        "from gwtrees.scaling import chi_square_test\n"
+        "chi_square_test({0: 6, 1: 4}, {0: 0.5, 1: 0.5}, 10)\n"
+        "print('scipy.stats' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "True"]
+
+
 def test_transform_check_stdin():
     proc = run_cli(["transform", "check"], stdin="(()())\n")
     assert proc.returncode == 0

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from gwtrees.degree_sets import DegreeSet
-from gwtrees.exact import marked_count_pmf
+from gwtrees.exact import FLOAT_TABLE_RTOL, marked_count_pmf
 from gwtrees.offspring import binary_dist, from_probs, geometric_dist
 from gwtrees.samplers import SamplerTables, sample_marked_depth
 from gwtrees.scaling import depth_experiment, depth_law, ks_one_sample, ks_threshold, ks_two_sample
@@ -163,7 +163,7 @@ def test_depth_law_matches_closed_forms():
         (geometric_dist(), ALL, n, [_power_coeff_half(n + k, 2 * k + 1) for k in range(n)]),
     ]
     for dist, marks, size, weights in cases:
-        _assert_same_law(depth_law(dist, marks, size), _normalised(weights), 1e-10)
+        _assert_same_law(depth_law(dist, marks, size), _normalised(weights), FLOAT_TABLE_RTOL)
 
 
 def _enumerated_depth_law(dist, marks, n, max_vertices, degree_ok):
