@@ -6,7 +6,9 @@ degree from its conditional law, then the child subtree sizes one at a time
 from their sequential conditionals, and recurse.  This needs the marked-count
 table up to the target size and iterated convolutions of it, but is unbiased
 at every size, unlike rejection with a vertex cap (kept here only as a
-cross-validation oracle for small sizes).
+cross-validation oracle for small sizes).  The depth of a uniform marked
+vertex needs none of it: it is drawn as a Markov chain on the sizes of the
+subtrees along the vertex's path (sample_marked_depth).
 """
 
 from __future__ import annotations
@@ -121,10 +123,12 @@ class SamplerTables:
     """Marked-count law and its convolution powers for one (law, set, size).
 
     Exact mode keeps each power as integer numerators over one denominator
-    per row, caches root-degree and split CDFs as integer lists and draws
-    them with exact dyadic inversion; float mode keeps each power once, as a
-    numpy vector, and float CDFs as arrays of doubles.  Both modes cache the
-    CDFs per key in the same dicts; `stats()` reports their sizes.
+    per row, caches root-degree, split and size-chain CDFs as integer lists
+    and draws them with exact dyadic inversion; float mode keeps each power
+    once, as a numpy vector, and float CDFs as arrays of doubles.  Both
+    modes cache the CDFs per key in the same dicts; `stats()` reports their
+    sizes.  The size chain of sample_marked_depth is built on its first
+    call, so tree sampling never pays for it.
     """
 
     def __init__(self, dist: OffspringDist, marks: DegreeSet, n: int, exact: bool = True):
@@ -156,6 +160,9 @@ class SamplerTables:
             raise ValueError(f"marked count {n} has probability zero")
         self._split_cum: dict[tuple[int, int], list[int] | array] = {}
         self._degree_cum: dict[int, _DegreeCdf | tuple[list[int], array]] = {}
+        # the size chain of sample_marked_depth, built on its first call
+        self._chain: tuple | None = None
+        self._chain_cum: dict[int, list[int] | array] = {}
         self.marked_degree = [k in marks for k in range(n + 2)]
         if exact:
             # row p of _tau: numerators of the p-th convolution power, and
@@ -204,10 +211,10 @@ class SamplerTables:
         """Sizes of the caches, read from them on demand.
 
         `powers` counts the convolution powers held (tau_0 and tau_1
-        included), `*_cdfs` the cached CDFs and `*_entries` their entries;
-        `cache_bytes` counts 8 bytes per power and CDF entry, which is what
-        float mode's doubles take and a lower bound for exact mode's
-        integers.  Nothing on the draw path counts.
+        included), `*_cdfs` the cached CDFs (root-degree, split and size-chain)
+        and `*_entries` their entries; `cache_bytes` counts 8 bytes per power
+        and CDF entry, which is what float mode's doubles take and a lower
+        bound for exact mode's integers.  Nothing on the draw path counts.
         """
         degree_cums = [e.cum if isinstance(e, _DegreeCdf) else e[1] for e in self._degree_cum.values()]
         stats = {
@@ -216,8 +223,10 @@ class SamplerTables:
             "degree_entries": sum(map(len, degree_cums)),
             "split_cdfs": len(self._split_cum),
             "split_entries": sum(map(len, self._split_cum.values())),
+            "chain_cdfs": len(self._chain_cum),
+            "chain_entries": sum(map(len, self._chain_cum.values())),
         }
-        entries = stats["powers"] * (self.n + 1) + stats["degree_entries"] + stats["split_entries"]
+        entries = stats["powers"] * (self.n + 1) + sum(stats[f"{k}_entries"] for k in ("degree", "split", "chain"))
         stats["cache_bytes"] = 8 * entries
         return stats
 
@@ -341,6 +350,54 @@ class SamplerTables:
             sizes.append(r)
         return sizes
 
+    def _chain_cdf(self, s: int):
+        """CDF of one step of sample_marked_depth's size chain from size s,
+        built on the first visit to s and cached.
+
+        Entry 0 is the stop, with weight Phi_A[s]; entry s' in [1, s] is the
+        step into a subtree of size s', with weight G[s - s'] * W(s') (see
+        marked_vertex_series), and the list ends at the last positive
+        weight.  The weights sum to W(s).  Exact CDFs are integers over one
+        denominator and must end exactly at W(s); float CDFs are arrays of
+        doubles and must end within FLOAT_TABLE_RTOL * W(s) +
+        FLOAT_TABLE_ATOL of it.
+        """
+        if self._chain is None:
+            w, g, stop = marked_vertex_series(self)
+            if self.exact:
+                # stop / den_a, g / den_g and s * count[s] = s * ints[s] / int_den,
+                # all scaled by int_den * den_g * den_a
+                ints, int_den = self._tau[1]
+                a, den_a = common_denominator(stop)
+                g, den_g = common_denominator(g)
+                self._chain = (
+                    [x * den_g * int_den for x in a],
+                    [x * den_a for x in g],
+                    [m * c for m, c in enumerate(ints)],
+                    den_g * den_a,
+                )
+            else:
+                self._chain = (stop, g, w, None)
+        stop, g, w, scale = self._chain
+        if self.exact:
+            weights = [stop[s], *(g[s - m] * w[m] for m in range(1, s + 1))]
+            cum = list(itertools.accumulate(weights))
+            if cum[-1] != w[s] * scale:
+                raise AssertionError(f"chain weights at size {s} do not sum to W({s})")
+        else:
+            weights = np.empty(s + 1)
+            weights[0] = stop[s]
+            weights[1:] = g[s - 1 :: -1] * w[1 : s + 1]
+            cum = array("d", np.cumsum(weights).tobytes())
+            if abs(cum[-1] - w[s]) > FLOAT_TABLE_RTOL * w[s] + FLOAT_TABLE_ATOL:
+                raise ArithmeticError(f"chain weights at size {s} sum to {cum[-1]}, not W({s}) = {w[s]}")
+        last = len(weights) - 1
+        while last and not weights[last]:
+            last -= 1
+        del cum[last + 1 :]
+        self._chain_cum[s] = cum
+        return cum
+
 
 def sample_conditioned(tables: SamplerTables, stream: RandomStream) -> OrderedTree:
     """A tree conditioned to have exactly the tables' marked count."""
@@ -365,36 +422,98 @@ def sample_conditioned(tables: SamplerTables, stream: RandomStream) -> OrderedTr
     return t
 
 
+def marked_vertex_series(tables: SamplerTables) -> tuple:
+    """(W, G, Phi_A) of the tables' law, set and size: the series of trees
+    with one marked vertex pointed out.
+
+    With F the marked-count generating function and
+    Phi(z, s) = sum_j xi_j z^[j in A] s^j, so that F = Phi(z, F),
+    differentiating gives W = Phi_A + G W, where W = z F' (W[s] is
+    s * count[s]), G = dPhi/ds(z, F) and Phi_A = z Phi_z(z, F) =
+    z sum_{j in A} xi_j F^j.  Pointing at a marked vertex, Phi_A is the
+    root itself and G W a root with the pointed vertex in one child's
+    subtree: G[k] weighs the root, its other children and the marked
+    vertices they hold, k of them.
+
+    G is found by series division, G = 1 - Phi_z / F'.  Phi_z comes from
+    the rows F^j of the marked degrees of a finite set, or as
+    (F - sum_{j not in A} xi_j F^j) / z for a cofinite one.  F' is known to
+    z^(n-1) only, so G has entries 0..n-1; W and Phi_A have 0..n.  Exact
+    tables give numpy arrays of Fractions, float tables of doubles, with G
+    clipped at zero against rounding.
+    """
+    n = tables.n
+    marks = tables.marks
+    if tables.exact:
+        count = np.array(tables.count, dtype=object)
+
+        def row(p: int) -> np.ndarray:
+            nums, den = tables._power(p)
+            return np.array([Fraction(c, den) for c in nums], dtype=object)
+
+        xi = tables.dist.pmf
+    else:
+        count = tables.count
+        row = tables._power
+        xi = tables._pmf_f.__getitem__
+    zero = count[0]  # no tree has no marked vertex
+    # the marked part of Phi over z, to z^(n-1); F^j starts at z^j
+    if marks.cofinite:
+        rest = count.copy()
+        for j in sorted(marks.members):
+            if j <= n and xi(j):
+                rest -= xi(j) * row(j)
+        phi_z = rest[1:]
+    else:
+        phi_z = np.zeros(n, dtype=count.dtype)
+        for j in sorted(marks.members):
+            if j < n and xi(j):
+                phi_z += xi(j) * row(j)[:n]
+    deriv = np.arange(1, n + 1) * count[1:]  # F', to z^(n-1)
+    # quotient = phi_z / deriv, one coefficient at a time
+    quotient = np.empty_like(phi_z)
+    for k in range(n):
+        quotient[k] = (phi_z[k] - np.dot(quotient[:k], deriv[k:0:-1])) / deriv[0]
+    g = -quotient
+    g[0] = zero if 1 in marks else xi(1)  # 1 - quotient[0], without its rounding
+    if not tables.exact:
+        np.maximum(g, 0.0, out=g)
+    return np.arange(n + 1) * count, g, np.concatenate([[zero], phi_z])
+
+
 def sample_marked_depth(tables: SamplerTables, stream: RandomStream) -> int:
     """Depth of a uniformly chosen marked vertex of a conditioned tree.
 
-    Picks the marked vertex by its rank in preorder, then descends only the
-    branch that holds it: at each level it draws the root degree and the
-    child sizes, and steps into the child whose marked range contains the
-    rank.  This is exact because a subtree's marked count is its target
-    size, so the sizes alone locate the rank, and the subtrees off the path
-    are independent of the path given their sizes and need not be drawn.
-    The cost is O(height), about sqrt(n) levels, against O(n) for building
-    the whole tree.
+    Along the path from the root to a uniform marked vertex, the marked
+    counts of the subtrees entered form a Markov chain
+    (marked_vertex_series): from size s it stops, the root being the chosen
+    vertex, or steps into a child subtree of size s' <= s, where s' = s is
+    an unmarked degree-one stalk.  The depth is the number of steps: one
+    draw per level from one cached CDF per size (SamplerTables._chain_cdf),
+    about sqrt(n) draws, and no root degree or sibling size is drawn.
     """
-    pick = stream.randbelow(tables.n)
-    marked_degree = tables.marked_degree
+    cdfs = tables._chain_cum
+    build = tables._chain_cdf
     depth = 0
     s = tables.n
-    while True:
-        p = tables.draw_root_degree(s, stream)
-        if marked_degree[p]:
-            if pick == 0:
+    if tables.exact:
+        while True:
+            cum = cdfs.get(s) or build(s)
+            if len(cum) == 1:
                 return depth
-            pick -= 1
-        for size in tables.draw_split_sizes(p, s - 1 if marked_degree[p] else s, stream):
-            if pick < size:
-                break
-            pick -= size
-        else:
-            raise AssertionError("conditioned descent produced a wrong marked count")
+            s = draw_weights_int(cum, cum[-1], stream)
+            if not s:
+                return depth
+            depth += 1
+    rand = stream.random
+    while True:
+        cum = cdfs.get(s) or build(s)
+        if len(cum) == 1:
+            return depth
+        s = min(bisect_right(cum, rand() * cum[-1]), len(cum) - 1)
+        if not s:
+            return depth
         depth += 1
-        s = size
 
 
 def sample_conditioned_rejection(

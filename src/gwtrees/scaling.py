@@ -13,10 +13,9 @@ from fractions import Fraction
 import numpy as np
 
 from .degree_sets import DegreeSet
-from .exact import marked_count_pmf_float
 from .offspring import OffspringDist
 from .partitions import Partition, block_count
-from .samplers import SamplerTables, sample_marked_depth, split_measure
+from .samplers import SamplerTables, marked_vertex_series, sample_marked_depth, split_measure
 from .streams import RandomStream
 
 __all__ = [
@@ -96,8 +95,9 @@ def damped_mean(measure: SplitMeasure, f) -> Fraction:
 
 
 def root_limit_statistic(measure: SplitMeasure, f) -> float:
-    """sqrt(size) times the damped mean; converges to the dislocation integral
-    scaled by sigma * sqrt(marked mass) / 2."""
+    """sqrt(size) times the damped mean.  For f = 1 the root-limit suite
+    checks it against its closed-form limit sigma * sqrt(marked mass) *
+    sqrt(2/pi); no suite evaluates the dislocation integral."""
     return math.sqrt(measure.size) * float(damped_mean(measure, f))
 
 
@@ -289,50 +289,28 @@ def depth_law(dist: OffspringDist, marks: DegreeSet, n: int) -> np.ndarray:
     """Law of the depth of a uniform marked vertex in a tree conditioned to
     have n marked vertices; entry k is P(depth = k).
 
-    With F the marked-count generating function and
-    Phi(z, s) = sum_j xi_j z^[j in A] s^j (so F = Phi(z, F)), cutting a tree
-    along the path from the root to a marked vertex at depth k gives
+    Cutting a tree along the path from the root to a marked vertex at
+    depth k gives
 
         P(depth = k) proportional to [z^n] G^k Phi_A,
 
-    where G = dPhi/ds(z, F) accounts for each ancestor (its degree, its child
-    on the path, and independent subtrees off it) and Phi_A(z, F) keeps only
-    the marked degrees of Phi, for the chosen vertex itself.  Summed over k
-    this is [z^n] z F' = n P(count = n), which the float series must
-    reproduce.  Series products are truncated at z^n and done by FFT; depths
-    are added until the remaining mass is below 1e-13 of the total, which
-    ends the loop also when unmarked degree-one stalks make the support
-    unbounded.
+    with G and Phi_A the series of samplers.marked_vertex_series on float
+    tables: G = dPhi/ds(z, F) accounts for each ancestor (its degree, its
+    child on the path, and independent subtrees off it) and Phi_A for the
+    chosen vertex itself.  Summed over k this is W[n] = n P(count = n),
+    which the float series must reproduce.  Series products are truncated
+    at z^n and done by FFT; G is known to z^(n-1), which is all they read
+    because Phi_A has no constant term.  Depths are added until the
+    remaining mass is below 1e-13 of the total, which ends the loop also
+    when unmarked degree-one stalks make the support unbounded.
     """
-    f = marked_count_pmf_float(dist, marks, n)
-    total = n * f[n]
-    if not total > 0:
-        raise ValueError(f"size {n} has probability zero")
+    tables = SamplerTables(dist, marks, n, exact=False)
+    w, g, h = marked_vertex_series(tables)
+    total = w[n]
     size = 1 << (2 * n + 1).bit_length()  # linear, not cyclic, products up to z^n
-
-    def times(series: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
-        return np.fft.irfft(np.fft.rfft(series, size, axis=-1) * spectrum, size, axis=-1)[..., : n + 1]
-
-    def times_z(series: np.ndarray) -> np.ndarray:
-        return np.concatenate([[0.0], series[:-1]])
-
-    # Horner in F for three power series of F: marked and unmarked parts of
-    # dPhi/ds, and Phi_A / z.  Degrees above n + 1 vanish modulo z^(n+1).
-    bound = dist.support_bound()
-    top = n + 1 if bound is None else min(bound, n + 1)
-    f_spec = np.fft.rfft(f, size)
-    acc = np.zeros((3, n + 1))
-    for j in range(top, -1, -1):
-        acc = times(acc, f_spec)
-        if j in marks:
-            acc[2, 0] += float(dist.pmf(j))
-        # the F^j term of dPhi/ds comes from degree j + 1
-        acc[0 if j + 1 in marks else 1, 0] += (j + 1) * float(dist.pmf(j + 1))
-    g = times_z(acc[0]) + acc[1]
-    h = times_z(acc[2])
     g_spec = np.fft.rfft(g, size)
     # without unmarked stalks every ancestor adds a marked vertex or a branch
-    stalks = dist.pmf(1) != 0 and 1 not in marks
+    stalks = g[0] > 0
     max_depth = 64 * (n + 1) if stalks else n
     out: list[float] = []
     covered = 0.0
@@ -341,7 +319,7 @@ def depth_law(dist: OffspringDist, marks: DegreeSet, n: int) -> np.ndarray:
         covered += h[n]
         if total - covered <= 1e-13 * total:
             break
-        h = times(h, g_spec)
+        h = np.fft.irfft(np.fft.rfft(h, size) * g_spec, size)[: n + 1]
     law = np.clip(np.array(out), 0.0, None)
     if abs(law.sum() - total) > 1e-9 * total:
         raise ArithmeticError(f"depth law sums to {law.sum()}, expected {total}")

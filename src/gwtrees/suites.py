@@ -381,7 +381,9 @@ def snap_admissible(dist: OffspringDist, marks: DegreeSet, n: int, max_n: int | 
 
 
 def run_root_limit(sizes=(25, 50, 100, 200)) -> SuiteResult:
-    """Exact rescaled root-split statistic against the dislocation target."""
+    """Exact rescaled root-split statistic for f = 1 against its closed-form
+    limit sigma * sqrt(marked mass) * sqrt(2/pi), with the top-share mean
+    and the block-count marginal."""
     res = SuiteResult("root-limit", None)
     t0 = time.time()
     dist = binary_dist()

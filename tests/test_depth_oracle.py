@@ -17,9 +17,9 @@ import pytest
 from gwtrees.degree_sets import DegreeSet
 from gwtrees.exact import FLOAT_TABLE_RTOL, marked_count_pmf
 from gwtrees.offspring import binary_dist, from_probs, geometric_dist
-from gwtrees.samplers import SamplerTables, sample_marked_depth
+from gwtrees.samplers import SamplerTables, marked_vertex_series, sample_marked_depth
 from gwtrees.scaling import depth_experiment, depth_law, ks_one_sample, ks_threshold, ks_two_sample
-from gwtrees.streams import RandomStream
+from gwtrees.streams import RandomStream, common_denominator
 from gwtrees.suites import RescaledLaw, depth_convergence
 from gwtrees.trees import depths, iter_trees
 
@@ -92,9 +92,9 @@ def _mine(dist, marks, n, m, seed):
 @pytest.mark.parametrize("marks", [A0, DegreeSet.of(0, 2)], ids=["0", "0,2"])
 def test_geometric_depth_sampler_matches_exact_law(marks, exact, n, m):
     # the rotation oracles mark every degree or only leaves of a law without
-    # degree one; here {0} leaves unmarked degree-one stalks, so the descent
-    # passes roots that can never be the pick, and {0,2} marks inner
-    # vertices, so it can stop above the leaves
+    # degree one; here {0} leaves unmarked degree-one stalks, so the size
+    # chain can step from a size to itself, and {0,2} marks inner vertices,
+    # so it can stop above the leaves
     tab = SamplerTables(geometric_dist(), marks, n, exact=exact)
     stream = RandomStream(12)
     depths_ = [sample_marked_depth(tab, stream) for _ in range(m)]
@@ -164,6 +164,33 @@ def test_depth_law_matches_closed_forms():
     ]
     for dist, marks, size, weights in cases:
         _assert_same_law(depth_law(dist, marks, size), _normalised(weights), FLOAT_TABLE_RTOL)
+
+
+def test_depth_law_matches_exact_series():
+    # P(depth = k) = [z^n] G^k Phi_A / W[n] in exact rationals, from the
+    # exact series of marked_vertex_series; {0} leaves unmarked degree-one
+    # stalks, so its depth is unbounded and is compared over the depths
+    # depth_law returns.  n = 140 keeps this test under 2 s (1.2 s on a
+    # 2-core VM; n = 160 took 2.0-2.2 s).
+    n = 140
+    for marks in (DegreeSet.of(0, 2), A0):
+        w, g, phi_a = marked_vertex_series(SamplerTables(geometric_dist(), marks, n))
+        assert min(g) >= 0
+        assert all(w[s] == phi_a[s] + sum(g[s - m] * w[m] for m in range(1, s + 1)) for s in range(n + 1))
+        law = depth_law(geometric_dist(), marks, n)
+        # h / den is G^k Phi_A on integers; G has entries to z^(n-1), all
+        # that [z^n] reads because Phi_A has no constant term
+        g, g_den = common_denominator(g)
+        h, den = common_denominator(phi_a)
+        exact = []
+        for _ in range(len(law)):
+            exact.append(float(Fraction(h[n], den) / w[n]))
+            h = [sum(g[i] * h[m - i] for i in range(m)) for m in range(n + 1)]
+            den *= g_den
+            c = math.gcd(den, *h)
+            h = [x // c for x in h]
+            den //= c
+        _assert_same_law(law, exact, FLOAT_TABLE_RTOL)
 
 
 def _enumerated_depth_law(dist, marks, n, max_vertices, degree_ok):

@@ -22,6 +22,7 @@ from gwtrees.samplers import (
     augmented_family,
     draw_offspring,
     family_from_tables,
+    marked_vertex_series,
     sample_conditioned,
     sample_conditioned_rejection,
     sample_gw,
@@ -341,8 +342,9 @@ def test_sample_marked_depth_matches_tree_route():
 
 
 def test_depth_check_rejects_uniform_child_descent():
-    # the descent must step into a child with probability proportional to
-    # its marked count; stepping into a uniform child changes the law
+    # a descent through the whole-tree draws must step into a child with
+    # probability proportional to its marked count; stepping into a uniform
+    # child changes the law, and the n=5 chi-square sees it
     def uniform_child_depth(tab, s):
         depth, size = 0, tab.n
         while True:
@@ -358,6 +360,29 @@ def test_depth_check_rejects_uniform_child_descent():
     tab = SamplerTables(binary_dist(), A0, 5)
     mutant = Counter(uniform_child_depth(tab, s) for _ in range(4000))
     assert _depth_law_p(mutant, 4000) < 1e-6
+
+
+def test_depth_check_rejects_chain_without_size_bias():
+    # the chain must step into size s' in proportion to G[s - s'] times
+    # s' * count[s'], the subtree's trees with a pointed marked vertex;
+    # weighting by count[s'] alone changes the law
+    tab = SamplerTables(binary_dist(), A0, 5)
+    _w, g, stop = marked_vertex_series(tab)
+
+    def unbiased_chain_depth(s):
+        depth, size = 0, tab.n
+        while True:
+            weights = [stop[size], *(g[size - m] * tab.count[m] for m in range(1, size + 1))]
+            size = draw_weights(weights, sum(weights), s)
+            if not size:
+                return depth
+            depth += 1
+
+    s = stream(47)
+    mutant = Counter(unbiased_chain_depth(s) for _ in range(4000))
+    assert _depth_law_p(mutant, 4000) < 1e-6
+    right = Counter(sample_marked_depth(tab, s) for _ in range(4000))
+    assert _depth_law_p(right, 4000) > 0.001
 
 
 def test_stream_split_determinism():
@@ -619,8 +644,31 @@ def test_stats_follow_the_caches():
     assert stats["degree_cdfs"] == len(tab._degree_cum) > 0
     assert stats["degree_entries"] == sum(len(e.cum) for e in tab._degree_cum.values())
     assert stats["split_entries"] == sum(map(len, tab._split_cum.values())) > 0
+    assert stats["chain_cdfs"] == stats["chain_entries"] == 0
     assert stats["cache_bytes"] > empty["cache_bytes"]
     assert tab.stats() == stats  # reading them changes nothing
+    for _ in range(5):
+        sample_marked_depth(tab, s)
+    stats = tab.stats()
+    assert stats["chain_cdfs"] == len(tab._chain_cum) > 0
+    assert stats["chain_entries"] == sum(map(len, tab._chain_cum.values()))
+    assert stats["cache_bytes"] == 8 * (
+        stats["powers"] * 61 + stats["degree_entries"] + stats["split_entries"] + stats["chain_entries"]
+    )
+
+
+def test_float_depths_build_only_chain_cdfs():
+    # the size chain draws no root degree and no sibling size, and holds at
+    # most one CDF of s + 1 entries per size s
+    n = 2000
+    tab = SamplerTables(geometric_dist(), ALL, n, exact=False)
+    s = stream(101)
+    for _ in range(400):
+        sample_marked_depth(tab, s)
+    stats = tab.stats()
+    assert stats["split_cdfs"] == stats["degree_cdfs"] == 0
+    assert stats["powers"] == 2
+    assert 0 < stats["chain_entries"] <= (n + 1) * (n + 2) // 2
 
 
 MIXED = from_probs([Fraction(7, 12), Fraction(1, 6), Fraction(0), Fraction(1, 4)])
@@ -632,43 +680,52 @@ DIGEST_ARMS = {
 }
 # SHA-256 of seeded exact-mode output as drawn by the Fraction loops above;
 # the integer draws must reproduce it byte for byte.  A changed digest is a
-# changed stream, which is a bug, not a new baseline.
+# changed stream: it is pinned again only with a new draw route, once
+# independent checks of the law hold for it (the depth entries moved to the
+# size chain with the n=5 chi-square, the exact depth-law tests and the
+# rotation oracles in tests/test_depth_oracle.py).
 PINNED_DIGESTS = {
     "trees.binary/0": "a7cdee6a70c26ec468df8dc72f0cc041da2310ef17df978dfdf9e91bda81b789",
-    "depths.binary/0": "fa685b1ab5613e422ebd8790d2c1380e5764a28e45fd0e7829e8f0fd59c8520e",
+    "depths.binary/0": "f9eb952ecd819183eaab3e8144a3f379ed0287abc11d19ba6225ebb0ab1d3d14",
     "hat.binary/0": "aee3a0d2c57d8c41a7915f31702fb26a4886cc311f34424b516f099ef0db18ce",
     "offspring.binary/0": "1062bbc44417f5c349d6c7686968307afb602296501ecafeb63e39ddf925d6f3",
     "mb.binary/0": "df25aa0473d1dff1a6dad49728d557ec2322f7e5516f60704f7f91be6bd625aa",
     "trees.geometric/0": "58ea315139e6717142bb1c049296daadad05163fd8cd38b35824933badb23d5a",
-    "depths.geometric/0": "76ad9fd705a34ec3b2372ef7ade7cb81013cc8bc71b842e9d28c5fee9c08bacb",
+    "depths.geometric/0": "9c8efd58ef80150712b6dcaeedcf8941c1df1b57081af200f5f70213c676380e",
     "hat.geometric/0": "9b7c8a68fb5db1f8030ac76c7b20d04246e2fc762a898da1cc9e127e5aafb318",
     "offspring.geometric/0": "f6e27d2103de127898e1899aafca5c56c546122e21d7cce8eb222d4f42dacb09",
     "mb.geometric/0": "024687c96f7d97c9f5559cad4882b80c931026bc61785df496c33f3901483845",
     "trees.geometric/0,2": "26f9229b1fdf31340380d07dbab71fef4c36711591aef9dbb288d061c8a981cb",
-    "depths.geometric/0,2": "f39675f73357b8ec592be9a6817830793c514be9568863686365f35b47ce56bd",
+    "depths.geometric/0,2": "021672a45cd803b7b5c870f695d11ce2841579fb944a01623208ff156a1b9171",
     "hat.geometric/0,2": "1571f0daf177db28961c4e275d2665ba6104953c20d5b77a29735ff2701f1798",
     "offspring.geometric/0,2": "9f9ad6d5d19ebdda100ad62d2f67c69dc39fa71e110237381ab982de1f41ae99",
     "mb.geometric/0,2": "a1f4bee44f9cb6c9161c63f9d29fdcd3c853bece4d8246619da39d8fd8c3d296",
     "trees.mixed/0": "46b9e3f776de730c0c0eaf543e5e979f906fb24f23387f8b4b025cde683e2c64",
-    "depths.mixed/0": "23663dbcd9aa271b2aff0b926ca8c5258115487c8f0b91988ba36a27170bf8ae",
+    "depths.mixed/0": "732f7205ed6bce9fd704db9d653352ae52f73740b3de0c05fd088d8e8b8c12e5",
     "hat.mixed/0": "c626855ce3c5cffdebe666985624007d6fe1d1546b64e4ec8415c7ce25484fb0",
     "offspring.mixed/0": "4ecff3e4df38723ea9f1c9cc92706c552bc5ed1d667fa1fcc4a2953f0e031d1e",
     "mb.mixed/0": "56f0967a2c19eb03a81c23cf7c895ba4e997791289c4d684c1b61a7eb14a2065",
     "offspring.geometric-1/3": "f6124ed0ed37003781b4c8c1da9fc2c7bd33449ef19b3c5bf7990989980e5a4b",
 }
+# The hat, offspring and mb digests were pinned with 100 depths drawn between
+# the trees and them, by a spine descent that took this many 32-bit words of
+# each arm's stream.  Skipping as many words keeps those draws where they
+# were pinned; the depths, now drawn by the size chain, come last.
+DESCENT_WORDS = {"binary/0": 5482, "geometric/0": 5282, "geometric/0,2": 4577, "mixed/0": 5223}
 # the three criterion-7 arms, on float tables
 FLOAT_DIGEST_ARMS = {
     "binary/0": (binary_dist(), A0, 2000),
     "binary/all": (binary_dist(), ALL, 2001),
     "geometric/all": (geometric_dist(), ALL, 2000),
 }
-# SHA-256 of seeded float-mode output while the root-degree CDFs stopped at
-# 1e-15 of count[s]; stopping at the certified 1e-12 drops only degrees of
-# relative weight below 1e-12, so the draws must stay the same
+# SHA-256 of seeded float-mode output.  The trees were pinned while the
+# root-degree CDFs stopped at 1e-15 of count[s]; stopping at the certified
+# 1e-12 drops only degrees of relative weight below 1e-12, so their draws
+# must stay the same.  The depths are those of the size chain.
 FLOAT_PINNED_DIGESTS = {
-    "depths.binary/0": "ceeb3f4b4701d36fef217787e1e47780fee0d8c3b06159c02de248d01ff7323f",
-    "depths.binary/all": "d6e9b36b784ea2d52a808c81e4c15f757ae4c605fdcba405cf26f6e74653b4cc",
-    "depths.geometric/all": "64d56374e5ef1b25bb46a1679db19613c8b7859d8884731b651e4df32a148f0c",
+    "depths.binary/0": "c6054acedd7cf51d227b88f254a04cbc5465173f60821f8cf3a92d04d09fad16",
+    "depths.binary/all": "5d808382097403f3034ce73bbc9b4379ea2b242157442e3403de050e347adcd2",
+    "depths.geometric/all": "7224ab9542c3b9b0aa0981c2dbfc4cc6990acc8ada6c268212bacbe53c2b4183",
     "trees.geometric/all": "6659be6d9f2b5b75ba6544afc6df8755f85295753013533b18bc22fda8dcd6c4",
 }
 
@@ -682,12 +739,14 @@ def test_seeded_exact_output_is_pinned():
     for name, (dist, marks) in DIGEST_ARMS.items():
         s = RandomStream(61).split(name)
         got[f"trees.{name}"] = _sha(sample_conditioned(SamplerTables(dist, marks, 25), s) for _ in range(20))
-        tab = SamplerTables(dist, marks, 61)
-        got[f"depths.{name}"] = _sha(sample_marked_depth(tab, s) for _ in range(100))
+        for _ in range(DESCENT_WORDS[name]):
+            s.getrandbits(32)
         got[f"hat.{name}"] = _sha(sample_hat_offspring(dist, marks, s) for _ in range(200))
         got[f"offspring.{name}"] = _sha(draw_offspring(dist, s) for _ in range(300))
         fam = family_from_tables(SamplerTables(dist, marks, 9))
         got[f"mb.{name}"] = _sha(sample_markov_branching(fam, 9, s) for _ in range(40))
+        tab = SamplerTables(dist, marks, 61)
+        got[f"depths.{name}"] = _sha(sample_marked_depth(tab, s) for _ in range(100))
     s = RandomStream(62)
     got["offspring.geometric-1/3"] = _sha(draw_offspring(geometric_dist(Fraction(1, 3)), s) for _ in range(300))
     changed = sorted(k for k in PINNED_DIGESTS if got[k] != PINNED_DIGESTS[k])
