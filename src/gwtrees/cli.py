@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import asdict, dataclass
-from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
@@ -21,7 +21,7 @@ from .degree_sets import DegreeSet, require_zero
 from .exact import marked_count_pmf
 from .offspring import OffspringDist, format_rational, validate
 from .samplers import SamplerTables, sample_conditioned
-from .scaling import TestFunction, root_limit_statistic, root_split_measure, top_share_mean
+from .scaling import root_split_measure, top_share_mean
 from .streams import RandomStream
 from .suites import SUITES
 from .transforms import collapse, first_hit_rule, lifeline_tree
@@ -209,19 +209,14 @@ def cmd_root_partition(cfg: RunConfig) -> int:
         tables = SamplerTables(dist, marks, cfg.n)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    one = TestFunction(lambda s: Fraction(1), name="const-1")
     rows = []
     for m in range(1, cfg.n + 1):
         if not tables.admissible(m):
             continue
-        meas = root_split_measure(tables, m)
-        rows.append(
-            {
-                "n": m,
-                "statistic": root_limit_statistic(meas, one),
-                "top_share": float(top_share_mean(meas)),
-            }
-        )
+        top = top_share_mean(root_split_measure(tables, m))
+        # the f = 1 statistic sqrt(m) * E[1 - s1]: the atoms sum to one and
+        # s1 of () is 0, so it is exactly sqrt(m) * (1 - top share)
+        rows.append({"n": m, "statistic": math.sqrt(m) * float(1 - top), "top_share": float(top)})
     if cfg.out_format == "json":
         print(json.dumps(rows))
     else:

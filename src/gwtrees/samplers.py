@@ -1,14 +1,18 @@
 """Tree samplers: plain branching trees, exactly conditioned trees, and
 Markov branching families.
 
-Conditioned sampling works by exact recursive decomposition: draw the root
-degree from its conditional law, then the child subtree sizes one at a time
-from their sequential conditionals, and recurse.  This needs the marked-count
-table up to the target size and iterated convolutions of it, but is unbiased
-at every size, unlike rejection with a vertex cap (kept here only as a
-cross-validation oracle for small sizes).  The depth of a uniform marked
-vertex needs none of it: it is drawn as a Markov chain on the sizes of the
-subtrees along the vertex's path (sample_marked_depth).
+Exact-mode conditioned sampling works by recursive decomposition: draw the
+root degree from its conditional law, then the child subtree sizes one at a
+time from their sequential conditionals, and recurse.  This needs the
+marked-count table up to the target size and iterated convolutions of it, but
+is unbiased at every size, unlike rejection with a vertex cap (kept here only
+as a cross-validation oracle for small sizes).  Float mode uses the cycle
+lemma on blocks instead (SamplerTables.draw_block_values): the depth-first
+degrees cut into n runs that each end at a marked degree, whose collapsed
+values are i.i.d. given their sum and whose interiors are independent given
+their values.  The depth of a uniform marked vertex needs neither: it is
+drawn as a Markov chain on the sizes of the subtrees along the vertex's path
+(sample_marked_depth).
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from math import comb, gcd, lcm
+from math import ceil, comb, exp, gcd, lcm, pi, sqrt
 
 import numpy as np
 
@@ -32,7 +36,7 @@ from .exact import (
     marked_count_pmf_float,
     marked_count_support,
 )
-from .offspring import OffspringDist, validate
+from .offspring import OffspringDist, collapsed_coeffs_float, validate
 from .partitions import Partition, block_count, iota
 from .streams import (
     RandomStream,
@@ -119,16 +123,97 @@ class _DegreeCdf:
     todo: Iterator[int]
 
 
+@dataclass(eq=False)
+class _BlockLaw:
+    """Float law of the blocks of a conditioned tree with n marked vertices.
+
+    `values` are the block values c in 0..n-1 with positive mass and `probs`
+    the collapsed law at them, tilted by theta^c to mean (n - 1) / n and
+    normalised; `batch` multinomial rows are drawn at a time.  The rows count
+    the first `head` values one by one and the rest, which carry at most
+    1 / (n * batch) of the mass, in one last cell of `cells`; the values in
+    that cell are drawn from `tail_cdf`, the normalised CDF of the rest.
+    `hat` is the untilted collapsed law on 0..n-1 and `free[u]` the mass of
+    an unmarked degree u, which weigh the steps inside a block; `interiors`
+    is False when the set covers the law's support and every block is one
+    vertex.
+    """
+
+    values: np.ndarray
+    probs: np.ndarray
+    theta: float
+    batch: int
+    head: int
+    cells: np.ndarray
+    tail_cdf: np.ndarray
+    hat: np.ndarray
+    free: np.ndarray
+    interiors: bool
+
+
+def _block_law(dist: OffspringDist, marks: DegreeSet, n: int, pmf: list[float]) -> _BlockLaw:
+    """The block law of `dist` and `marks` at n marked vertices; `pmf` holds
+    the law's float masses at 0..n.
+
+    n values summing to n - 1 are all below n, so the collapsed law is cut
+    at n - 1; this leaves the law of the values given their sum as it was.
+    Tilting by theta^c leaves the law of n i.i.d. values given their sum
+    unchanged, so theta only sets the acceptance rate: with mean (n - 1) / n
+    a row hits the sum n - 1 with chance about 1 / sqrt(2 pi n Var), and a
+    batch of twice that many rows usually holds a hit.  log theta is found
+    by bisection; the mean grows with it.
+    """
+    hat = collapsed_coeffs_float(dist, marks, n - 1)
+    values = np.flatnonzero(hat)
+    log_hat = np.log(hat[values])
+    target = (n - 1) / n
+
+    def tilted(t: float) -> np.ndarray:
+        x = log_hat + t * values
+        w = np.exp(x - x.max())
+        return w / w.sum()
+
+    lo, hi = -1.0, 1.0
+    while tilted(lo) @ values > target:
+        lo *= 2
+    while tilted(hi) @ values < target:
+        hi *= 2
+    for _ in range(64):
+        mid = (lo + hi) / 2
+        if tilted(mid) @ values < target:
+            lo = mid
+        else:
+            hi = mid
+    probs = tilted(hi)
+    keep = probs > 0.0  # drop values whose tilted mass underflows
+    values, probs = values[keep], probs[keep] / probs[keep].sum()
+    var = probs @ values**2 - (probs @ values) ** 2
+    batch = max(1, ceil(2 * sqrt(2 * pi * n * var)))
+    rest = np.cumsum(probs[::-1])[::-1]  # rest[k]: mass of values[k:]
+    head = int(np.argmax(rest * (n * batch) <= 1.0)) or len(values)
+    cells, tail_cdf = probs, probs[:0]
+    if head < len(values):
+        cells = np.append(probs[:head], rest[head])
+        tail_cdf = np.cumsum(probs[head:]) / rest[head]
+        tail_cdf[-1] = 1.0  # a uniform in [0, 1) lands inside
+    free = np.where([k not in marks for k in range(n + 1)], pmf[: n + 1], 0.0)
+    return _BlockLaw(
+        values, probs, exp(hi), batch, head, cells, tail_cdf, hat, free, not marks.covers_support(dist)
+    )
+
+
 class SamplerTables:
     """Marked-count law and its convolution powers for one (law, set, size).
 
     Exact mode keeps each power as integer numerators over one denominator
     per row, caches root-degree, split and size-chain CDFs as integer lists
     and draws them with exact dyadic inversion; float mode keeps each power
-    once, as a numpy vector, and float CDFs as arrays of doubles.  Both
-    modes cache the CDFs per key in the same dicts; `stats()` reports their
-    sizes.  The size chain of sample_marked_depth is built on its first
-    call, so tree sampling never pays for it.
+    once, as a numpy vector, and float CDFs as arrays of doubles.  Float
+    trees need no power and no root-degree or split CDF: they are drawn from
+    the block law and its per-value interior CDFs, built on the first tree
+    draw.  `stats()` reports the sizes of the caches.  The size chain of
+    sample_marked_depth is built on its first call, so tree sampling never
+    pays for it, and depth draws never build the block law.
     """
 
     def __init__(self, dist: OffspringDist, marks: DegreeSet, n: int, exact: bool = True):
@@ -158,8 +243,11 @@ class SamplerTables:
                 )
         if not self._admissible[n]:
             raise ValueError(f"marked count {n} has probability zero")
-        self._split_cum: dict[tuple[int, int], list[int] | array] = {}
-        self._degree_cum: dict[int, _DegreeCdf | tuple[list[int], array]] = {}
+        self._split_cum: dict[tuple[int, int], list[int]] = {}
+        self._degree_cum: dict[int, _DegreeCdf] = {}
+        # float trees: the block law and the interior CDFs, built on the first tree
+        self._blocks: _BlockLaw | None = None
+        self._interior_cum: dict[int, array] = {}
         # the size chain of sample_marked_depth, built on its first call
         self._chain: tuple | None = None
         self._chain_cum: dict[int, list[int] | array] = {}
@@ -211,22 +299,23 @@ class SamplerTables:
         """Sizes of the caches, read from them on demand.
 
         `powers` counts the convolution powers held (tau_0 and tau_1
-        included), `*_cdfs` the cached CDFs (root-degree, split and size-chain)
-        and `*_entries` their entries; `cache_bytes` counts 8 bytes per power
-        and CDF entry, which is what float mode's doubles take and a lower
-        bound for exact mode's integers.  Nothing on the draw path counts.
+        included), `*_cdfs` the cached CDFs (root-degree, split, size-chain
+        and block-interior) and `*_entries` their entries; `cache_bytes`
+        counts 8 bytes per power and CDF entry, which is what float mode's
+        doubles take and a lower bound for exact mode's integers.  Nothing on
+        the draw path counts.
         """
-        degree_cums = [e.cum if isinstance(e, _DegreeCdf) else e[1] for e in self._degree_cum.values()]
-        stats = {
-            "powers": len(self._tau),
-            "degree_cdfs": len(degree_cums),
-            "degree_entries": sum(map(len, degree_cums)),
-            "split_cdfs": len(self._split_cum),
-            "split_entries": sum(map(len, self._split_cum.values())),
-            "chain_cdfs": len(self._chain_cum),
-            "chain_entries": sum(map(len, self._chain_cum.values())),
+        cdfs = {
+            "degree": [e.cum for e in self._degree_cum.values()],
+            "split": self._split_cum.values(),
+            "chain": self._chain_cum.values(),
+            "interior": self._interior_cum.values(),
         }
-        entries = stats["powers"] * (self.n + 1) + sum(stats[f"{k}_entries"] for k in ("degree", "split", "chain"))
+        stats = {"powers": len(self._tau)}
+        for kind, cums in cdfs.items():
+            stats[f"{kind}_cdfs"] = len(cums)
+            stats[f"{kind}_entries"] = sum(map(len, cums))
+        entries = stats["powers"] * (self.n + 1) + sum(stats[f"{k}_entries"] for k in cdfs)
         stats["cache_bytes"] = 8 * entries
         return stats
 
@@ -235,55 +324,19 @@ class SamplerTables:
     def draw_root_degree(self, s: int, stream: RandomStream) -> int:
         """Root degree conditional on the subtree's marked count being s.
 
-        The weight of degree p is xi_p * tau_p(s - [p marked]).  Exact CDFs
-        grow only as far as draws reach.  A float CDF is built whole on first
-        use and stops at the first degree where its sum comes within
-        FLOAT_TABLE_RTOL (relative) of count[s], the error the float tables
-        are certified to; the degrees after it carry less than that, and the
-        powers they would need are never built.  A support that ends short of
-        the stop, as at subcritical sizes whose mass nears the FFT's absolute
-        error, is drawn against its own sum; one that ends more than
-        FLOAT_TABLE_RTOL * count[s] + FLOAT_TABLE_ATOL short raises
-        ArithmeticError.
+        The weight of degree p is xi_p * tau_p(s - [p marked]); its CDF, over
+        one denominator, grows only as far as draws reach.  Exact tables
+        only: float trees are drawn by blocks.
         """
+        if not self.exact:
+            raise ValueError("root-degree draws need exact tables")
         entry = self._degree_cum.get(s)
-        if self.exact:
-            if entry is None:
-                size = self.count[s]
-                entry = _DegreeCdf([], [], size.denominator, size.numerator, self.dist.support_iter(s))
-                self._degree_cum[s] = entry
-            i = draw_weights_int(entry.cum, entry.total, stream, partial(self._grow_degrees, s, entry))
-            return entry.degrees[i]
         if entry is None:
-            degrees: list[int] = []
-            cum = array("d")  # bisect_right reads it like the list of its floats
-            acc = 0.0
-            total = float(self.count[s])
-            stop = total * (1.0 - FLOAT_TABLE_RTOL)
-            pmf = self._pmf_f
-            marked = self.marked_degree
-            for p in self.dist.support_iter(s):
-                w = pmf[p] * float(self._power(p)[s - 1 if marked[p] else s])
-                if w > 0.0:
-                    acc += w
-                    degrees.append(p)
-                    cum.append(acc)
-                    if acc >= stop:
-                        break
-            else:
-                if total - acc > FLOAT_TABLE_RTOL * total + FLOAT_TABLE_ATOL:
-                    raise ArithmeticError(
-                        f"root-degree weights at size {s} sum to {acc}, short of count[{s}] = {total}"
-                    )
-            if not degrees:
-                raise ValueError(f"no admissible root degree at size {s}")
-            entry = (degrees, cum)
+            size = self.count[s]
+            entry = _DegreeCdf([], [], size.denominator, size.numerator, self.dist.support_iter(s))
             self._degree_cum[s] = entry
-        degrees, cum = entry
-        if len(degrees) == 1:
-            return degrees[0]
-        u = stream.random() * cum[-1]
-        return degrees[min(bisect_right(cum, u), len(degrees) - 1)]
+        i = draw_weights_int(entry.cum, entry.total, stream, partial(self._grow_degrees, s, entry))
+        return entry.degrees[i]
 
     def _grow_degrees(self, s: int, entry: _DegreeCdf) -> int | None:
         """Append the next positive root-degree weight at size s to its CDF.
@@ -316,30 +369,20 @@ class SamplerTables:
         """First of k sizes summing to r, from its sequential conditional."""
         key = (k, r)
         cum = self._split_cum.get(key)
-        if self.exact:
-            if cum is None:
-                # weights count[m] * tau(k-1)[r-m] over one denominator; their
-                # sum is tau(k)[r], so the list's last entry is the total
-                count = self._tau[1][0]
-                prev = self._power(k - 1)[0]
-                cum = list(itertools.accumulate(count[m] * prev[r - m] for m in range(1, r - k + 2)))
-                self._split_cum[key] = cum
-            return 1 + draw_weights_int(cum, cum[-1], stream)
         if cum is None:
-            tau_prev = self._power(k - 1)
-            stop = k - 2  # slice runs over tau_prev[r-1] down to tau_prev[k-1]
-            w = np.asarray(self.count[1 : r - k + 2]) * tau_prev[r - 1 : stop if stop >= 0 else None : -1]
-            # 8 bytes per entry instead of a list of float objects; bisect
-            # reads it unchanged and returns the same index
-            cum = array("d", np.cumsum(w).tobytes())
+            # weights count[m] * tau(k-1)[r-m] over one denominator; their
+            # sum is tau(k)[r], so the list's last entry is the total
+            count = self._tau[1][0]
+            prev = self._power(k - 1)[0]
+            cum = list(itertools.accumulate(count[m] * prev[r - m] for m in range(1, r - k + 2)))
             self._split_cum[key] = cum
-        if len(cum) == 1:
-            return 1
-        u = stream.random() * cum[-1]
-        i = bisect_right(cum, u)
-        return 1 + min(i, len(cum) - 1)
+        return 1 + draw_weights_int(cum, cum[-1], stream)
 
     def draw_split_sizes(self, p: int, target: int, stream: RandomStream) -> list[int]:
+        """Sizes of p subtrees with total marked count `target`, drawn one at
+        a time from their sequential conditionals.  Exact tables only."""
+        if not self.exact:
+            raise ValueError("split draws need exact tables")
         sizes: list[int] = []
         r = target
         for k in range(p, 1, -1):
@@ -349,6 +392,75 @@ class SamplerTables:
         if p >= 1:
             sizes.append(r)
         return sizes
+
+    def block_law(self) -> _BlockLaw:
+        """The block law of float trees, built on the first call and cached.
+        Float tables only."""
+        if self._blocks is None:
+            self._blocks = _block_law(self.dist, self.marks, self.n, self._pmf_f)
+        return self._blocks
+
+    def draw_block_values(self, gen: np.random.Generator) -> np.ndarray:
+        """Collapsed values of the n blocks of a conditioned tree, in
+        depth-first order.
+
+        Multinomial rows of n values are drawn in batches, and the first row
+        whose values sum to n - 1 is kept: its counts have the law of n
+        i.i.d. values given that sum.  A row's values in the tail cell are
+        i.i.d. from the tail law given their number, and are drawn for the
+        rare rows that have any.  Shuffled, the values are a uniform
+        arrangement of the kept row; by the cycle lemma exactly one rotation
+        keeps the walk of (c - 1) above -1 until its last step, the one that
+        starts just after the walk's first minimum.
+        """
+        law = self.block_law()
+        head = law.values[: law.head]
+        while True:
+            rows = gen.multinomial(self.n, law.cells, size=law.batch)
+            sums = rows[:, : law.head] @ head
+            tails = {}
+            for i in np.flatnonzero(rows[:, law.head :].any(axis=1)):
+                u = gen.random(rows[i, law.head])
+                tails[i] = law.values[law.head + np.searchsorted(law.tail_cdf, u, side="right")]
+                sums[i] += tails[i].sum()
+            hits = np.flatnonzero(sums == self.n - 1)
+            if hits.size:
+                break
+        i = hits[0]
+        values = np.repeat(head, rows[i, : law.head])
+        if i in tails:
+            values = np.concatenate((values, tails[i]))
+        gen.shuffle(values)
+        start = int(np.argmin(np.cumsum(values - 1))) + 1
+        return np.concatenate((values[start:], values[:start]))
+
+    def _interior_cdf(self, r: int) -> array:
+        """CDF of one step inside a block whose remaining value is r, built on
+        the first visit to r and cached.
+
+        Entry 0 closes the block with marked degree r, with weight
+        xi_r [r in A]; entry u >= 1 is an unmarked degree u, with weight
+        xi_u * hat[r - u + 1], after which r - u + 1 remains.  The weights
+        must sum to hat[r] within FLOAT_TABLE_RTOL * hat[r], else
+        ArithmeticError: hat comes from a recurrence on non-negative terms,
+        so its error is relative even where it is tiny.  The CDF is divided
+        by its sum and ends at exactly 1.0 at the last positive weight, so a
+        uniform in [0, 1) indexes it directly.
+        """
+        law = self.block_law()
+        weights = np.empty(r + 2)
+        weights[0] = self._pmf_f[r] if self.marked_degree[r] else 0.0
+        weights[1:] = law.free[1 : r + 2] * law.hat[r::-1]
+        cum = np.cumsum(weights)
+        want = law.hat[r]
+        if abs(cum[-1] - want) > FLOAT_TABLE_RTOL * want:
+            raise ArithmeticError(f"block weights at value {r} sum to {cum[-1]}, not hat[{r}] = {want}")
+        last = int(np.flatnonzero(weights)[-1])
+        cum = cum[: last + 1] / cum[-1]
+        cum[-1] = 1.0
+        cdf = array("d", cum.tobytes())
+        self._interior_cum[r] = cdf
+        return cdf
 
     def _chain_cdf(self, s: int):
         """CDF of one step of sample_marked_depth's size chain from size s,
@@ -400,26 +512,68 @@ class SamplerTables:
 
 
 def sample_conditioned(tables: SamplerTables, stream: RandomStream) -> OrderedTree:
-    """A tree conditioned to have exactly the tables' marked count."""
-    marks = tables.marks
-    marked_degree = tables.marked_degree
-    children: list[list[int]] = []
-    stack: list[tuple[int, int]] = [(-1, tables.n)]  # (parent index, target count)
-    while stack:
-        parent, s = stack.pop()
-        idx = len(children)
-        children.append([])
-        if parent >= 0:
-            children[parent].append(idx)
-        p = tables.draw_root_degree(s, stream)
-        target = s - 1 if marked_degree[p] else s
-        sizes = tables.draw_split_sizes(p, target, stream)
-        for size in reversed(sizes):
-            stack.append((idx, size))
-    t = OrderedTree(tuple(tuple(kids) for kids in children))
-    if count_marked(t, marks) != tables.n:
+    """A tree conditioned to have exactly the tables' marked count.
+
+    Exact tables draw it by recursive decomposition; float tables by blocks
+    (SamplerTables.draw_block_values), with a numpy Generator seeded from
+    128 bits of the stream per tree.
+    """
+    if tables.exact:
+        degrees = _recursive_degrees(tables, stream)
+    else:
+        gen = np.random.default_rng(stream.getrandbits(128))
+        degrees = _block_degrees(tables, tables.draw_block_values(gen), gen)
+    t = OrderedTree.from_degrees(degrees)
+    if count_marked(t, tables.marks) != tables.n:
         raise AssertionError("conditioned sampler produced a wrong marked count")
     return t
+
+
+def _recursive_degrees(tables: SamplerTables, stream: RandomStream) -> list[int]:
+    """Depth-first degrees of an exactly conditioned tree: each vertex draws
+    its degree given its subtree's marked count, then its children's counts."""
+    marked_degree = tables.marked_degree
+    degrees: list[int] = []
+    stack = [tables.n]  # marked counts of the subtrees still to draw
+    while stack:
+        s = stack.pop()
+        p = tables.draw_root_degree(s, stream)
+        degrees.append(p)
+        sizes = tables.draw_split_sizes(p, s - 1 if marked_degree[p] else s, stream)
+        stack.extend(reversed(sizes))
+    return degrees
+
+
+def _block_degrees(tables: SamplerTables, values: np.ndarray, gen: np.random.Generator) -> list[int]:
+    """Depth-first degrees of the blocks with the given values.
+
+    A block of value r is a run of unmarked degrees closed by a marked one,
+    drawn step by step from SamplerTables._interior_cdf, one uniform per
+    vertex; the uniforms come from `gen` in chunks of n.  When the set
+    covers the law's support every block is one vertex of degree r.
+    """
+    if not tables.block_law().interiors:
+        return values.tolist()
+    n = tables.n
+    cdfs = tables._interior_cum
+    build = tables._interior_cdf
+    uniforms: list[float] = []
+    k = 0
+    degrees: list[int] = []
+    append = degrees.append
+    for r in values.tolist():
+        while True:
+            if k == len(uniforms):
+                uniforms = gen.random(n).tolist()
+                k = 0
+            u = bisect_right(cdfs.get(r) or build(r), uniforms[k])
+            k += 1
+            if not u:
+                append(r)
+                break
+            append(u)
+            r += 1 - u
+    return degrees
 
 
 def marked_vertex_series(tables: SamplerTables) -> tuple:

@@ -95,9 +95,11 @@ def damped_mean(measure: SplitMeasure, f) -> Fraction:
 
 
 def root_limit_statistic(measure: SplitMeasure, f) -> float:
-    """sqrt(size) times the damped mean.  For f = 1 the root-limit suite
-    checks it against its closed-form limit sigma * sqrt(marked mass) *
-    sqrt(2/pi); no suite evaluates the dislocation integral."""
+    """sqrt(size) times the damped mean.  For f = 1 it is exactly
+    sqrt(size) * (1 - top_share_mean), which is how the root-limit suite and
+    `gwtrees root-partition` compute it before checking it against its
+    closed-form limit sigma * sqrt(marked mass) * sqrt(2/pi); no suite
+    evaluates the dislocation integral."""
     return math.sqrt(measure.size) * float(damped_mean(measure, f))
 
 

@@ -9,6 +9,12 @@ cumulative weights, so a draw from an exact pmf has exactly the stated law.
 The cumulative weights are integer numerators over one integer denominator,
 so every decision is an integer comparison; draw_cdf and draw_weights take
 Fraction input and put it over a common denominator first.
+
+Float-mode conditioned trees (samplers.sample_conditioned) seed one numpy
+Generator (PCG64) per tree from 128 bits of the stream and draw the tree's
+blocks with its multinomial, shuffle and random; their seeded output, and
+its digests, also depend on those numpy streams, which numpy may change
+between versions.
 """
 
 from __future__ import annotations

@@ -38,7 +38,6 @@ from .scaling import (
     ks_one_sample,
     ks_threshold,
     ks_two_sample,
-    root_limit_statistic,
     root_split_measure,
     sup_distance,
     top_share_mean,
@@ -387,7 +386,6 @@ def run_root_limit(sizes=(25, 50, 100, 200)) -> SuiteResult:
     res = SuiteResult("root-limit", None)
     t0 = time.time()
     dist = binary_dist()
-    one = TestFunction(lambda s: Fraction(1), name="const-1")
     for marks in (DegreeSet.of(0), DegreeSet.all_degrees()):
         snapped = [snap_admissible(dist, marks, m) for m in sizes]
         tables = SamplerTables(dist, marks, snapped[-1])
@@ -396,10 +394,11 @@ def run_root_limit(sizes=(25, 50, 100, 200)) -> SuiteResult:
         errors = []
         tops = []
         for m in snapped:
-            meas = root_split_measure(tables, m)
-            val = root_limit_statistic(meas, one)
+            top = top_share_mean(root_split_measure(tables, m))
+            # sqrt(m) * E[1 - s1], exactly sqrt(m) * (1 - top share)
+            val = math.sqrt(m) * float(1 - top)
             errors.append(abs(val - target) / target)
-            tops.append(float(top_share_mean(meas)))
+            tops.append(float(top))
         monotone = all(errors[i] > errors[i + 1] for i in range(len(errors) - 1))
         res.add(
             f"statistic-converges[{marks.spec()}]",

@@ -72,6 +72,29 @@ class OrderedTree:
         return tuple(sizes)
 
     @staticmethod
+    def from_degrees(degrees: Sequence[int]) -> OrderedTree:
+        """Build from the out-degrees in depth-first order, in one pass.
+
+        Read backwards, each vertex takes the roots of the subtrees that
+        follow it as its children, first child on top of the stack.  Raises
+        ValueError unless the degrees close the tree exactly at the last
+        vertex.
+        """
+        children: list[tuple[int, ...]] = [()] * len(degrees)
+        roots: list[int] = []  # subtrees read so far, first one on top
+        for v in range(len(degrees) - 1, -1, -1):
+            d = degrees[v]
+            if d:
+                if not 0 < d <= len(roots):
+                    raise ValueError(f"degree {d} at vertex {v} does not fit the vertices after it")
+                children[v] = tuple(roots[-1 : -d - 1 : -1])
+                del roots[-d:]
+            roots.append(v)
+        if len(roots) != 1:
+            raise ValueError("degree sequence does not close the tree at its last vertex")
+        return OrderedTree(tuple(children))
+
+    @staticmethod
     def from_nested(nested: Sequence) -> OrderedTree:
         """Build from nested sequences, e.g. [[], []] is the two-leaf cherry root."""
         children: list[tuple[int, ...]] = []
@@ -181,23 +204,7 @@ def decode(seq: Sequence[int]) -> OrderedTree:
     """Inverse of encode; validates that the input is a proper excursion."""
     if not is_excursion(seq):
         raise ValueError(f"not a valid depth-first queue: {tuple(seq)!r}")
-    n = len(seq)
-    children: list[tuple[int, ...]] = [()] * n
-    # pending[v] = number of children still to attach under v
-    stack: list[int] = []
-    pending: list[int] = [0] * n
-    for v, x in enumerate(seq):
-        if v > 0:
-            parent = stack[-1]
-            children[parent] = children[parent] + (v,)
-            pending[parent] -= 1
-            if pending[parent] == 0:
-                stack.pop()
-        deg = x + 1
-        if deg > 0:
-            pending[v] = deg
-            stack.append(v)
-    return OrderedTree(tuple(children))
+    return OrderedTree.from_degrees([x + 1 for x in seq])
 
 
 def parse_queue(text: str) -> tuple[int, ...]:

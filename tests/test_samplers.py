@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import math
@@ -143,6 +144,57 @@ def test_rejection_sampler_agrees():
     for observed in (direct, rej):
         _stat, _df, p = chi_square_test(observed, expected, 4000)
         assert p > 0.001
+
+
+FLOAT_SHAPE_CASES = {
+    # law/set: (law, set, n, vertex cap of the enumeration)
+    "binary/0": (binary_dist(), "0", 4, 7),
+    "geometric/0": (geometric_dist(), "0", 3, 11),
+    "geometric/0,2": (geometric_dist(), "0,2", 3, 10),
+    "mixed/0": (from_probs([Fraction(7, 12), Fraction(1, 6), Fraction(0), Fraction(1, 4)]), "0", 5, 13),
+    "geometric-3/5/0": (geometric_dist(Fraction(3, 5)), "0", 3, 11),
+    "geometric/all": (geometric_dist(), "all", 5, 5),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FLOAT_SHAPE_CASES))
+def test_float_trees_match_enumerated_shape_laws(case):
+    # float trees (blocks, tilt, multinomial rows, rotation, interiors)
+    # against the brute-force law of unordered shapes; shapes beyond the
+    # vertex cap fall in the chi-square's "other" cell.  mixed/0 at n = 4 is
+    # inadmissible: its block values are even and cannot sum to 3
+    dist, spec, n, cap = FLOAT_SHAPE_CASES[case]
+    marks = DegreeSet.parse(spec)
+    total, shapes = enumerate_mass(dist, marks, n, cap)
+    size = marked_count_pmf(dist, marks, n)[n]
+    assert total / size > Fraction(99, 100)
+    expected = {k: float(w / size) for k, w in shapes.items()}
+    tab = SamplerTables(dist, marks, n, exact=False)
+    s = stream(131)
+    m = 4000
+    observed = Counter(canonical_key(sample_conditioned(tab, s)) for _ in range(m))
+    _stat, _df, p = chi_square_test(observed, expected, m)
+    assert p > 0.001, case
+
+
+def test_float_root_degree_matches_exact_law_at_n_200():
+    # the root is the first vertex of the rotated block sequence, so its
+    # degree checks the rotation at a size no enumeration reaches: against
+    # xi_p * tau_p(n - [p in A]) / count[n] from exact tables
+    n = 200
+    marks = DegreeSet.of(0, 2)
+    exact = SamplerTables(geometric_dist(), marks, n)
+    law = {}
+    for p in itertools.count():
+        law[p] = exact.dist.pmf(p) * exact.tau(p)[n - 1 if exact.marked_degree[p] else n] / exact.count[n]
+        if 1 - sum(law.values()) < Fraction(1, 10**9):
+            break
+    tab = SamplerTables(geometric_dist(), marks, n, exact=False)
+    s = stream(137)
+    m = 2000
+    observed = Counter(sample_conditioned(tab, s).degree(0) for _ in range(m))
+    _stat, df, p = chi_square_test(observed, {k: float(v) for k, v in law.items()}, m)
+    assert df >= 8 and p > 0.001
 
 
 def test_split_family_values():
@@ -574,21 +626,25 @@ def test_root_degree_cdf_builds_only_the_powers_it_reaches():
 
 
 @pytest.mark.parametrize("spec", ["all", "0", "0,2"])
-def test_float_root_degree_cdfs_stop_at_the_certified_error(spec):
-    # a float CDF stops once its sum is within FLOAT_TABLE_RTOL of count[s];
-    # stopping at 1e-15, below the float routes' agreement, ran some sizes to
-    # p = s - 1 and built hundreds of powers
-    tab = SamplerTables(geometric_dist(), DegreeSet.parse(spec), 2000, exact=False)
+def test_float_trees_build_no_degree_or_split_cdfs(spec):
+    # float trees are drawn by blocks: no convolution power beyond tau_1, no
+    # root-degree or split CDF, and at most one interior CDF of r + 2
+    # entries per block value r, none when every degree is marked
+    n = 2000
+    tab = SamplerTables(geometric_dist(), DegreeSet.parse(spec), n, exact=False)
     s = stream(97)
-    for m in range(1, 2001):
-        if tab.admissible(m):
-            tab.draw_root_degree(m, s)
-            end, want = tab._degree_cum[m][1][-1], tab.count[m]
-            assert want * (1 - FLOAT_TABLE_RTOL) <= end <= want * (1 + FLOAT_TABLE_RTOL), m
+    for _ in range(20):
+        assert count_marked(sample_conditioned(tab, s), tab.marks) == n
     stats = tab.stats()
-    assert stats["powers"] <= 64
-    assert stats["degree_cdfs"] == sum(map(tab.admissible, range(1, 2001)))
-    assert stats["split_cdfs"] == stats["split_entries"] == 0
+    assert stats["powers"] == 2
+    assert stats["degree_cdfs"] == stats["split_cdfs"] == stats["chain_cdfs"] == 0
+    assert stats["interior_entries"] == sum(map(len, tab._interior_cum.values()))
+    assert stats["interior_entries"] <= sum(r + 2 for r in tab._interior_cum)
+    assert (stats["interior_cdfs"] == 0) == (spec == "all")
+    with pytest.raises(ValueError, match="exact tables"):
+        tab.draw_root_degree(n, s)
+    with pytest.raises(ValueError, match="exact tables"):
+        tab.draw_split_sizes(2, n, s)
 
 
 def test_float_table_zeros_come_from_the_exact_support():
@@ -599,30 +655,110 @@ def test_float_table_zeros_come_from_the_exact_support():
         SamplerTables(binary_dist(), ALL, 2000, exact=False)
 
 
-def test_finite_support_short_of_the_table_raises():
-    tab = SamplerTables(binary_dist(), A0, 50, exact=False)
-    tab.count[30] *= 1 + 1e-9  # a table entry the root-degree weights cannot reach
-    with pytest.raises(ArithmeticError, match="size 30"):
-        tab.draw_root_degree(30, stream())
+def test_block_interior_cdf_short_of_the_block_law_raises():
+    tab = SamplerTables(geometric_dist(), A0, 50, exact=False)
+    tab.block_law().hat[30] *= 1 + 1e-9  # a block value the interior weights cannot reach
+    with pytest.raises(ArithmeticError, match="value 30"):
+        tab._interior_cdf(30)
+    tab._interior_cdf(29)
+
+
+class _CountingGenerator:
+    """A numpy Generator that counts the multinomial rows drawn from it."""
+
+    def __init__(self, seed):
+        self.gen = np.random.default_rng(seed)
+        self.rows = 0
+
+    def multinomial(self, n, pvals, size):
+        self.rows += size
+        return self.gen.multinomial(n, pvals, size=size)
+
+    def __getattr__(self, name):
+        return getattr(self.gen, name)
 
 
 @pytest.mark.parametrize("p,n", [(Fraction(11, 20), 400), (Fraction(3, 5), 300)])
 def test_float_subcritical_cdfs_end_within_the_absolute_error(p, n):
-    # subcritical masses fall towards the FFT's absolute error, where the
-    # root-degree weights can run out before the relative stop; such a CDF
-    # is drawn against its own sum as long as the gap is within the error
+    # subcritical block laws decay exponentially, far below the FFT's
+    # absolute error at large values; the interior CDF of every block value
+    # must still end within FLOAT_TABLE_RTOL * hat[r] of hat[r], a relative
+    # bound, and the tilt to mean (n - 1) / n (theta about 1.27 for 3/5)
+    # keeps the rows per tree near one batch
     tab = SamplerTables(geometric_dist(p), A0, n, exact=False)
+    law = tab.block_law()
+    assert law.theta > 1.1
+    for r in law.values.tolist():
+        tab._interior_cdf(r)  # raises ArithmeticError past the tolerance
+    gen = _CountingGenerator(41)
+    trees = 20
+    for _ in range(trees):
+        values = tab.draw_block_values(gen)
+        assert len(values) == n and values.sum() == n - 1
+    assert gen.rows <= 3 * trees * law.batch
+    assert law.batch <= 2 * math.sqrt(2 * math.pi * n * 8) + 1
     s = stream(41)
-    short = 0
-    for m in range(1, n + 1):
-        tab.draw_root_degree(m, s)
-        end, want = tab._degree_cum[m][1][-1], tab.count[m]
-        assert abs(end - want) <= FLOAT_TABLE_RTOL * want + FLOAT_TABLE_ATOL, m
-        short += end < want * (1 - FLOAT_TABLE_RTOL)
-    if p == Fraction(3, 5):
-        assert short > 0  # the case the absolute term is there for
     for _ in range(3):
         assert count_marked(sample_conditioned(tab, s), A0) == n
+
+
+@pytest.mark.parametrize("spec, n", [("0", 3), ("all", 5)])
+def test_block_tail_cell_draws_the_same_law(spec, n):
+    # with every value but 0 in the tail cell, each row's block values come
+    # from tail_cdf; the shape law must not move
+    marks = DegreeSet.parse(spec)
+    tab = SamplerTables(geometric_dist(), marks, n, exact=False)
+    law = tab.block_law()
+    rest = law.probs[1:].sum()
+    tab._blocks = dataclasses.replace(
+        law, head=1, cells=np.array([law.probs[0], rest]), tail_cdf=np.cumsum(law.probs[1:]) / rest
+    )
+    tab._blocks.tail_cdf[-1] = 1.0
+    total, shapes = enumerate_mass(geometric_dist(), marks, n, 11)
+    size = marked_count_pmf(geometric_dist(), marks, n)[n]
+    expected = {k: float(w / size) for k, w in shapes.items()}
+    s = stream(139)
+    observed = Counter(canonical_key(sample_conditioned(tab, s)) for _ in range(4000))
+    _stat, _df, p = chi_square_test(observed, expected, 4000)
+    assert p > 0.001
+
+
+@pytest.mark.parametrize(
+    "dist, spec, n",
+    [(geometric_dist(), "all", 2000), (geometric_dist(), "0,2", 500), (SPLIT_LAWS["mixed"], "0", 301), (binary_dist(), "all", 201)],
+)
+def test_tilted_block_law_has_mean_one_step_short(dist, spec, n):
+    # n values summing to n - 1 are likeliest when their mean is (n - 1) / n
+    law = SamplerTables(dist, DegreeSet.parse(spec), n, exact=False).block_law()
+    assert abs(law.probs @ law.values - (n - 1) / n) < 1e-12
+    assert law.probs.sum() == pytest.approx(1.0, abs=1e-15)
+    assert (law.values < n).all() and (law.probs > 0).all()
+    assert law.cells.sum() == pytest.approx(1.0, abs=1e-15)
+    if law.head < len(law.values):
+        assert law.cells[-1] * n * law.batch <= 1.0 and law.tail_cdf[-1] == 1.0
+
+
+@pytest.mark.parametrize("spec", ["0", "all", "0,1"])
+def test_float_trees_of_one_and_two_marked_vertices(spec):
+    marks = DegreeSet.parse(spec)
+    s = stream(7)
+    for n in (1, 2):
+        tab = SamplerTables(geometric_dist(), marks, n, exact=False)
+        for _ in range(50):
+            assert count_marked(sample_conditioned(tab, s), marks) == n
+    for n, want in ((1, "()"), (2, "(()())")):
+        tab = SamplerTables(binary_dist(), A0, n, exact=False)
+        assert sample_conditioned(tab, s) == parse_tree(want)
+
+
+def test_depth_draws_build_no_block_state():
+    tab = SamplerTables(geometric_dist(), DegreeSet.of(0, 2), 300, exact=False)
+    s = stream(11)
+    for _ in range(50):
+        sample_marked_depth(tab, s)
+    assert tab._blocks is None and not tab._interior_cum
+    sample_conditioned(tab, s)
+    assert tab._blocks is not None
 
 
 def test_float_table_below_its_absolute_error_is_a_value_error():
@@ -644,7 +780,7 @@ def test_stats_follow_the_caches():
     assert stats["degree_cdfs"] == len(tab._degree_cum) > 0
     assert stats["degree_entries"] == sum(len(e.cum) for e in tab._degree_cum.values())
     assert stats["split_entries"] == sum(map(len, tab._split_cum.values())) > 0
-    assert stats["chain_cdfs"] == stats["chain_entries"] == 0
+    assert stats["chain_cdfs"] == stats["chain_entries"] == stats["interior_cdfs"] == 0
     assert stats["cache_bytes"] > empty["cache_bytes"]
     assert tab.stats() == stats  # reading them changes nothing
     for _ in range(5):
@@ -655,6 +791,12 @@ def test_stats_follow_the_caches():
     assert stats["cache_bytes"] == 8 * (
         stats["powers"] * 61 + stats["degree_entries"] + stats["split_entries"] + stats["chain_entries"]
     )
+    float_tab = SamplerTables(geometric_dist(), A0, 60, exact=False)
+    for _ in range(5):
+        sample_conditioned(float_tab, s)
+    stats = float_tab.stats()
+    assert stats["interior_cdfs"] == len(float_tab._interior_cum) > 0
+    assert stats["cache_bytes"] == 8 * (stats["powers"] * 61 + stats["interior_entries"])
 
 
 def test_float_depths_build_only_chain_cdfs():
@@ -718,15 +860,16 @@ FLOAT_DIGEST_ARMS = {
     "binary/all": (binary_dist(), ALL, 2001),
     "geometric/all": (geometric_dist(), ALL, 2000),
 }
-# SHA-256 of seeded float-mode output.  The trees were pinned while the
-# root-degree CDFs stopped at 1e-15 of count[s]; stopping at the certified
-# 1e-12 drops only degrees of relative weight below 1e-12, so their draws
-# must stay the same.  The depths are those of the size chain.
+# SHA-256 of seeded float-mode output.  The depths are those of the size
+# chain.  The trees are those of the block route, pinned once the shape-law
+# and root-degree chi-squares above held for it; they also depend on numpy's
+# Generator (PCG64, multinomial, shuffle and random), which numpy may change
+# between versions, so a new numpy can move this digest alone.
 FLOAT_PINNED_DIGESTS = {
     "depths.binary/0": "c6054acedd7cf51d227b88f254a04cbc5465173f60821f8cf3a92d04d09fad16",
     "depths.binary/all": "5d808382097403f3034ce73bbc9b4379ea2b242157442e3403de050e347adcd2",
     "depths.geometric/all": "7224ab9542c3b9b0aa0981c2dbfc4cc6990acc8ada6c268212bacbe53c2b4183",
-    "trees.geometric/all": "6659be6d9f2b5b75ba6544afc6df8755f85295753013533b18bc22fda8dcd6c4",
+    "trees.geometric/all": "f9f57e554cdf4630f807e2bf5c52a5ef7f7f82f55c6ade16be927d15345709df",
 }
 
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from gwtrees.degree_sets import DegreeSet
-from gwtrees.offspring import binary_dist
+from gwtrees.offspring import binary_dist, geometric_dist
 from gwtrees.samplers import SamplerTables
 from gwtrees.scaling import (
     ExperimentReport,
@@ -23,6 +23,7 @@ from gwtrees.scaling import (
     root_split_measure,
     size_biased_expectation,
     size_biased_reorder,
+    top_share_mean,
 )
 from gwtrees.streams import RandomStream
 
@@ -47,6 +48,21 @@ def test_root_limit_statistic_examples():
     assert abs(v3 - math.sqrt(3) / 3) < 1e-12
     assert abs(v2 - math.sqrt(2) / 2) < 1e-12
     assert root_limit_statistic(root_split_measure(tab, 3), ZERO) == 0.0
+
+
+@pytest.mark.parametrize("law, spec", [("binary", "0"), ("geometric", "0"), ("geometric", "all"), ("geometric", "0,2")])
+def test_constant_one_statistic_is_one_minus_top_share(law, spec):
+    # root-partition and the root-limit suite compute the f = 1 statistic
+    # from the top share; it must equal the damped mean exactly, so that
+    # their output does not move by one bit
+    dist = binary_dist() if law == "binary" else geometric_dist()
+    tab = SamplerTables(dist, DegreeSet.parse(spec), 16)
+    for m in range(1, 17):
+        if tab.admissible(m):
+            meas = root_split_measure(tab, m)
+            top = top_share_mean(meas)
+            assert damped_mean(meas, ONE) == 1 - top
+            assert root_limit_statistic(meas, ONE) == math.sqrt(m) * float(1 - top)
 
 
 def test_damped_mean_exact():

@@ -48,6 +48,20 @@ def test_decode_examples():
         decode((0, 0))  # never closes
 
 
+def test_from_degrees_builds_every_tree_from_its_degrees():
+    for t in iter_trees(8):
+        assert OrderedTree.from_degrees(t.degrees()) == t
+    star = OrderedTree.from_degrees([5000] + [0] * 5000)
+    assert star.children[0] == tuple(range(1, 5001))
+    assert decode((4999,) + (-1,) * 5000) == star
+
+
+@pytest.mark.parametrize("degrees", [(), (1,), (0, 0), (2, 0), (1, 1, 0, 0), (-1,), (1, -1, 0)])
+def test_from_degrees_rejects_sequences_that_do_not_close_at_the_end(degrees):
+    with pytest.raises(ValueError):
+        OrderedTree.from_degrees(degrees)
+
+
 def test_first_passage():
     assert first_passage((-1,)) == 1
     assert first_passage((1, -1, -1)) == 3
