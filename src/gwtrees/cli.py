@@ -62,6 +62,10 @@ class RunConfig:
         return RunConfig(**json.loads(text))
 
 
+# the fields a config file may set and their JSON types; _dist checks dist
+CONFIG_FIELDS = dict(dist=object, degree_set=str, n=int, max_n=int, count=int, seed=int, cache_dir=str, out_format=str)
+
+
 def _load_config(args: argparse.Namespace) -> RunConfig:
     """Merge an optional config file with flags; explicit flags win."""
     base: dict = {}
@@ -70,17 +74,13 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
             base = json.loads(Path(args.config).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config file: {exc}") from exc
-    cfg = RunConfig(
-        command=args.command,
-        dist=base.get("dist"),
-        degree_set=base.get("degree_set", "0"),
-        n=base.get("n"),
-        max_n=base.get("max_n"),
-        count=base.get("count", 1),
-        seed=base.get("seed"),
-        cache_dir=base.get("cache_dir"),
-        out_format=base.get("out_format", "text"),
-    )
+        if not isinstance(base, dict):
+            raise ConfigError(f"config file must hold a JSON object, got {type(base).__name__}")
+    fields = {k: v for k, v in base.items() if k in CONFIG_FIELDS and v is not None}
+    for name, val in fields.items():
+        if not isinstance(val, CONFIG_FIELDS[name]):
+            raise ConfigError(f"config field {name!r} must be of type {CONFIG_FIELDS[name].__name__}, got {val!r}")
+    cfg = RunConfig(command=args.command, **fields)
     if getattr(args, "dist", None):
         try:
             cfg.dist = json.loads(args.dist)
@@ -98,12 +98,12 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _require(cfg: RunConfig, *fields: str) -> None:
-    """Each field must be set; the size options must also be at least 1."""
+    """Each field must be set; the sizes and --count must also be at least 1."""
     for f in fields:
         val = getattr(cfg, f)
         if val is None:
             raise ConfigError(f"missing required option --{f.replace('_', '-')}")
-        if f in ("n", "max_n") and val < 1:
+        if f in ("n", "max_n", "count") and val < 1:
             raise ConfigError(f"--{f.replace('_', '-')} must be at least 1, got {val}")
 
 
@@ -164,7 +164,7 @@ def _emit_exact(cfg: RunConfig, values: list[str]) -> None:
 
 
 def cmd_sample(cfg: RunConfig) -> int:
-    _require(cfg, "seed", "n")
+    _require(cfg, "seed", "n", "count")
     dist = _dist(cfg)
     marks = _marks(cfg.degree_set)
     try:
@@ -228,7 +228,10 @@ def cmd_root_partition(cfg: RunConfig) -> int:
 def _named_family(spec_text: str) -> str:
     from .offspring import binary_dist, geometric_dist
 
-    dist = OffspringDist.from_json(json.loads(spec_text))
+    try:
+        dist = OffspringDist.from_json(spec_text)
+    except ValueError as exc:
+        raise ConfigError(f"bad distribution spec: {exc}") from exc
     if dist == binary_dist():
         return "binary"
     if dist == geometric_dist():
@@ -248,19 +251,21 @@ def cmd_verify(args: argparse.Namespace) -> int:
     needs_seed = {"hat-law", "mb-equivalence", "universality"}
     if needs_seed & set(names) and args.seed is None:
         raise ConfigError("--seed is required for stochastic suites")
+    # the first-passage flags are checked before any suite prints
+    otter_dwass: dict = {}
+    if args.dist:
+        otter_dwass["dists"] = [_named_family(args.dist)]
+    if args.sets:
+        for spec in args.sets:
+            _marks(spec)
+        otter_dwass["set_specs"] = args.sets
+    if args.max_n is not None:
+        otter_dwass["max_n"] = args.max_n
     all_ok = True
     results = []
     for name in names:
-        kwargs = {}
-        if name == "otter-dwass":
-            if args.dist:
-                kwargs["dists"] = [_named_family(args.dist)]
-            if args.sets:
-                kwargs["set_specs"] = args.sets
-            if args.max_n is not None:
-                kwargs["max_n"] = args.max_n
         t0 = time.time()
-        result = SUITES[name](args.seed, **kwargs)
+        result = SUITES[name](args.seed, **(otter_dwass if name == "otter-dwass" else {}))
         results.append(result)
         all_ok = all_ok and result.ok()
         if args.out_format != "json":
@@ -287,17 +292,27 @@ def cmd_report(args: argparse.Namespace) -> int:
         payload = json.loads(Path(args.path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read report: {exc}") from exc
-    if args.csv:
+    try:
+        lines, ok = _render_report(payload, args.csv)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"not a report of the expected shape: {exc!r}") from exc
+    print("\n".join(lines))
+    return 0 if ok else 1
+
+
+def _render_report(payload: dict, csv: bool) -> tuple[list[str], bool]:
+    """The lines of a stored report and whether all its tests passed; a
+    payload of another shape raises while nothing is printed yet."""
+    if csv:
         # stored reports carry the ECDF grid; raw samples are only available
         # at run time through `verify --csv-out`
-        print("arm,x,cdf")
+        lines = ["arm,x,cdf"]
         for arm in payload.get("arms", []):
-            for x, f in arm.get("ecdf", []):
-                print(f"{arm['label']},{x!r},{f!r}")
-        return 0
-    print(f"report: seed={payload.get('seed')} version={payload.get('version')}")
+            lines += [f"{arm['label']},{x!r},{f!r}" for x, f in arm.get("ecdf", [])]
+        return lines, True
+    lines = [f"report: seed={payload.get('seed')} version={payload.get('version')}"]
     for arm in payload.get("arms", []):
-        print(
+        lines.append(
             f"  arm {arm['label']}: n={arm['n']} samples={arm['samples']} mean={arm['mean']:.4f} "
             f"sigma1={arm['sigma1']:.4f} marked_mass={arm['marked_mass']:.4f}"
         )
@@ -305,8 +320,10 @@ def cmd_report(args: argparse.Namespace) -> int:
     for test in payload.get("tests", []):
         status = "PASS" if test.get("pass") else "FAIL"
         ok = ok and test.get("pass", False)
-        print(f"  [{status}] {test['name']}: statistic={test['statistic']:.5f} threshold={test['threshold']:.5f}")
-    return 0 if ok else 1
+        lines.append(
+            f"  [{status}] {test['name']}: statistic={test['statistic']:.5f} threshold={test['threshold']:.5f}"
+        )
+    return lines, ok
 
 
 def build_parser() -> argparse.ArgumentParser:

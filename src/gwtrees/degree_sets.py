@@ -43,7 +43,7 @@ class DegreeSet:
     def has_zero(self) -> bool:
         return 0 in self
 
-    def mass(self, dist) -> Fraction | float:
+    def mass(self, dist) -> Fraction:
         """Total probability the distribution assigns to this set."""
         picked = sum((dist.pmf(k) for k in sorted(self.members)), start=Fraction(0))
         if self.cofinite:

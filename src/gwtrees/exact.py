@@ -63,8 +63,6 @@ def _walk(dist: OffspringDist, k: int, top: int) -> Iterator[tuple[list[int], in
     and the step is the plain convolution with the law's numerators.  After
     each step D and the r_e are divided by their gcd.
     """
-    if not dist.exact:
-        raise ValueError("the exact walk needs rational coefficients")
     if dist.truncated and len(dist.probs) - 1 < top:
         raise ValueError("distribution prefix too short for the requested window")
     num, den = dist.generating_function

@@ -1,9 +1,10 @@
 """Offspring distributions on {0,1,2,...} and the collapsed offspring law.
 
-Supports exact rational coefficients (finite lists or the geometric family)
-and a float backend for large truncation orders.  The collapsed offspring law
-is the child distribution of the tree obtained by block-summing a depth-first
-queue at successive first hits of a marked degree; its generating function is
+Every law is exact: its probabilities are rationals (a finite list or the
+geometric family), and float_pmf gives the float masses that float sampler
+tables start from.  The collapsed offspring law is the child distribution of
+the tree obtained by block-summing a depth-first queue at successive first
+hits of a marked degree; its generating function is
 
     z * a(z) / (z - u(z))
 
@@ -49,49 +50,45 @@ class InvalidDistribution(ValueError):
 class OffspringDist:
     """A pmf on child counts; either an explicit finite list or a geometric family.
 
+    Every probability, and the geometric parameter, is an int or a Fraction.
     `truncated` marks a distribution whose stored coefficients are only the
     prefix of a longer law (as produced by collapsed_offspring); such objects
-    expose partial moments and are not valid sampling laws.  An exact
-    truncated law carries the generating function of the whole law in
-    `rational`.
+    expose partial moments and are not valid sampling laws.  A truncated law
+    from collapsed_offspring carries the generating function of the whole law
+    in `rational`.
     """
 
     family: str  # "finite" or "geometric"
     probs: tuple = ()
-    param: Fraction | float | None = None
+    param: Fraction | None = None
     truncated: bool = False
     rational: tuple | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.family == "finite":
-            if any(p < 0 for p in self.probs):
-                raise ValueError("negative probability")
-        elif self.family == "geometric":
-            if not (0 < self.param < 1):
-                raise ValueError("geometric parameter must be in (0,1)")
-        else:
+        if self.family not in ("finite", "geometric"):
             raise ValueError(f"unknown family {self.family!r}")
+        values = self.probs if self.family == "finite" else (self.param,)
+        if not all(isinstance(x, (int, Fraction)) for x in values):
+            raise ValueError(f"probabilities must be rational (int or Fraction), got {values!r}")
+        if any(p < 0 for p in self.probs):
+            raise ValueError("negative probability")
+        if self.family == "geometric" and not 0 < self.param < 1:
+            raise ValueError("geometric parameter must be in (0,1)")
 
     # -- basic access -------------------------------------------------------
 
     # the fields are frozen, so derived values are computed once per object
 
     @cached_property
-    def exact(self) -> bool:
-        if self.family == "geometric":
-            return isinstance(self.param, Fraction)
-        return all(isinstance(p, (Fraction, int)) for p in self.probs)
-
-    @cached_property
     def integer_cdf(self) -> tuple[list[int], int]:
-        """Cumulative probabilities of a finite exact law as integer
+        """Cumulative probabilities of a finite law as integer
         numerators over the lcm of their denominators."""
         nums, den = common_denominator(self.probs)
         return list(accumulate(nums)), den
 
     @cached_property
     def generating_function(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """The generating function of an exact law as integer polynomials
+        """The generating function of a complete law as integer polynomials
         (N, M), lowest degree first, with value N(s)/M(s) and M[0] > 0.
 
         A finite law gives its numerators over their lcm and (lcm,); the
@@ -99,8 +96,8 @@ class OffspringDist:
         """
         if self.rational is not None:
             return self.rational
-        if not self.exact or self.truncated:
-            raise ValueError("only an exact, complete law has a rational generating function")
+        if self.truncated:
+            raise ValueError("only a complete law has a rational generating function")
         if self.family == "geometric":
             a, b = self.param.numerator, self.param.denominator
             return (a,), (b, a - b)
@@ -140,7 +137,7 @@ class OffspringDist:
 
     def total_mass(self):
         if self.family == "geometric":
-            return Fraction(1) if self.exact else 1.0
+            return Fraction(1)
         return sum(self.probs, start=Fraction(0))
 
     # -- moments ------------------------------------------------------------
@@ -162,11 +159,6 @@ class OffspringDist:
         return k * self.pmf(k)
 
     # -- conversions --------------------------------------------------------
-
-    def to_float(self) -> OffspringDist:
-        if self.family == "geometric":
-            return OffspringDist("geometric", param=float(self.param))
-        return OffspringDist("finite", tuple(float(p) for p in self.probs), truncated=self.truncated)
 
     @staticmethod
     def from_json(spec) -> OffspringDist:
@@ -215,15 +207,37 @@ def validate(dist: OffspringDist) -> None:
     if dist.truncated:
         raise InvalidDistribution("truncated", "truncated coefficient prefix is not a full law")
     total = dist.total_mass()
-    tol = 0 if dist.exact else 1e-12
-    if abs(total - 1) > tol:
+    if total != 1:
         raise InvalidDistribution("not_normalized", f"probabilities sum to {total}")
     if dist.pmf(1) >= 1:
         raise InvalidDistribution("xi1_is_one", "all mass on exactly one child")
     if dist.pmf(0) == 0:
         raise InvalidDistribution("xi0_zero", "no mass on zero children")
-    if dist.mean() > 1 + tol:
+    if dist.mean() > 1:
         raise InvalidDistribution("supercritical", f"mean {dist.mean()} exceeds 1")
+
+
+def float_pmf(dist: OffspringDist, order: int) -> np.ndarray:
+    """float(dist.pmf(k)) for k = 0..order, bit for bit, without a Fraction
+    per mass.
+
+    The geometric mass a (b - a)^k / b^(k+1), with p = a/b, is the quotient
+    of two running integers; int / int is correctly rounded, as
+    Fraction.__float__ is.  Float powers p (1 - p)^k would drift by hundreds
+    of ulps at k ~ 4000.
+    """
+    out = np.zeros(order + 1)
+    if dist.family == "finite":
+        head = [float(p) for p in dist.probs[: order + 1]]
+        out[: len(head)] = head
+        return out
+    a, b = dist.param.numerator, dist.param.denominator
+    num, den = a, b
+    for k in range(order + 1):
+        out[k] = num / den
+        num *= b - a
+        den *= b
+    return out
 
 
 def _poly_mul(a: list[int], b: list[int]) -> list[int]:
@@ -268,18 +282,15 @@ def collapsed_offspring(dist: OffspringDist, marks: DegreeSet, order: int) -> Of
     """First `order`+1 coefficients of the collapsed offspring law.
 
     The law is a / (1 - u), with a the marked coefficients and u the
-    unmarked ones shifted down once.  For an exact law it is the ratio N/M
-    of two integer polynomials built from the law's own pair; the returned
-    truncated law carries that pair, and its coefficients come from the
-    series division out * M = N.  Float laws run the recurrence
-    (1 - u) * out = a in numpy.  When the set covers the whole support the
-    law is unchanged and the original distribution is returned.
+    unmarked ones shifted down once.  It is the ratio N/M of two integer
+    polynomials built from the law's own pair; the returned truncated law
+    carries that pair, and its coefficients come from the series division
+    out * M = N.  When the set covers the whole support the law is unchanged
+    and the original distribution is returned.
     """
     require_zero(marks)
     if marks.covers_support(dist):
         return dist
-    if not dist.exact:
-        return OffspringDist("finite", tuple(collapsed_coeffs_float(dist, marks, order).tolist()), truncated=True)
     num, den = _collapsed_generating_function(dist, marks)
     # out[e] = vals[e] / den[0]^(e+1)
     head = den[0]
@@ -295,9 +306,10 @@ def collapsed_offspring(dist: OffspringDist, marks: DegreeSet, order: int) -> Of
 
 def collapsed_coeffs_float(dist: OffspringDist, marks: DegreeSet, order: int) -> np.ndarray:
     """Float collapsed offspring coefficients by the recurrence
-    (1 - u) * out = a, with each step a dot product."""
+    (1 - u) * out = a, with each step a dot product, from the law's float
+    masses (float_pmf)."""
     require_zero(marks)
-    xs = np.array([float(dist.pmf(k)) for k in range(order + 2)])
+    xs = float_pmf(dist, order + 1)
     in_marks = np.array([k in marks for k in range(order + 2)])
     marked = np.where(in_marks[: order + 1], xs[: order + 1], 0.0)
     unmarked = np.where(~in_marks[1 : order + 2], xs[1 : order + 2], 0.0)
@@ -311,9 +323,9 @@ def collapsed_coeffs_float(dist: OffspringDist, marks: DegreeSet, order: int) ->
 
 
 class Moments(NamedTuple):
-    mean: Fraction | float
-    variance: Fraction | float
-    size_biased: Callable[[int], Fraction | float]
+    mean: Fraction
+    variance: Fraction
+    size_biased: Callable[[int], Fraction]
 
 
 def moments(dist: OffspringDist) -> Moments:
@@ -331,5 +343,4 @@ def collapsed_moments(dist: OffspringDist, marks: DegreeSet):
     require_zero(marks)
     if dist.mean() != 1:
         raise ValueError("collapsed moments require a critical distribution")
-    one = Fraction(1) if dist.exact else 1.0
-    return one, dist.variance() / marks.mass(dist)
+    return Fraction(1), dist.variance() / marks.mass(dist)

@@ -10,7 +10,6 @@ from __future__ import annotations
 from collections.abc import Callable, Iterator
 from math import factorial
 
-from .degree_sets import DegreeSet
 
 Partition = tuple[int, ...]
 
@@ -85,23 +84,3 @@ def _parts_exact(n: int, p: int, cap: int, part_ok) -> Iterator[Partition]:
             continue
         for rest in _parts_exact(n - first, p - 1, first, part_ok):
             yield (first,) + rest
-
-
-def split_partitions(n: int, marks: DegreeSet) -> Iterator[Partition]:
-    """Admissible root-split partitions at size n.
-
-    For n = 1 these are () and (1,); for n >= 2, partitions of n with an
-    unmarked block count together with partitions of n-1 with a marked one.
-    """
-    if n < 1:
-        raise ValueError("size must be >= 1")
-    if n == 1:
-        yield EMPTY
-        yield (1,)
-        return
-    for lam in partitions_of(n):
-        if block_count(lam) not in marks:
-            yield lam
-    for lam in partitions_of(n - 1):
-        if block_count(lam) in marks:
-            yield lam

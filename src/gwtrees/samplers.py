@@ -1,6 +1,9 @@
 """Tree samplers: plain branching trees, exactly conditioned trees, and
 Markov branching families.
 
+Offspring laws and branching families hold exact rationals, so plain trees
+and Markov branching trees are drawn by exact inversion;
+SamplerTables(exact=) is the one switch between exact and float work.
 Exact-mode conditioned sampling works by recursive decomposition: draw the
 root degree from its conditional law, then the child subtree sizes one at a
 time from their sequential conditionals, and recurse.  This needs the
@@ -36,7 +39,7 @@ from .exact import (
     marked_count_pmf_float,
     marked_count_support,
 )
-from .offspring import OffspringDist, collapsed_coeffs_float, validate
+from .offspring import OffspringDist, collapsed_coeffs_float, float_pmf, validate
 from .partitions import Partition, block_count, iota
 from .streams import (
     RandomStream,
@@ -58,18 +61,9 @@ class TryBudgetExceeded(RuntimeError):
 
 def draw_offspring(dist: OffspringDist, stream: RandomStream) -> int:
     """One child count with exactly the distribution's law."""
-    if dist.family == "finite" and dist.exact:
+    if dist.family == "finite":
         return draw_cdf_int(*dist.integer_cdf, stream)
-    if dist.exact:
-        return draw_geometric(dist.param.numerator, dist.param.denominator, stream)
-    u = stream.random()
-    acc = 0.0
-    k = 0
-    while True:
-        acc += float(dist.pmf(k))
-        if u < acc or acc >= 1.0:
-            return k
-        k += 1
+    return draw_geometric(dist.param.numerator, dist.param.denominator, stream)
 
 
 def sample_gw(dist: OffspringDist, stream: RandomStream, max_vertices: int) -> OrderedTree:
@@ -260,7 +254,7 @@ class SamplerTables:
         else:
             self._tau = [np.zeros(n + 1), np.array(self.count)]
             self._tau[0][0] = 1.0
-            self._pmf_f = [float(dist.pmf(k)) for k in range(n + 2)]
+            self._pmf_f = float_pmf(dist, n + 1)
 
     def admissible(self, m: int) -> bool:
         return 1 <= m <= self.n and self._admissible[m]
@@ -704,8 +698,8 @@ class QFamily:
     branching family, plus the chance that the size-1 tree is a bare vertex."""
 
     marks: DegreeSet
-    splits: dict[int, dict[Partition, Fraction | float]]
-    q1_empty: Fraction | float
+    splits: dict[int, dict[Partition, Fraction]]
+    q1_empty: Fraction
     _cond_cum: dict[int, tuple] = field(default_factory=dict, repr=False)
 
     def sizes(self) -> list[int]:
@@ -713,28 +707,23 @@ class QFamily:
 
     def whole_mass(self, n: int):
         """Mass on the undivided partition (n,), which feeds the stalk law."""
-        return self.splits[n].get((n,), Fraction(0) if self.is_exact else 0.0)
-
-    @property
-    def is_exact(self) -> bool:
-        return isinstance(self.q1_empty, (Fraction, int))
+        return self.splits[n].get((n,), Fraction(0))
 
     def validate(self) -> None:
-        if not 0 < self.q1_empty <= 1:
-            raise ValueError("size-1 bare-vertex probability must lie in (0,1]")
+        if not isinstance(self.q1_empty, (int, Fraction)) or not 0 < self.q1_empty <= 1:
+            raise ValueError("size-1 bare-vertex probability must be a rational in (0,1]")
         defined = set(self.splits) | {1}
         for n, atoms in sorted(self.splits.items()):
             if n < 2:
                 raise ValueError("split distributions start at size 2")
             total = sum(atoms.values())
-            tol = 0 if self.is_exact else 1e-9
-            if abs(total - 1) > tol:
+            if total != 1:
                 raise ValueError(f"split weights at size {n} sum to {total}")
             if 1 not in self.marks and atoms.get((n,), 0) == 1:
                 raise ValueError(f"size {n} keeps all mass on the whole block")
             for lam, w in atoms.items():
-                if w < 0:
-                    raise ValueError("negative split weight")
+                if not isinstance(w, (int, Fraction)) or w < 0:
+                    raise ValueError(f"split weight {w!r} is not a non-negative rational")
                 if lam == ():
                     raise ValueError("empty partition is only allowed at size 1")
                 p = block_count(lam)
@@ -747,20 +736,15 @@ class QFamily:
     def _conditioned(self, n: int) -> tuple:
         """(partitions, CDF, CDF denominator, mass off the whole block) at size n.
 
-        Exact entries put the atoms' cumulative weights and the mass off (n,)
-        over one lcm denominator, so the CDF is integers over that mass; float
-        entries hold a normalised CDF and no denominator.
+        The atoms' cumulative weights and the mass off (n,) are put over one
+        lcm denominator, so the CDF is integers over that mass.
         """
         entry = self._cond_cum.get(n)
         if entry is None:
             atoms = sorted((lam, w) for lam, w in self.splits[n].items() if lam != (n,) and w > 0)
             rest = 1 - self.whole_mass(n)
-            lams = [lam for lam, _ in atoms]
-            if self.is_exact:
-                nums, _den = common_denominator([*(w for _, w in atoms), rest])
-                entry = (lams, list(itertools.accumulate(nums[:-1])), nums[-1], rest)
-            else:
-                entry = (lams, list(itertools.accumulate(w / rest for _, w in atoms)), None, rest)
+            nums, _den = common_denominator([*(w for _, w in atoms), rest])
+            entry = ([lam for lam, _ in atoms], list(itertools.accumulate(nums[:-1])), nums[-1], rest)
             self._cond_cum[n] = entry
         return entry
 
@@ -774,26 +758,7 @@ class QFamily:
         lams, cum, den, _rest = self._conditioned(n)
         if not lams:
             raise ValueError(f"no admissible split at size {n}")
-        if den is not None:
-            return lams[draw_cdf_int(cum, den, stream)]
-        return lams[min(bisect_right(cum, stream.random()), len(lams) - 1)]
-
-
-def _draw_geometric0(success, stream: RandomStream) -> int:
-    """Number of failures before the first success; exact when `success` is."""
-    if isinstance(success, Fraction):
-        return draw_geometric(success.numerator, success.denominator, stream)
-    u = stream.random()
-    acc = 0.0
-    j = 0
-    fail = 1.0 - float(success)
-    term = float(success)
-    while True:
-        acc += term
-        if u < acc or term == 0.0:
-            return j
-        term *= fail
-        j += 1
+        return lams[draw_cdf_int(cum, den, stream)]
 
 
 def split_measure(tables: SamplerTables, m: int) -> dict[Partition, Fraction]:
@@ -899,40 +864,28 @@ def sample_markov_branching(q: QFamily, n: int, stream: RandomStream) -> Ordered
 
     Size one is a stalk of geometric length ending in a leaf; larger sizes
     draw a split partition, attach recursively sampled subtrees to a branch
-    vertex, and put a geometric stalk below it.
+    vertex, and put a geometric stalk above it.  The degrees are appended in
+    depth-first order, from a stack of the subtree sizes still to draw.
     """
     marks = q.marks
     stalks = 1 not in marks
-    root: list = []
-    stack: list[tuple[list, int]] = [(root, n)]
+    q1 = q.q1_empty
+    degrees: list[int] = []
+    stack = [n]
     while stack:
-        node, s = stack.pop()
+        s = stack.pop()
         if s == 1:
-            length = _draw_geometric0(q.q1_empty, stream) if stalks else 0
-            cur = node
-            for _ in range(length):
-                nxt: list = []
-                cur.append(nxt)
-                cur = nxt
+            length = draw_geometric(q1.numerator, q1.denominator, stream) if stalks else 0
+            degrees += [1] * length + [0]
             continue
         lam = q.draw_conditioned(s, stream)
+        below = 1
         if stalks:
-            below = 1 + _draw_geometric0(q.split_mass(s), stream)
-        else:
-            below = 1
-        cur = node
-        for _ in range(below - 1):
-            nxt = []
-            cur.append(nxt)
-            cur = nxt
-        kids = []
-        for _ in lam:
-            child: list = []
-            cur.append(child)
-            kids.append(child)
-        for child, part in zip(reversed(kids), reversed(lam)):
-            stack.append((child, part))
-    t = OrderedTree.from_nested(root)
+            rest = q.split_mass(s)
+            below += draw_geometric(rest.numerator, rest.denominator, stream)
+        degrees += [1] * (below - 1) + [len(lam)]
+        stack.extend(reversed(lam))
+    t = OrderedTree.from_degrees(degrees)
     if count_marked(t, marks) != n:
         raise AssertionError("branching sampler produced a wrong marked count")
     return t
@@ -945,14 +898,14 @@ def augmented_family(q: QFamily) -> QFamily:
     part equal to 1; everything else stays put.  The result is a family for
     the leaf set.
     """
-    out: dict[int, dict[Partition, Fraction | float]] = {}
+    out: dict[int, dict[Partition, Fraction]] = {}
     for m, atoms in q.splits.items():
-        dest: dict[Partition, Fraction | float] = {}
+        dest: dict[Partition, Fraction] = {}
         for lam, w in atoms.items():
             tgt = iota(lam) if block_count(lam) in q.marks else lam
             dest[tgt] = dest.get(tgt, 0) + w
         out[m] = dest
-    q1 = q.q1_empty if 1 not in q.marks else Fraction(1) if q.is_exact else 1.0
+    q1 = q.q1_empty if 1 not in q.marks else Fraction(1)
     fam = QFamily(DegreeSet.of(0), out, q1)
     fam.validate()
     return fam

@@ -60,13 +60,11 @@ class SplitMeasure:
 
 @dataclass(frozen=True)
 class TestFunction:
-    """Evaluator on mass vectors with declared sup-norm and Lipschitz bounds."""
+    """A named evaluator on mass vectors."""
 
     __test__ = False  # not a pytest case
 
     fn: object
-    bound: float = 1.0
-    lipschitz: float = 1.0
     name: str = "f"
 
     def __call__(self, s: tuple):
@@ -413,12 +411,12 @@ def depth_experiment(
     n: int,
     samples: int,
     stream: RandomStream,
-    exact: bool = False,
     label: str | None = None,
 ) -> DepthArm:
     """Depth of a uniform marked vertex, divided by sqrt(size), over many
-    conditioned trees.  One depth is drawn per sampled tree."""
-    tables = SamplerTables(dist, marks, n, exact=exact)
+    conditioned trees, from float tables.  One depth is drawn per sampled
+    tree."""
+    tables = SamplerTables(dist, marks, n, exact=False)
     scale = 1.0 / math.sqrt(n)
     out = [sample_marked_depth(tables, stream) * scale for _ in range(samples)]
     return DepthArm(

@@ -112,12 +112,6 @@ class OrderedTree:
         children = [tuple(kids) for kids in order]
         return OrderedTree(tuple(children))
 
-    def to_nested(self) -> list:
-        nested: list[list] = [[] for _ in range(self.n)]
-        for v in range(self.n - 1, -1, -1):
-            nested[v] = [nested[c] for c in self.children[v]]
-        return nested[0]
-
     def __str__(self) -> str:
         return format_tree(self)
 

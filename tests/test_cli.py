@@ -170,6 +170,50 @@ def test_report_rejects_missing_file(tmp_path):
     _assert_config_error(run_cli(["report", str(tmp_path / "missing.json")]))
 
 
+@pytest.mark.parametrize(
+    "payload",
+    ['{"tests":[{"name":"a"}]}', "[1,2]", '{"arms":[{"n":3}]}'],
+    ids=["test-without-statistic", "array", "arm-without-label"],
+)
+def test_report_rejects_payload_of_another_shape(tmp_path, payload):
+    path = tmp_path / "report.json"
+    path.write_text(payload)
+    _assert_json_error(*_main(["report", str(path)]))
+
+
+def test_report_exit_code_follows_its_tests(tmp_path):
+    path = tmp_path / "report.json"
+    for passed, want in ((True, 0), (False, 1)):
+        tests = [{"name": "a", "pass": True, "statistic": 0.1, "threshold": 0.2}]
+        tests.append({"name": "b", "pass": passed, "statistic": 0.3, "threshold": 0.2})
+        path.write_text(json.dumps({"seed": 1, "version": "x", "arms": [], "tests": tests}))
+        code, out, err = _main(["report", str(path)])
+        assert (code, err) == (want, "")
+        assert "[PASS] a" in out and ("[FAIL] b" in out) != passed
+
+
+def test_config_file_must_be_an_object_of_known_fields(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    for text in ("[1]", '{"max_n": "3"}', '{"degree_set": 0}'):
+        cfg.write_text(text)
+        _assert_json_error(*_main(["exact", "--config", str(cfg), "--dist", BINARY, "--max-n", "3"]))
+
+
+def test_sample_rejects_nonpositive_count():
+    for count in ("0", "-2"):
+        _assert_json_error(*_main(["sample", "--dist", BINARY, "--n", "3", "--seed", "1", "--count", count]))
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--dist", "{"], ["--dist", "[1]"], ["--sets", "x"], ["--sets", "0", "1"]],
+    ids=["dist-not-json", "dist-not-object", "set-not-parsed", "set-without-zero"],
+)
+def test_verify_rejects_bad_first_passage_flags(flags):
+    # checked before any suite runs, so checkmap prints nothing either
+    _assert_json_error(*_main(["verify", "checkmap", "otter-dwass", "--max-n", "3", *flags]))
+
+
 def test_verify_unknown_suite():
     proc = run_cli(["verify", "nonsense", "--seed", "1"])
     assert proc.returncode == 2
@@ -348,7 +392,7 @@ def _argv(command, **flags):
     dist=st.none() | LAWS,
     marks=st.none() | SETS,
     n=st.none() | st.integers(-2, 40),
-    count=st.none() | st.integers(1, 3),
+    count=st.none() | st.integers(-2, 3),
     seed=st.none() | st.integers(0, 2**40),
 )
 def test_sample_error_contract(dist, marks, n, count, seed):

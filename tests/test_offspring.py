@@ -7,8 +7,10 @@ from gwtrees.offspring import (
     InvalidDistribution,
     OffspringDist,
     binary_dist,
+    collapsed_coeffs_float,
     collapsed_moments,
     collapsed_offspring,
+    float_pmf,
     from_probs,
     geometric_dist,
     moments,
@@ -115,7 +117,7 @@ def test_collapsed_offspring_matches_fraction_series(dist):
             continue
         want = _reference_collapsed(dist, marks, 40)
         assert list(zeta.probs) == want, spec
-        floats = collapsed_offspring(dist.to_float(), marks, 40).probs
+        floats = collapsed_coeffs_float(dist, marks, 40)
         assert all(abs(x - float(w)) <= 1e-12 * float(w) for x, w in zip(floats, want)), spec
 
 
@@ -155,7 +157,7 @@ def test_generating_function_series_matches_pmf(dist):
 
 def test_generating_function_needs_an_exact_complete_law():
     with pytest.raises(ValueError):
-        binary_dist().to_float().generating_function
+        OffspringDist("finite", (0.5, 0, 0.5)).generating_function
     with pytest.raises(ValueError):
         OffspringDist("finite", (Fraction(1, 2), Fraction(1, 4)), truncated=True).generating_function
 
@@ -191,12 +193,12 @@ def test_collapsed_coefficients_are_subprobability():
 
 
 def test_collapsed_partial_mean_monotone_to_one():
-    # float backend at truncation order 400: partial means increase to 1
+    # float coefficients at truncation order 400: partial means increase to 1
     for dist in (binary_dist(), geometric_dist()):
-        zeta = collapsed_offspring(dist.to_float(), A0, 400)
+        zeta = collapsed_coeffs_float(dist, A0, 400).tolist()
         partial = 0.0
         prev = -1.0
-        for k, c in enumerate(zeta.probs):
+        for k, c in enumerate(zeta):
             partial += k * c
             assert partial >= prev
             prev = partial
@@ -206,9 +208,9 @@ def test_collapsed_partial_mean_monotone_to_one():
 
 def test_collapsed_partial_variance_converges():
     for dist, want in ((binary_dist(), 2.0), (geometric_dist(), 4.0)):
-        zeta = collapsed_offspring(dist.to_float(), A0, 400)
-        mean = sum(k * c for k, c in enumerate(zeta.probs))
-        second = sum(k * k * c for k, c in enumerate(zeta.probs))
+        zeta = collapsed_coeffs_float(dist, A0, 400).tolist()
+        mean = sum(k * c for k, c in enumerate(zeta))
+        second = sum(k * k * c for k, c in enumerate(zeta))
         assert abs(second - mean * mean - want) < 1e-4
 
 
@@ -220,3 +222,36 @@ def test_json_specs():
     assert OffspringDist.from_json(binary_dist().to_json()) == binary_dist()
     with pytest.raises(ValueError):
         OffspringDist.from_json({"family": "cauchy"})
+    # JSON numbers are read as the rationals they print as
+    assert OffspringDist.from_json({"probs": [0.5, 0, 0.5]}) == binary_dist()
+    assert OffspringDist.from_json({"family": "geometric", "p": 0.6}) == geometric_dist(Fraction(3, 5))
+
+
+def test_laws_must_be_rational():
+    for build in (
+        lambda: OffspringDist("finite", (0.5, 0, 0.5)),
+        lambda: geometric_dist(0.5),
+        lambda: from_probs([Fraction(1, 2), 0, 0.5]),
+    ):
+        with pytest.raises(ValueError, match="rational"):
+            build()
+
+
+@pytest.mark.parametrize(
+    "dist",
+    [
+        binary_dist(),
+        geometric_dist(),
+        geometric_dist(Fraction(1, 3)),
+        geometric_dist(Fraction(3, 5)),
+        geometric_dist(Fraction(2, 3)),
+        geometric_dist(Fraction(11, 20)),
+        from_probs([Fraction(7, 12), Fraction(1, 6), Fraction(0), Fraction(1, 4)]),
+        from_probs([Fraction(1, 2), Fraction(1, 5), Fraction(1, 6), Fraction(2, 15)]),
+    ],
+    ids=["binary", "geometric", "geometric-1/3", "geometric-3/5", "geometric-2/3", "geometric-11/20", "mixed", "coprime"],
+)
+def test_float_pmf_is_the_float_of_each_mass(dist):
+    # bit for bit, so float tables built from it match those built from Fractions
+    order = 4096
+    assert float_pmf(dist, order).tolist() == [float(dist.pmf(k)) for k in range(order + 1)]

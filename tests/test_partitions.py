@@ -2,20 +2,13 @@ import math
 from collections import Counter
 from fractions import Fraction
 
-import pytest
-
-from gwtrees.degree_sets import DegreeSet
 from gwtrees.partitions import (
     block_count,
     distinct_arrangements,
     iota,
     partitions_into,
     partitions_of,
-    split_partitions,
 )
-
-A0 = DegreeSet.of(0)
-ALL = DegreeSet.all_degrees()
 
 
 def test_partition_counts():
@@ -68,17 +61,3 @@ def test_iota():
     assert iota(()) == (1,)
     assert iota((3, 1)) == (3, 1, 1)
     assert iota((1,)) == (1, 1)
-
-
-def test_split_partitions_definition():
-    # block counts outside the set keep partitions of n; marked block counts
-    # come from partitions of n-1
-    for n in (2, 3, 4, 5):
-        for marks in (A0, DegreeSet.of(0, 2), ALL):
-            got = set(split_partitions(n, marks))
-            want = {lam for lam in partitions_of(n) if block_count(lam) not in marks}
-            want |= {lam for lam in partitions_of(n - 1) if block_count(lam) in marks}
-            assert got == want
-    assert set(split_partitions(1, A0)) == {(), (1,)}
-    with pytest.raises(ValueError):
-        list(split_partitions(0, A0))

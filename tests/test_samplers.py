@@ -330,6 +330,11 @@ def test_qfamily_validation_errors():
         QFamily(A0, {3: {(2, 1): Fraction(1)}}, Fraction(1)).validate()  # part 2 undefined
     with pytest.raises(ValueError):
         QFamily(A0, {2: {(1,): Fraction(1)}}, Fraction(1)).validate()  # wrong total
+    # families hold exact rationals only
+    with pytest.raises(ValueError, match="rational"):
+        QFamily(A0, {2: {(1, 1): 1.0}}, Fraction(1)).validate()
+    with pytest.raises(ValueError, match="rational"):
+        QFamily(A0, {2: {(1, 1): Fraction(1)}}, 1.0).validate()
 
 
 def test_augmented_family_cases():

@@ -160,7 +160,7 @@ def test_chi_square_detects_mismatch():
 
 
 def test_depth_experiment_trivial_size():
-    arm = depth_experiment(binary_dist(), A0, 1, 30, RandomStream(9), exact=True)
+    arm = depth_experiment(binary_dist(), A0, 1, 30, RandomStream(9))
     assert arm.samples == [0.0] * 30
     assert arm.marked_mass == 0.5
     assert arm.sigma1 == 1.0
