@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import asdict, dataclass
@@ -137,8 +138,11 @@ def cmd_exact(cfg: RunConfig) -> int:
         tag = f"exact-{json.dumps(cfg.dist, sort_keys=True)}-{marks.spec()}-{cfg.max_n}"
         safe = "".join(c if c.isalnum() or c in ".,-" else "_" for c in tag)
         cache_file = Path(cfg.cache_dir) / f"{safe}.json"
-        if cache_file.exists():
+        try:
             values = json.loads(cache_file.read_text())["values"]
+        except (OSError, ValueError, KeyError, TypeError):
+            values = None  # missing, or a file of another shape: a miss
+        if isinstance(values, list) and len(values) == cfg.max_n and all(isinstance(v, str) for v in values):
             _emit_exact(cfg, values)
             return 0
     table = marked_count_pmf(dist, marks, cfg.max_n)
@@ -146,7 +150,9 @@ def cmd_exact(cfg: RunConfig) -> int:
     if cache_file is not None:
         cache_file.parent.mkdir(parents=True, exist_ok=True)
         payload = {"dist": cfg.dist, "set": marks.spec(), "max_n": cfg.max_n, "values": values}
-        cache_file.write_text(json.dumps(payload, sort_keys=True))
+        tmp = cache_file.with_name(f"{cache_file.name}.{os.getpid()}.tmp")  # written, then renamed: never partial
+        tmp.write_text(json.dumps(payload, sort_keys=True))
+        tmp.replace(cache_file)
     _emit_exact(cfg, values)
     return 0
 
@@ -219,6 +225,10 @@ def cmd_root_partition(cfg: RunConfig) -> int:
         rows.append({"n": m, "statistic": math.sqrt(m) * float(1 - top), "top_share": float(top)})
     if cfg.out_format == "json":
         print(json.dumps(rows))
+    elif cfg.out_format == "csv":
+        print("n,statistic,top_share")
+        for row in rows:
+            print(f"{row['n']},{row['statistic']!r},{row['top_share']!r}")
     else:
         for row in rows:
             print(f"n={row['n']}: sqrt(n) damped mass = {row['statistic']:.6f}, top share = {row['top_share']:.6f}")

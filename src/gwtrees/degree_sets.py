@@ -30,10 +30,6 @@ class DegreeSet:
     def all_degrees() -> DegreeSet:
         return DegreeSet(frozenset(), cofinite=True)
 
-    @staticmethod
-    def complement_of(*degrees: int) -> DegreeSet:
-        return DegreeSet(frozenset(degrees), cofinite=True)
-
     def __contains__(self, k: int) -> bool:
         if k < 0:
             return False

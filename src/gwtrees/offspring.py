@@ -19,7 +19,6 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
 from math import gcd
-from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -154,9 +153,6 @@ class OffspringDist:
         m = self.mean()
         m2 = sum((k * k * p for k, p in enumerate(self.probs)), start=Fraction(0))
         return m2 - m * m
-
-    def size_biased(self, k: int):
-        return k * self.pmf(k)
 
     # -- conversions --------------------------------------------------------
 
@@ -307,8 +303,10 @@ def collapsed_offspring(dist: OffspringDist, marks: DegreeSet, order: int) -> Of
 def collapsed_coeffs_float(dist: OffspringDist, marks: DegreeSet, order: int) -> np.ndarray:
     """Float collapsed offspring coefficients by the recurrence
     (1 - u) * out = a, with each step a dot product, from the law's float
-    masses (float_pmf)."""
+    masses (float_pmf); on a set covering the support, the masses themselves."""
     require_zero(marks)
+    if marks.covers_support(dist):
+        return float_pmf(dist, order)
     xs = float_pmf(dist, order + 1)
     in_marks = np.array([k in marks for k in range(order + 2)])
     marked = np.where(in_marks[: order + 1], xs[: order + 1], 0.0)
@@ -320,17 +318,6 @@ def collapsed_coeffs_float(dist: OffspringDist, marks: DegreeSet, order: int) ->
     for m in range(1, order + 1):
         out[m] = (marked[m] + np.dot(unmarked[1 : m + 1], out[m - 1 :: -1])) * inv
     return np.clip(out, 0.0, None)
-
-
-class Moments(NamedTuple):
-    mean: Fraction
-    variance: Fraction
-    size_biased: Callable[[int], Fraction]
-
-
-def moments(dist: OffspringDist) -> Moments:
-    """Mean, variance, and the size-biased weight k -> k p(k)."""
-    return Moments(dist.mean(), dist.variance(), dist.size_biased)
 
 
 def collapsed_moments(dist: OffspringDist, marks: DegreeSet):

@@ -1,8 +1,7 @@
 """Numerical checks of the asymptotic behaviour: the rescaled root-split
-statistic, the binary dislocation integral it converges to, size-biased
-reordering, rescaled depth experiments with the exact depth law they are
-checked against, and the small test-statistics toolbox (empirical CDFs, KS
-distances, chi-square)."""
+statistic and its closed-form limit, rescaled depth experiments with the
+exact depth law they are checked against, and the small test-statistics
+toolbox (empirical CDFs, KS distances, chi-square)."""
 
 from __future__ import annotations
 
@@ -26,10 +25,6 @@ __all__ = [
     "root_limit_statistic",
     "top_share_mean",
     "block_count_marginal",
-    "brownian_dislocation",
-    "brownian_dislocation_riemann",
-    "size_biased_reorder",
-    "size_biased_expectation",
     "ks_two_sample",
     "ks_threshold",
     "sup_distance",
@@ -96,8 +91,7 @@ def root_limit_statistic(measure: SplitMeasure, f) -> float:
     """sqrt(size) times the damped mean.  For f = 1 it is exactly
     sqrt(size) * (1 - top_share_mean), which is how the root-limit suite and
     `gwtrees root-partition` compute it before checking it against its
-    closed-form limit sigma * sqrt(marked mass) * sqrt(2/pi); no suite
-    evaluates the dislocation integral."""
+    closed-form limit sigma * sqrt(marked mass) * sqrt(2/pi)."""
     return math.sqrt(measure.size) * float(damped_mean(measure, f))
 
 
@@ -121,101 +115,6 @@ def block_count_marginal(measure: SplitMeasure) -> dict[int, Fraction]:
         p = block_count(lam)
         out[p] = out.get(p, Fraction(0)) + w
     return out
-
-
-# ---------------------------------------------------------------------------
-# the binary dislocation integral
-
-
-def _density(s: float) -> float:
-    return math.sqrt(2.0 / (math.pi * s**3 * (1.0 - s) ** 3))
-
-
-def brownian_dislocation(f, rel_tol: float = 1e-9) -> float:
-    """Integral of the binary dislocation density against (1-s) f(s, 1-s, 0...).
-
-    The (1-s) damping makes the s -> 1 endpoint integrable; adaptive
-    quadrature handles the remaining inverse-square-root singularity.
-    """
-    # scipy is imported here and in chi_square_test only: at module level it
-    # would cost about 1 s and 65 MB in every process that imports gwtrees.
-    from scipy import integrate
-
-    def integrand(s: float) -> float:
-        return _density(s) * (1.0 - s) * float(f((s, 1.0 - s)))
-
-    value, _err = integrate.quad(integrand, 0.5, 1.0, epsabs=0.0, epsrel=rel_tol, limit=200)
-    return value
-
-
-def brownian_dislocation_riemann(f, points: int = 1_000_000) -> float:
-    """Brute midpoint oracle for the same integral, in the variable u = sqrt(1-s).
-
-    The substitution removes the endpoint singularity, so a plain midpoint
-    sum converges; this stays independent of the adaptive quadrature route.
-    """
-    # s = 1 - u^2, ds = -2u du, u from sqrt(1/2) down to 0
-    hi = math.sqrt(0.5)
-    h = hi / points
-    total = 0.0
-    for i in range(points):
-        u = (i + 0.5) * h
-        s = 1.0 - u * u
-        total += _density(s) * (1.0 - s) * float(f((s, 1.0 - s))) * 2.0 * u
-    return total * h
-
-
-# ---------------------------------------------------------------------------
-# size-biased reordering
-
-
-def size_biased_reorder(s, stream: RandomStream) -> tuple:
-    """Permutation of a mass vector where each pick is proportional to the
-    remaining masses; exhausted or zero entries keep their order at the end."""
-    remaining = list(s)
-    total = sum(remaining)
-    if total <= 0:
-        raise ValueError("need positive total mass")
-    out = []
-    while remaining and total > 0:
-        u = stream.random() * float(total)
-        acc = 0.0
-        pick = len(remaining) - 1
-        for i, w in enumerate(remaining):
-            acc += float(w)
-            if u < acc:
-                pick = i
-                break
-        chosen = remaining.pop(pick)
-        out.append(chosen)
-        total -= chosen
-    out.extend(remaining)
-    return tuple(out)
-
-
-def size_biased_expectation(s, f) -> Fraction:
-    """Exact mean of f over size-biased orderings of a finite mass vector."""
-    entries = list(s)
-    total = sum(entries)
-    positive = [x for x in entries if x > 0]
-    zeros = [x for x in entries if x <= 0]
-
-    def rec(prefix: list, rest: list, weight: Fraction, mass) -> Fraction:
-        if not rest:
-            return weight * f(tuple(prefix + zeros))
-        acc = Fraction(0)
-        seen = set()
-        for i, x in enumerate(rest):
-            if x in seen:
-                continue
-            seen.add(x)
-            mult = rest.count(x)
-            acc += rec(prefix + [x], rest[:i] + rest[i + 1 :], weight * mult * x / mass, mass - x)
-        return acc
-
-    if total == 0:
-        return Fraction(f(tuple(entries)))
-    return rec([], positive, Fraction(1), total)
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +231,7 @@ def chi_square_test(observed: dict, expected_probs: dict, total: int, min_expect
     `expected_probs` may sum to less than one; the remainder becomes an
     "other" cell collecting observations outside the listed keys.
     """
-    from scipy.stats import chi2 as chi2_dist  # see brownian_dislocation
+    from scipy.stats import chi2 as chi2_dist  # not at module level: it costs ~1 s and 65 MB
 
     keys = sorted(expected_probs, key=repr)
     exp = [float(expected_probs[k]) * total for k in keys]
@@ -477,6 +376,3 @@ class ExperimentReport:
             for i, v in enumerate(a.samples):
                 lines.append(f"{a.label},{i},{v!r}")
         return "\n".join(lines) + "\n"
-
-    def all_passed(self) -> bool:
-        return all(t.get("pass", False) for t in self.tests)

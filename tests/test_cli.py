@@ -54,6 +54,23 @@ def test_exact_cache_roundtrip(tmp_path):
     assert second.stdout == first.stdout
 
 
+@pytest.mark.parametrize("corrupt", ['{"values": ', "{}"], ids=["truncated", "no-values"])
+def test_exact_cache_of_another_shape_is_a_miss(tmp_path, corrupt):
+    args = ["exact", "--dist", '{"family":"binary"}', "--set", "0", "--max-n", "9", "--format", "json"]
+    plain = run_cli(args)
+    assert plain.returncode == 0
+    cached = run_cli(args + ["--cache-dir", str(tmp_path)])
+    (cache_file,) = tmp_path.iterdir()
+    repaired = cache_file.read_text()
+    cache_file.write_text(corrupt)
+    again = run_cli(args + ["--cache-dir", str(tmp_path)])
+    assert (again.returncode, again.stderr) == (0, "")
+    assert again.stdout == cached.stdout == plain.stdout
+    assert [p.name for p in tmp_path.iterdir()] == [cache_file.name]
+    assert cache_file.read_text() == repaired
+    assert json.loads(repaired)["values"] == json.loads(plain.stdout)
+
+
 def test_transform_hat_stdin():
     proc = run_cli(["transform", "hat", "--set", "0"], stdin="1,-1,-1\n")
     assert proc.returncode == 0
@@ -257,6 +274,18 @@ def test_root_partition_subcommand():
     rows = json.loads(proc.stdout)
     assert rows[0]["n"] == 1
     assert abs(rows[2]["statistic"] - 3**0.5 / 3) < 1e-9
+
+
+def test_root_partition_csv_rows_match_json():
+    args = ["root-partition", "--dist", '{"family":"geometric","p":"1/2"}', "--set", "0,2", "--n", "9"]
+    as_json = run_cli(args + ["--format", "json"])
+    as_csv = run_cli(args + ["--format", "csv"])
+    assert as_json.returncode == as_csv.returncode == 0
+    header, *lines = as_csv.stdout.splitlines()
+    assert header == "n,statistic,top_share"
+    rows = [line.split(",") for line in lines]
+    parsed = [{"n": int(n), "statistic": float(stat), "top_share": float(top)} for n, stat, top in rows]
+    assert parsed == json.loads(as_json.stdout)
 
 
 def test_runconfig_roundtrip():

@@ -13,7 +13,6 @@ from gwtrees.offspring import (
     float_pmf,
     from_probs,
     geometric_dist,
-    moments,
     validate,
 )
 
@@ -109,11 +108,15 @@ def _reference_collapsed(dist, marks, order):
     ids=["binary", "geometric", "geometric-2/3", "mixed", "coprime"],
 )
 def test_collapsed_offspring_matches_fraction_series(dist):
-    for spec in ("0", "0,1", "0,2", "0,3", "not:1,3"):
+    for spec in ("0", "0,1", "0,2", "0,3", "not:1,3", "all"):
         marks = DegreeSet.parse(spec)
         zeta = collapsed_offspring(dist, marks, 40)
         if marks.covers_support(dist):
             assert zeta is dist
+            # bit for bit, so float tables start from the law's own masses
+            for order in (10, 4095, 8191):
+                got = collapsed_coeffs_float(dist, marks, order)
+                assert got.tobytes() == float_pmf(dist, order).tobytes(), (spec, order)
             continue
         want = _reference_collapsed(dist, marks, 40)
         assert list(zeta.probs) == want, spec
@@ -163,13 +166,8 @@ def test_generating_function_needs_an_exact_complete_law():
 
 
 def test_moments():
-    m = moments(binary_dist())
-    assert (m.mean, m.variance) == (1, 1)
-    assert m.size_biased(2) == 1
-    m = moments(geometric_dist())
-    assert (m.mean, m.variance) == (1, 2)
-    m = moments(from_probs([Fraction(1)]))
-    assert (m.mean, m.variance) == (0, 0)
+    for dist, expected in ((binary_dist(), (1, 1)), (geometric_dist(), (1, 2)), (from_probs([Fraction(1)]), (0, 0))):
+        assert (dist.mean(), dist.variance()) == expected
 
 
 def test_collapsed_moments():

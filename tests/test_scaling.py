@@ -11,8 +11,6 @@ from gwtrees.scaling import (
     ExperimentReport,
     SplitMeasure,
     TestFunction,
-    brownian_dislocation,
-    brownian_dislocation_riemann,
     chi_square_test,
     damped_mean,
     depth_experiment,
@@ -21,8 +19,6 @@ from gwtrees.scaling import (
     ks_two_sample,
     root_limit_statistic,
     root_split_measure,
-    size_biased_expectation,
-    size_biased_reorder,
     top_share_mean,
 )
 from gwtrees.streams import RandomStream
@@ -69,68 +65,6 @@ def test_damped_mean_exact():
     meas = SplitMeasure(3, {(2, 1): Fraction(1)})
     assert damped_mean(meas, ONE) == Fraction(1, 3)
     assert damped_mean(meas, TestFunction(lambda s: s[0], name="s1")) == Fraction(1, 3) * Fraction(2, 3)
-
-
-def test_brownian_dislocation_closed_form():
-    val = brownian_dislocation(ONE)
-    assert abs(val - 2 * math.sqrt(2 / math.pi)) < 1e-8
-    assert brownian_dislocation(ZERO) == 0.0
-
-
-def test_brownian_dislocation_riemann_oracle():
-    f = TestFunction(lambda s: s[0], name="s1")
-    quad = brownian_dislocation(f)
-    brute = brownian_dislocation_riemann(f, points=1_000_000)
-    assert 0 < quad < 2 * math.sqrt(2 / math.pi)
-    assert abs(quad - brute) < 1e-6
-
-
-def test_size_biased_reorder():
-    s = RandomStream(2)
-    assert size_biased_reorder((Fraction(1),), s) == (Fraction(1),)
-    assert size_biased_reorder((Fraction(1, 2), Fraction(1, 2)), s)[0] == Fraction(1, 2)
-    m = 30000
-    hits = sum(size_biased_reorder((Fraction(2, 3), Fraction(1, 3)), s)[0] == Fraction(2, 3) for _ in range(m))
-    se = math.sqrt((2 / 3) * (1 / 3) / m)
-    assert abs(hits / m - 2 / 3) < 3 * se
-    with pytest.raises(ValueError):
-        size_biased_reorder((0,), s)
-
-
-def test_size_biased_expectation_matches_monte_carlo():
-    weights = (Fraction(1, 2), Fraction(1, 3), Fraction(1, 6))
-    f = lambda v: float(v[0]) - float(v[-1])
-    exact = size_biased_expectation(weights, lambda v: Fraction(v[0]) - Fraction(v[-1]))
-    s = RandomStream(77)
-    m = 40000
-    vals = [f(size_biased_reorder(weights, s)) for _ in range(m)]
-    mean = sum(vals) / m
-    sd = math.sqrt(sum((v - mean) ** 2 for v in vals) / (m - 1))
-    assert abs(mean - float(exact)) < 3 * sd / math.sqrt(m)
-
-
-def test_size_biased_measure_of_split_law():
-    # size-biased mean of a split measure: exact computation vs reordering draws
-    tab = SamplerTables(binary_dist(), A0, 6)
-    meas = root_split_measure(tab, 6)
-    g = lambda v: (1 - max(v)) if v else Fraction(0)
-    exact = Fraction(0)
-    for lam, w in meas.atoms.items():
-        exact += w * size_biased_expectation(meas.pushed(lam), g)
-    s = RandomStream(13)
-    m = 20000
-    atoms = sorted(meas.atoms.items())
-    import itertools
-
-    cum = list(itertools.accumulate(w for _, w in atoms))
-    from gwtrees.streams import draw_cdf
-
-    total = 0.0
-    for _ in range(m):
-        lam = atoms[draw_cdf(cum, s)][0]
-        total += float(g(size_biased_reorder(meas.pushed(lam), s)))
-    mean = total / m
-    assert abs(mean - float(exact)) < 3 * 0.5 / math.sqrt(m)
 
 
 def test_ks_examples():
@@ -186,3 +120,14 @@ def test_report_roundtrip_and_determinism():
     csv = rep.samples_csv()
     assert csv.splitlines()[0] == "arm,sample_index,value"
     assert len(csv.splitlines()) == 21
+
+
+def test_all_names_resolve():
+    # `from gwtrees.scaling import *` fails on a stale entry
+    import gwtrees.scaling as scaling
+
+    missing = [name for name in scaling.__all__ if not hasattr(scaling, name)]
+    assert missing == []
+    namespace: dict = {}
+    exec("from gwtrees.scaling import *", namespace)
+    assert set(scaling.__all__) <= set(namespace)
