@@ -66,6 +66,9 @@ class RunConfig:
 # the fields a config file may set and their JSON types; _dist checks dist
 CONFIG_FIELDS = dict(dist=object, degree_set=str, n=int, max_n=int, count=int, seed=int, cache_dir=str, out_format=str)
 
+# the --format choices per command; `sample` prints one format and takes none
+OUT_FORMATS = {"exact": ("text", "json", "csv"), "root-partition": ("text", "json", "csv")}
+
 
 def _load_config(args: argparse.Namespace) -> RunConfig:
     """Merge an optional config file with flags; explicit flags win."""
@@ -81,6 +84,8 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
     for name, val in fields.items():
         if not isinstance(val, CONFIG_FIELDS[name]):
             raise ConfigError(f"config field {name!r} must be of type {CONFIG_FIELDS[name].__name__}, got {val!r}")
+    if "out_format" in fields and fields["out_format"] not in OUT_FORMATS.get(args.command, ()):
+        raise ConfigError(f"config field 'out_format' {fields['out_format']!r} is not a --format choice of {args.command}")
     cfg = RunConfig(command=args.command, **fields)
     if getattr(args, "dist", None):
         try:
@@ -346,10 +351,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--set", dest="degree_set", help='degree set: "0", "0,2", "all", "geq:k", "not:..."')
         p.add_argument("--seed", type=int)
         p.add_argument("--config", help="JSON config file; explicit flags win")
-        p.add_argument("--format", dest="out_format", choices=("text", "json", "csv"))
 
     p = sub.add_parser("exact", help="exact marked-count tables")
     common(p)
+    p.add_argument("--format", dest="out_format", choices=OUT_FORMATS["exact"])
     p.add_argument("--max-n", dest="max_n", type=int)
     p.add_argument("--cache-dir", dest="cache_dir")
 
@@ -364,6 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("root-partition", help="exact root-split statistics")
     common(p)
+    p.add_argument("--format", dest="out_format", choices=OUT_FORMATS["root-partition"])
     p.add_argument("--n", type=int)
 
     p = sub.add_parser("verify", help="run named acceptance suites")

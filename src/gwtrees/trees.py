@@ -10,6 +10,7 @@ happens exactly at the last entry.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
@@ -19,29 +20,33 @@ from .partitions import Partition
 
 @dataclass(frozen=True)
 class OrderedTree:
-    """Immutable rooted ordered tree; children[v] lists v's children in order."""
+    """Immutable rooted ordered tree; children[v] lists v's children in order.
+
+    Every construction, `from_degrees` included, checks in one stack pass
+    that the labels are the depth-first order and raises ValueError if not.
+    """
 
     children: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        n = len(self.children)
-        if n == 0:
+        children = self.children
+        if not children:
             raise ValueError("a tree has at least its root")
-        # verify the labels are exactly the preorder of the stored structure
-        seen = 0
+        # the labels are exactly the preorder of the stored structure: the
+        # depth-first stack pops 0, 1, ..., n-1 in turn and is then empty.
+        # Each child is popped after its parent, at its own label, so every
+        # child index c of v satisfies v < c < n without a check per child.
         stack = [0]
-        while stack:
-            v = stack.pop()
-            if v != seen:
-                raise ValueError("children lists are not in depth-first positional form")
-            seen += 1
-            kids = self.children[v]
-            for c in kids:
-                if not (v < c < n):
-                    raise ValueError(f"child index {c} of vertex {v} out of range")
-            stack.extend(reversed(kids))
-        if seen != n:
-            raise ValueError("disconnected vertex set")
+        pop, push = stack.pop, stack.extend
+        try:
+            for v, kids in enumerate(children):
+                if pop() != v:
+                    raise ValueError("children lists are not in depth-first positional form")
+                push(kids[::-1])
+        except IndexError:
+            raise ValueError("disconnected vertex set") from None
+        if stack:
+            raise ValueError(f"{len(stack)} child indices are out of range or repeated")
 
     @property
     def n(self) -> int:
@@ -220,9 +225,12 @@ def queue_marked_count(seq: Sequence[int], marks: DegreeSet) -> int:
 
 
 def count_marked(t: OrderedTree, marks: DegreeSet) -> int:
-    """Number of vertices whose out-degree lies in the set."""
+    """Number of vertices whose out-degree lies in the set.
+
+    Counts the degree histogram and asks the set once per distinct degree.
+    """
     require_zero(marks)
-    return sum(1 for kids in t.children if len(kids) in marks)
+    return sum(k for d, k in Counter(map(len, t.children)).items() if d in marks)
 
 
 def root_partition(t: OrderedTree, marks: DegreeSet) -> Partition:
@@ -266,10 +274,24 @@ def depths(t: OrderedTree) -> tuple[int, ...]:
 
 
 def canonical_key(t: OrderedTree) -> str:
-    """Canonical string equal for two trees iff they agree as unordered rooted trees."""
-    keys: list[str] = [""] * t.n
-    for v in range(t.n - 1, -1, -1):
-        keys[v] = "(" + "".join(sorted(keys[c] for c in t.children[v])) + ")"
+    """Canonical string equal for two trees iff they agree as unordered rooted trees.
+
+    The AHU form (Aho, Hopcroft and Ullman 1974): bottom up, a vertex's key
+    is its children's keys, sorted, between one pair of parentheses.  Leaves
+    and single children need no sort.
+    """
+    children = t.children
+    keys: list[str] = [""] * len(children)
+    for v in range(len(children) - 1, -1, -1):
+        kids = children[v]
+        if not kids:
+            keys[v] = "()"
+        elif len(kids) == 1:
+            keys[v] = "(" + keys[kids[0]] + ")"
+        else:
+            sub = [keys[c] for c in kids]
+            sub.sort()
+            keys[v] = "(" + "".join(sub) + ")"
     return keys[0]
 
 

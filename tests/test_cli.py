@@ -113,8 +113,6 @@ def test_sample_embeds_seed_and_reproduces():
         "4",
         "--seed",
         "9",
-        "--format",
-        "text",
     ]
     a = run_cli(args)
     b = run_cli(args)
@@ -214,6 +212,28 @@ def test_config_file_must_be_an_object_of_known_fields(tmp_path):
     for text in ("[1]", '{"max_n": "3"}', '{"degree_set": 0}'):
         cfg.write_text(text)
         _assert_json_error(*_main(["exact", "--config", str(cfg), "--dist", BINARY, "--max-n", "3"]))
+
+
+def test_sample_takes_no_format(tmp_path):
+    # sample prints one format; a --format flag or config field would do nothing
+    argv = ["sample", "--dist", BINARY, "--set", "0", "--n", "5", "--count", "2", "--seed", "3"]
+    for fmt in ("csv", "text"):
+        _assert_json_error(*_main([*argv, "--format", fmt]))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"out_format": "csv"}')
+    _assert_json_error(*_main([*argv, "--config", str(cfg)]))
+
+
+@pytest.mark.parametrize("command", ["exact", "root-partition"])
+def test_config_out_format_must_be_a_format_choice(tmp_path, command):
+    argv = [command, "--dist", BINARY, "--set", "0", "--max-n" if command == "exact" else "--n", "3"]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"out_format": "xml"}')
+    _assert_json_error(*_main([*argv, "--config", str(cfg)]))
+    cfg.write_text('{"out_format": "json"}')
+    code, out, err = _main([*argv, "--config", str(cfg)])
+    assert (code, err) == (0, "")
+    assert json.loads(out)
 
 
 def test_sample_rejects_nonpositive_count():

@@ -1,6 +1,9 @@
 import pytest
 
 from gwtrees.degree_sets import DegreeSet
+from gwtrees.offspring import geometric_dist
+from gwtrees.samplers import SamplerTables, sample_conditioned
+from gwtrees.streams import RandomStream
 from gwtrees.trees import (
     OrderedTree,
     canonical_key,
@@ -170,3 +173,117 @@ def test_positional_validation():
         OrderedTree(((2,), (), ()))  # first child must be the next index
     with pytest.raises(ValueError):
         OrderedTree(((1,), (0,)))  # cycle
+
+
+# ---------------------------------------------------------------------------
+# the per-tree passes against their plain per-vertex forms
+
+
+def _count_marked_reference(t: OrderedTree, marks: DegreeSet) -> int:
+    return sum(1 for kids in t.children if len(kids) in marks)
+
+
+def _canonical_key_reference(t: OrderedTree) -> str:
+    keys: list[str] = [""] * t.n
+    for v in range(t.n - 1, -1, -1):
+        keys[v] = "(" + "".join(sorted(keys[c] for c in t.children[v])) + ")"
+    return keys[0]
+
+
+def _validate_reference(children) -> None:
+    """The depth-first check with a range test per child."""
+    n = len(children)
+    if n == 0:
+        raise ValueError("a tree has at least its root")
+    seen = 0
+    stack = [0]
+    while stack:
+        v = stack.pop()
+        if v != seen:
+            raise ValueError("children lists are not in depth-first positional form")
+        seen += 1
+        kids = children[v]
+        for c in kids:
+            if not (v < c < n):
+                raise ValueError(f"child index {c} of vertex {v} out of range")
+        stack.extend(reversed(kids))
+    if seen != n:
+        raise ValueError("disconnected vertex set")
+
+
+COUNT_SETS = [DegreeSet.parse(spec) for spec in ("0", "0,2", "0,1,3", "geq:3", "not:1", "all")]
+
+
+@pytest.fixture(scope="module")
+def float_trees():
+    """30 float trees at n = 2000 for each of geometric/all, {0} and {0,2}."""
+    out = []
+    for spec in ("all", "0", "0,2"):
+        tables = SamplerTables(geometric_dist(), DegreeSet.parse(spec), 2000, exact=False)
+        stream = RandomStream(15)
+        out += [sample_conditioned(tables, stream) for _ in range(30)]
+    return out
+
+
+def test_count_marked_matches_per_vertex_count():
+    for t in iter_trees(8):
+        for marks in COUNT_SETS:
+            assert count_marked(t, marks) == _count_marked_reference(t, marks)
+
+
+def test_count_marked_matches_per_vertex_count_on_float_trees(float_trees):
+    for t in float_trees:
+        for marks in COUNT_SETS:
+            assert count_marked(t, marks) == _count_marked_reference(t, marks)
+
+
+def test_canonical_key_is_byte_identical_to_the_generator_form():
+    for t in iter_trees(8):
+        assert canonical_key(t) == _canonical_key_reference(t)
+
+
+def test_canonical_key_is_byte_identical_on_float_trees(float_trees):
+    for t in float_trees:
+        assert canonical_key(t) == _canonical_key_reference(t)
+
+
+def _corruptions(t: OrderedTree):
+    """Children lists near t: reordered, re-pointed, duplicated, dropped or extended."""
+    n, ch = t.n, list(t.children)
+
+    def with_kids(v, kids):
+        return tuple(ch[:v] + [tuple(kids)] + ch[v + 1 :])
+
+    for v, kids in enumerate(ch):
+        for i in range(len(kids)):
+            for j in range(i + 1, len(kids)):
+                swapped = list(kids)
+                swapped[i], swapped[j] = swapped[j], swapped[i]
+                yield with_kids(v, swapped)
+            for bad in (n, -1, v):
+                yield with_kids(v, kids[:i] + (bad,) + kids[i + 1 :])
+            yield with_kids(v, kids[: i + 1] + (kids[i],) + kids[i + 1 :])
+            yield with_kids(v, kids[:i] + kids[i + 1 :])
+        yield with_kids(v, kids + (v,))
+        yield with_kids(v, kids + (n,)) + ((),)  # a new last vertex, hung from v
+    yield tuple(ch) + ((),)  # a new vertex hung from nothing
+
+
+def _outcome(check, children) -> bool:
+    """True if accepted; only ValueError counts as a rejection."""
+    try:
+        check(children)
+    except ValueError:
+        return False
+    return True
+
+
+def test_validation_rejects_exactly_what_the_per_child_check_rejects():
+    accepted = rejected = 0
+    for t in iter_trees(6):
+        for children in _corruptions(t):
+            want = _outcome(_validate_reference, children)
+            assert _outcome(OrderedTree, children) == want, children
+            accepted += want
+            rejected += not want
+    assert accepted and rejected
