@@ -98,7 +98,7 @@ class SuiteResult:
 
 def _gw_weight(dist: OffspringDist, t) -> Fraction:
     mass = Fraction(1)
-    for d in t.degrees():
+    for d in t.degrees:
         mass *= dist.pmf(d)
     return mass
 

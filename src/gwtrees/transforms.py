@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable, Iterator, Sequence
 
 from .degree_sets import DegreeSet, require_zero
-from .trees import OrderedTree, is_excursion
+from .trees import OrderedTree, is_excursion, single_vertex
 
 # A stopping rule sees the block read so far and says whether to stop there.
 # Decisions depend on the prefix only, which makes adaptedness structural.
@@ -97,28 +97,28 @@ def lifeline_tree(t: OrderedTree) -> OrderedTree:
     colors = lifeline_coloring(t)
     k = len(t.leaves())
     if k == 1:
-        return OrderedTree(((),))
-    parents = t.parents()
+        return single_vertex()
     # incident colour sets per vertex of t: the parent edge plus child edges
     attach: dict[int, int] = {}
-    for v in range(t.n):
-        incident = [colors[c] for c in t.children[v]]
+    for v, kids in enumerate(t.children):
+        incident = [colors[c] for c in kids]
         if v != 0:
             incident.append(colors[v])
         low = min(incident)
         for c in incident:
             if c > low and (c not in attach or low < attach[c]):
                 attach[c] = low
-    kids: list[list[int]] = [[] for _ in range(k + 1)]
+    kids_of: list[list[int]] = [[] for _ in range(k + 1)]
     for j in range(2, k + 1):
-        kids[attach[j]].append(j)
-    for lst in kids:
-        lst.sort()
-    # relabel 1..k into depth-first positional form
-    nested: list[list] = [[] for _ in range(k + 1)]
-    for j in range(k, 0, -1):
-        nested[j] = [nested[c] for c in kids[j]]
-    result = OrderedTree.from_nested(nested[1])
-    if result.n != k:
+        kids_of[attach[j]].append(j)
+    # degrees in depth-first order from leaf 1; each kids_of list is
+    # already in leaf-number order
+    degrees: list[int] = []
+    stack = [1]
+    while stack:
+        kids = kids_of[stack.pop()]
+        degrees.append(len(kids))
+        stack.extend(reversed(kids))
+    if len(degrees) != k:
         raise AssertionError("life-line tree lost vertices")
-    return result
+    return OrderedTree.from_degrees(degrees)

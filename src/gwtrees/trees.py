@@ -1,11 +1,13 @@
-"""Rooted ordered trees in depth-first positional form and their queue encoding.
+"""Rooted ordered trees stored as their depth-first degree sequences.
 
-A tree on n vertices stores, for each vertex, the tuple of its children's
-indices; vertices are labelled 0..n-1 by first appearance on the depth-first
-walk (the root is 0).  The queue encoding of a tree is the sequence of
-out-degrees minus one along that walk; it is an excursion-type integer
-sequence whose partial sums stay non-negative until they first hit -1, which
-happens exactly at the last entry.
+A tree on n vertices stores the out-degree of each vertex in depth-first
+order (the root first); vertex v is the v-th vertex that walk visits.  The
+queue encoding of a tree is the sequence of out-degrees minus one along that
+walk (the Lukasiewicz path): an excursion-type integer sequence whose
+partial sums stay non-negative until they first hit -1, which happens
+exactly at the last entry.  Counting, hashing and printing read the degrees;
+the children lists are built on first read, for the few passes that walk
+parent-child edges.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 from .degree_sets import DegreeSet, require_zero
 from .partitions import Partition
@@ -20,22 +23,90 @@ from .partitions import Partition
 
 @dataclass(frozen=True)
 class OrderedTree:
-    """Immutable rooted ordered tree; children[v] lists v's children in order.
+    """Immutable rooted ordered tree; degrees[v] is vertex v's out-degree,
+    vertices in depth-first order.
 
-    Every construction, `from_degrees` included, checks in one stack pass
-    that the labels are the depth-first order and raises ValueError if not.
+    Every construction checks that the degrees are a tree's and raises
+    ValueError if not; `children` is derived from them on first read.
     """
 
-    children: tuple[tuple[int, ...], ...]
+    degrees: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        children = self.children
+        # a tree's degrees: none negative, partial sums of (d - 1) >= 0
+        # before the last vertex and -1 at it.  `pending` counts the vertices
+        # announced and not yet read: 1 for the root, d - 1 more per vertex.
+        pending = 1
+        for d in self.degrees:
+            if d < 0 or not pending:
+                why = "a negative out-degree" if d < 0 else "vertices after the tree closes"
+                raise ValueError(f"degree sequence has {why}")
+            pending += d - 1
+        if pending:
+            raise ValueError("degree sequence does not close the tree at its last vertex")
+
+    @property
+    def n(self) -> int:
+        return len(self.degrees)
+
+    def degree(self, v: int) -> int:
+        return self.degrees[v]
+
+    @cached_property
+    def children(self) -> tuple[tuple[int, ...], ...]:
+        """children[v] lists v's children in order.
+
+        Read backwards, each vertex takes the roots of the subtrees that
+        follow it as its children, first child on top of the stack.
+        """
+        degrees = self.degrees
+        children: list[tuple[int, ...]] = [()] * len(degrees)
+        roots: list[int] = []  # subtrees read so far, first one on top
+        for v in range(len(degrees) - 1, -1, -1):
+            d = degrees[v]
+            if d:
+                children[v] = tuple(roots[-1 : -d - 1 : -1])
+                del roots[-d:]
+            roots.append(v)
+        return tuple(children)
+
+    def parents(self) -> tuple[int, ...]:
+        """Parent index per vertex; the root maps to -1."""
+        par = [-1] * self.n
+        for v, kids in enumerate(self.children):
+            for c in kids:
+                par[c] = v
+        return tuple(par)
+
+    def leaves(self) -> tuple[int, ...]:
+        return tuple(v for v, d in enumerate(self.degrees) if not d)
+
+    def subtree_sizes(self) -> tuple[int, ...]:
+        sizes = [1] * self.n
+        for v in range(self.n - 1, -1, -1):
+            for c in self.children[v]:
+                sizes[v] += sizes[c]
+        return tuple(sizes)
+
+    @staticmethod
+    def from_degrees(degrees: Sequence[int]) -> OrderedTree:
+        """Build from the out-degrees in depth-first order.
+
+        Raises ValueError unless they are a tree's degrees.
+        """
+        return OrderedTree(tuple(degrees))
+
+    @staticmethod
+    def from_children(children: Sequence[Sequence[int]]) -> OrderedTree:
+        """Build from children lists in depth-first positional form.
+
+        Raises ValueError unless the labels are the depth-first order: the
+        stack pops 0, 1, ..., n-1 in turn and is then empty.  Each child is
+        popped after its parent, at its own label, so every child index c of
+        v satisfies v < c < n without a check per child.
+        """
         if not children:
             raise ValueError("a tree has at least its root")
-        # the labels are exactly the preorder of the stored structure: the
-        # depth-first stack pops 0, 1, ..., n-1 in turn and is then empty.
-        # Each child is popped after its parent, at its own label, so every
-        # child index c of v satisfies v < c < n without a check per child.
         stack = [0]
         pop, push = stack.pop, stack.extend
         try:
@@ -47,82 +118,25 @@ class OrderedTree:
             raise ValueError("disconnected vertex set") from None
         if stack:
             raise ValueError(f"{len(stack)} child indices are out of range or repeated")
-
-    @property
-    def n(self) -> int:
-        return len(self.children)
-
-    def degree(self, v: int) -> int:
-        return len(self.children[v])
-
-    def degrees(self) -> tuple[int, ...]:
-        return tuple(len(c) for c in self.children)
-
-    def parents(self) -> tuple[int, ...]:
-        """Parent index per vertex; the root maps to -1."""
-        par = [-1] * self.n
-        for v, kids in enumerate(self.children):
-            for c in kids:
-                par[c] = v
-        return tuple(par)
-
-    def leaves(self) -> tuple[int, ...]:
-        return tuple(v for v, kids in enumerate(self.children) if not kids)
-
-    def subtree_sizes(self) -> tuple[int, ...]:
-        sizes = [1] * self.n
-        for v in range(self.n - 1, -1, -1):
-            for c in self.children[v]:
-                sizes[v] += sizes[c]
-        return tuple(sizes)
-
-    @staticmethod
-    def from_degrees(degrees: Sequence[int]) -> OrderedTree:
-        """Build from the out-degrees in depth-first order, in one pass.
-
-        Read backwards, each vertex takes the roots of the subtrees that
-        follow it as its children, first child on top of the stack.  Raises
-        ValueError unless the degrees close the tree exactly at the last
-        vertex.
-        """
-        children: list[tuple[int, ...]] = [()] * len(degrees)
-        roots: list[int] = []  # subtrees read so far, first one on top
-        for v in range(len(degrees) - 1, -1, -1):
-            d = degrees[v]
-            if d:
-                if not 0 < d <= len(roots):
-                    raise ValueError(f"degree {d} at vertex {v} does not fit the vertices after it")
-                children[v] = tuple(roots[-1 : -d - 1 : -1])
-                del roots[-d:]
-            roots.append(v)
-        if len(roots) != 1:
-            raise ValueError("degree sequence does not close the tree at its last vertex")
-        return OrderedTree(tuple(children))
+        return OrderedTree(tuple(map(len, children)))
 
     @staticmethod
     def from_nested(nested: Sequence) -> OrderedTree:
         """Build from nested sequences, e.g. [[], []] is the two-leaf cherry root."""
-        children: list[tuple[int, ...]] = []
-        # stack holds (node, parent_index); children get indices in preorder
-        stack: list[tuple[Sequence, int]] = [(nested, -1)]
-        order: list[list[int]] = []
+        degrees: list[int] = []
+        stack: list[Sequence] = [nested]
         while stack:
-            node, parent = stack.pop()
-            idx = len(order)
-            order.append([])
-            if parent >= 0:
-                order[parent].append(idx)
-            for child in reversed(list(node)):
-                stack.append((child, idx))
-        children = [tuple(kids) for kids in order]
-        return OrderedTree(tuple(children))
+            kids = list(stack.pop())
+            degrees.append(len(kids))
+            stack.extend(reversed(kids))
+        return OrderedTree(tuple(degrees))
 
     def __str__(self) -> str:
         return format_tree(self)
 
 
 def single_vertex() -> OrderedTree:
-    return OrderedTree(((),))
+    return OrderedTree((0,))
 
 
 def parse_tree(text: str) -> OrderedTree:
@@ -149,22 +163,29 @@ def parse_tree(text: str) -> OrderedTree:
         raise ValueError("unbalanced parentheses")
     if not children:
         raise ValueError("empty tree text")
-    return OrderedTree(tuple(tuple(kids) for kids in children))
+    return OrderedTree.from_children(children)
 
 
 def format_tree(t: OrderedTree) -> str:
+    """Nested parentheses: "(" on entering a vertex, ")" after its subtree.
+
+    A leaf closes itself and every ancestor whose last child it ends.
+    """
     out: list[str] = []
-    # emit "(" on entry, ")" after the subtree; explicit stack to avoid recursion
-    stack: list[tuple[int, bool]] = [(0, False)]
-    while stack:
-        v, closing = stack.pop()
-        if closing:
-            out.append(")")
+    open_kids: list[int] = []  # children still to enter, per open vertex
+    for d in t.degrees:
+        if d:
+            out.append("(")
+            open_kids.append(d)
             continue
-        out.append("(")
-        stack.append((v, True))
-        for c in reversed(t.children[v]):
-            stack.append((c, False))
+        closed = 1
+        while open_kids:
+            open_kids[-1] -= 1
+            if open_kids[-1]:
+                break
+            open_kids.pop()
+            closed += 1
+        out.append("(" + ")" * closed)
     return "".join(out)
 
 
@@ -196,14 +217,15 @@ def is_excursion(seq: Sequence[int]) -> bool:
 
 def encode(t: OrderedTree) -> tuple[int, ...]:
     """Out-degree minus one along the depth-first walk."""
-    return tuple(len(kids) - 1 for kids in t.children)
+    return tuple(d - 1 for d in t.degrees)
 
 
 def decode(seq: Sequence[int]) -> OrderedTree:
-    """Inverse of encode; validates that the input is a proper excursion."""
-    if not is_excursion(seq):
-        raise ValueError(f"not a valid depth-first queue: {tuple(seq)!r}")
-    return OrderedTree.from_degrees([x + 1 for x in seq])
+    """Inverse of encode; raises ValueError unless the input is a proper excursion."""
+    try:
+        return OrderedTree(tuple(x + 1 for x in seq))
+    except ValueError:
+        raise ValueError(f"not a valid depth-first queue: {tuple(seq)!r}") from None
 
 
 def parse_queue(text: str) -> tuple[int, ...]:
@@ -230,7 +252,7 @@ def count_marked(t: OrderedTree, marks: DegreeSet) -> int:
     Counts the degree histogram and asks the set once per distinct degree.
     """
     require_zero(marks)
-    return sum(k for d, k in Counter(map(len, t.children)).items() if d in marks)
+    return sum(k for d, k in Counter(t.degrees).items() if d in marks)
 
 
 def root_partition(t: OrderedTree, marks: DegreeSet) -> Partition:
@@ -255,7 +277,7 @@ def leaf_augment(t: OrderedTree, marks: DegreeSet) -> OrderedTree:
     count_marked(t, marks) leaves.
     """
     require_zero(marks)
-    grows = [bool(kids) and len(kids) in marks for kids in t.children]
+    grows = [bool(d) and d in marks for d in t.degrees]
     nested: list[list] = [[] for _ in range(t.n)]
     for v in range(t.n - 1, -1, -1):
         nested[v] = [nested[c] for c in t.children[v]]
@@ -277,21 +299,23 @@ def canonical_key(t: OrderedTree) -> str:
     """Canonical string equal for two trees iff they agree as unordered rooted trees.
 
     The AHU form (Aho, Hopcroft and Ullman 1974): bottom up, a vertex's key
-    is its children's keys, sorted, between one pair of parentheses.  Leaves
-    and single children need no sort.
+    is its children's keys, sorted, between one pair of parentheses.  One
+    reverse pass over the degrees keeps the keys of the subtrees read so far
+    on a stack; a vertex of degree d pops d of them.  Leaves and single
+    children need no sort.
     """
-    children = t.children
-    keys: list[str] = [""] * len(children)
-    for v in range(len(children) - 1, -1, -1):
-        kids = children[v]
-        if not kids:
-            keys[v] = "()"
-        elif len(kids) == 1:
-            keys[v] = "(" + keys[kids[0]] + ")"
+    keys: list[str] = []
+    push = keys.append
+    for d in reversed(t.degrees):
+        if not d:
+            push("()")
+        elif d == 1:
+            keys[-1] = "(" + keys[-1] + ")"
         else:
-            sub = [keys[c] for c in kids]
+            sub = keys[-d:]
+            del keys[-d:]
             sub.sort()
-            keys[v] = "(" + "".join(sub) + ")"
+            push("(" + "".join(sub) + ")")
     return keys[0]
 
 

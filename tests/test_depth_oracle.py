@@ -199,7 +199,7 @@ def _enumerated_depth_law(dist, marks, n, max_vertices, degree_ok):
     offspring probabilities and each marked vertex by 1/n."""
     mass: dict[int, Fraction] = {}
     for t in iter_trees(max_vertices, degree_ok=degree_ok):
-        degs = t.degrees()
+        degs = t.degrees
         picked = [v for v in range(t.n) if degs[v] in marks]
         if len(picked) != n:
             continue

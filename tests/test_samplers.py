@@ -72,7 +72,7 @@ def test_sample_gw_degenerate_and_support():
         except VertexBudgetExceeded:
             continue
         got += 1
-        assert set(t.degrees()) <= {0, 2}
+        assert set(t.degrees) <= {0, 2}
         assert t.n % 2 == 1
 
 

@@ -24,7 +24,7 @@ ALL = DegreeSet.all_degrees()
 
 def gw_weight(dist, t):
     mass = Fraction(1)
-    for d in t.degrees():
+    for d in t.degrees:
         mass *= dist.pmf(d)
     return mass
 
@@ -187,7 +187,7 @@ def test_queue_collapse_pushforward_matches_collapsed_law_mixed():
         push[s] = push.get(s, Fraction(0)) + mass
     for s in iter_trees(4):
         expect = Fraction(1)
-        for d in s.degrees():
+        for d in s.degrees:
             expect *= zeta.pmf(d)
         assert push.get(s, Fraction(0)) == expect
 

@@ -53,13 +53,15 @@ def test_decode_examples():
 
 def test_from_degrees_builds_every_tree_from_its_degrees():
     for t in iter_trees(8):
-        assert OrderedTree.from_degrees(t.degrees()) == t
+        assert OrderedTree.from_degrees(t.degrees) == t
     star = OrderedTree.from_degrees([5000] + [0] * 5000)
     assert star.children[0] == tuple(range(1, 5001))
     assert decode((4999,) + (-1,) * 5000) == star
 
 
-@pytest.mark.parametrize("degrees", [(), (1,), (0, 0), (2, 0), (1, 1, 0, 0), (-1,), (1, -1, 0)])
+@pytest.mark.parametrize(
+    "degrees", [(), (1,), (0, 0), (2, 0), (1, 1, 0, 0), (-1,), (1, -1, 0), (3, -1, 1, 0)]
+)
 def test_from_degrees_rejects_sequences_that_do_not_close_at_the_end(degrees):
     with pytest.raises(ValueError):
         OrderedTree.from_degrees(degrees)
@@ -170,9 +172,9 @@ def test_text_roundtrip():
 
 def test_positional_validation():
     with pytest.raises(ValueError):
-        OrderedTree(((2,), (), ()))  # first child must be the next index
+        OrderedTree.from_children(((2,), (), ()))  # first child must be the next index
     with pytest.raises(ValueError):
-        OrderedTree(((1,), (0,)))  # cycle
+        OrderedTree.from_children(((1,), (0,)))  # cycle
 
 
 # ---------------------------------------------------------------------------
@@ -247,6 +249,24 @@ def test_canonical_key_is_byte_identical_on_float_trees(float_trees):
         assert canonical_key(t) == _canonical_key_reference(t)
 
 
+def test_from_children_inverts_children(float_trees):
+    for t in list(iter_trees(8)) + float_trees:
+        assert OrderedTree.from_children(t.children) == t
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_hot_path_never_builds_children(exact):
+    """Sampling, counting, hashing and printing read only the degrees."""
+    n = 30 if exact else 2000
+    tables = SamplerTables(geometric_dist(), A0, n, exact=exact)
+    t = sample_conditioned(tables, RandomStream(16))
+    assert count_marked(t, A0) == n
+    canonical_key(t)
+    format_tree(t)
+    assert "children" not in t.__dict__
+    assert t.children and "children" in t.__dict__
+
+
 def _corruptions(t: OrderedTree):
     """Children lists near t: reordered, re-pointed, duplicated, dropped or extended."""
     n, ch = t.n, list(t.children)
@@ -283,7 +303,7 @@ def test_validation_rejects_exactly_what_the_per_child_check_rejects():
     for t in iter_trees(6):
         for children in _corruptions(t):
             want = _outcome(_validate_reference, children)
-            assert _outcome(OrderedTree, children) == want, children
+            assert _outcome(OrderedTree.from_children, children) == want, children
             accepted += want
             rejected += not want
     assert accepted and rejected
