@@ -768,13 +768,22 @@ def split_measure(tables: SamplerTables, m: int) -> dict[Partition, Fraction]:
     degree probability times the product of part probabilities, normalised by
     the size-m probability.  Exact tables only.
 
-    Each degree's partitions come from one depth-first enumeration, in
-    decreasing lexicographic order, in which a prefix carries running integer
-    state: its arrangement count, updated from the run of equal parts that
-    ends it, the products of its parts' reduced numerators and denominators,
-    which give each atom's Fraction, and the product of its parts' integer
-    numerators over the count table's common denominator, which gives the
-    exact sum-to-one check with one Fraction per degree.
+    A degree p >= 2 splits m - 1 if p is marked and m if not, so each of the
+    at most two targets is walked once, depth first, over non-increasing
+    prefixes of parts >= 2 shared by all of its degrees.  A prefix's
+    extensions come in decreasing order of their next part, and its
+    completion by ones, the only partition below it with that many parts,
+    comes last; so each degree's bucket fills in decreasing lexicographic
+    order, and the buckets are joined in support order.  No prefix outgrows
+    the largest wanted degree or lets its completion fall below the
+    smallest; a part that leaves nothing, or room for one more part, ends
+    its partition without another call.  A prefix carries its arrangement
+    count, updated from the run of equal parts that ends it, the products of
+    its parts' reduced numerators and denominators, which give each atom's
+    Fraction once the degree's probability is applied, and the product of
+    its parts' integer numerators over the count table's common
+    denominator, which gives the exact sum-to-one check with one integer
+    sum and one Fraction per degree.
     """
     if not tables.exact:
         raise ValueError("split_measure needs exact tables")
@@ -784,68 +793,85 @@ def split_measure(tables: SamplerTables, m: int) -> dict[Partition, Fraction]:
     nums = [c.numerator for c in count]
     dens = [c.denominator for c in count]
     ints, int_den = tables._tau[1]  # count[j] == ints[j] / int_den; zero marks an inadmissible part
-    atoms: dict[Partition, Fraction] = {}
-
-    def place(prefix, i, rest, k, prev, run, arr, num, den, prod) -> int:
-        """Add the atoms that complete prefix, whose i parts end in `run`
-        copies of prev, with k >= 2 more parts summing to rest, none above
-        prev.  Returns the sum over them of arrangements times the product
-        of the parts' integer numerators."""
-        if rest == k:
-            # only ones are left, and every part before them is larger
-            if not ints[1]:
-                return 0
-            arr *= comb(i + k, k)
-            atoms[prefix + (1,) * k] = Fraction(arr * num * nums[1] ** k, den * dens[1] ** k)
-            return arr * prod * ints[1] ** k
-        total = 0
-        # the next part leaves at least 1 for each later part and is at least rest / k
-        for first in range(min(rest - k + 1, prev), (rest - 1) // k, -1):
-            c = ints[first]
-            if not c:
-                continue
-            r = run + 1 if first == prev else 1
-            a = arr * (i + 1) // r
-            if k > 2:
-                total += place(
-                    prefix + (first,), i + 1, rest - first, k - 1, first, r, a,
-                    num * nums[first], den * dens[first], prod * c,
-                )
-                continue
-            last = rest - first  # at most first, because first >= rest / 2
-            c_last = ints[last]
-            if c_last:
-                a = a * (i + 2) // (r + 1 if last == first else 1)
-                atoms[prefix + (first, last)] = Fraction(
-                    a * num * nums[first] * nums[last], den * dens[first] * dens[last]
-                )
-                total += a * prod * c * c_last
-        return total
-
     z = count[m]
+    xis: dict[int, Fraction] = {}
+    buckets: dict[int, dict[Partition, Fraction]] = {}  # per degree, in support order
+    by_target: dict[int, list[int]] = {}  # target size -> the degrees p >= 2 that split it
     mass = Fraction(0)
     for p in tables.dist.support_iter(m):
         xi = tables.dist.pmf(p)
         if xi == 0:
             continue
         target = m - 1 if tables.marked_degree[p] else m
+        buckets[p] = {}
         if p >= 2:
             if target >= p:
-                # prev = target only caps the first part, which is smaller
-                s = place(
-                    (), 0, target, p, target, 0, 1, xi.numerator * z.denominator, xi.denominator * z.numerator, 1
-                )
-                mass += Fraction(xi.numerator * s, xi.denominator * int_den**p)
+                xis[p] = xi
+                by_target.setdefault(target, []).append(p)
         elif (ints[target] if p == 1 else target == 0):
             # the single part (target,), or () at size 1
             w = xi * count[target] if p == 1 else xi
-            atoms[(target,) * p] = w / z
+            buckets[p][(target,) * p] = w / z
             mass += w
-    # place reaches itself through its closure; breaking that cycle frees the
+    sums = [0] * (m + 1)  # per degree: arrangements times integer numerators, summed
+
+    def walk(prefix, i, rest, prev, run, arr, num, den, prod) -> None:
+        """Add the wanted atoms below prefix, whose i parts end in `run`
+        copies of prev and leave rest >= 1 to place."""
+        # the next part leaves room for `low` parts in all, and at most
+        # top - i parts no larger than it must cover rest
+        for first in range(min(prev, rest, i + 1 + rest - low), max(1, (rest - 1) // (top - i)), -1):
+            c = ints[first]
+            if not c:
+                continue
+            r = run + 1 if first == prev else 1
+            a = arr * (i + 1) // r
+            last = rest - first
+            if not last:
+                # first closes the partition
+                if want[i + 1]:
+                    bucket, xn, xd = want[i + 1]
+                    bucket[prefix + (first,)] = Fraction(a * num * nums[first] * xn, den * dens[first] * xd)
+                    sums[i + 1] += a * prod * c
+            elif last == 1 or i + 2 == top:
+                # exactly one part is left, and it is last <= first
+                c_last = ints[last]
+                if c_last and want[i + 2]:
+                    bucket, xn, xd = want[i + 2]
+                    a = a * (i + 2) // (r + 1 if last == first else 1)
+                    bucket[prefix + (first, last)] = Fraction(
+                        a * num * nums[first] * nums[last] * xn, den * dens[first] * dens[last] * xd
+                    )
+                    sums[i + 2] += a * prod * c * c_last
+            else:
+                walk(
+                    prefix + (first,), i + 1, last, first, r, a,
+                    num * nums[first], den * dens[first], prod * c,
+                )
+        p = i + rest
+        if p <= top and want[p] and ints[1]:
+            bucket, xn, xd = want[p]
+            a = arr * comb(p, rest)
+            bucket[prefix + (1,) * rest] = Fraction(a * num * nums[1] ** rest * xn, den * dens[1] ** rest * xd)
+            sums[p] += a * prod * ints[1] ** rest
+
+    for target, degrees in by_target.items():
+        top, low = degrees[-1], degrees[0]
+        want = [None] * (top + 1)
+        for p in degrees:
+            xi = xis[p]
+            want[p] = (buckets[p], xi.numerator * z.denominator, xi.denominator * z.numerator)
+        walk((), 0, target, target, 0, 1, 1, 1, 1)
+    # walk reaches itself through its closure; breaking that cycle frees the
     # closure, and the atoms it holds, as soon as the caller drops them
-    del place
+    del walk
+    for p, xi in xis.items():
+        mass += Fraction(xi.numerator * sums[p], xi.denominator * int_den**p)
     if mass != z:
         raise AssertionError(f"split weights at {m} sum to {mass / z}")
+    atoms: dict[Partition, Fraction] = {}
+    for bucket in buckets.values():
+        atoms.update(bucket)
     return atoms
 
 

@@ -45,13 +45,6 @@ class SplitMeasure:
     size: int
     atoms: dict[Partition, Fraction]
 
-    def pushed(self, lam: Partition) -> tuple:
-        """Normalise a partition to a mass vector; the empty one maps to zeros."""
-        total = sum(lam)
-        if total == 0:
-            return ()
-        return tuple(Fraction(part, total) for part in lam)
-
 
 @dataclass(frozen=True)
 class TestFunction:
@@ -71,20 +64,44 @@ def root_split_measure(tables: SamplerTables, m: int) -> SplitMeasure:
     return SplitMeasure(m, split_measure(tables, m))
 
 
-def _top(lam_pushed: tuple):
-    return lam_pushed[0] if lam_pushed else Fraction(0)
+def _ratio_sum(nums: list[int], dens: list[int]) -> Fraction:
+    """Exact sum of nums[i] / dens[i], taken over the lcm of the denominators."""
+    den = math.lcm(*dens)
+    return Fraction(sum(a * (den // b) for a, b in zip(nums, dens)), den)
 
 
 def damped_mean(measure: SplitMeasure, f) -> Fraction:
-    """Mean of (1 - s1) f(s) under the pushed-forward split measure; exact
-    whenever the atoms and f are exact."""
-    total = Fraction(0)
+    """Mean of (1 - s1) f(s) under the pushed-forward split measure: s is the
+    partition divided by its total, and () with s1 = 0 for the empty one.
+
+    Exact: f must return ints or Fractions, and any other value raises
+    TypeError naming f.  f is called once per atom of positive weight; each
+    term is an integer numerator and denominator, summed over one lcm.
+    """
+    rows: dict[int, list[Fraction]] = {}
+    nums: list[int] = []
+    dens: list[int] = []
     for lam, w in measure.atoms.items():
         if w == 0:
             continue
-        s = measure.pushed(lam)
-        total += w * (1 - _top(s)) * f(s)
-    return total
+        if lam:
+            t = sum(lam)
+            row = rows.get(t)
+            if row is None:
+                row = rows[t] = [Fraction(j, t) for j in range(t + 1)]
+            v = f(tuple(map(row.__getitem__, lam)))
+            damp = t - lam[0]
+        else:
+            v = f(())
+            damp = t = 1
+        if not isinstance(v, (int, Fraction)):
+            raise TypeError(
+                f"damped_mean is exact: test function {getattr(f, 'name', f)!r} returned {type(v).__name__} {v!r}"
+            )
+        if damp and v:
+            nums.append(w.numerator * damp * v.numerator)
+            dens.append(w.denominator * t * v.denominator)
+    return _ratio_sum(nums, dens)
 
 
 def root_limit_statistic(measure: SplitMeasure, f) -> float:
@@ -98,23 +115,28 @@ def root_limit_statistic(measure: SplitMeasure, f) -> float:
 def top_share_mean(measure: SplitMeasure) -> Fraction:
     """Mean of the largest normalised part; tends to one as sizes grow.
 
-    Only each atom's top part counts, so w * lam[0] is summed per total
-    sum(lam) and divided by it once per total; the empty partition adds 0.
+    Each atom adds w * lam[0] / sum(lam), kept as an integer numerator and
+    denominator and summed over one lcm; the empty partition adds 0.
     """
-    by_total: dict[int, Fraction] = {}
+    nums: list[int] = []
+    dens: list[int] = []
     for lam, w in measure.atoms.items():
-        if lam:
-            t = sum(lam)
-            by_total[t] = by_total.get(t, 0) + w * lam[0]
-    return sum((v / t for t, v in by_total.items()), Fraction(0))
+        if lam and w:
+            nums.append(w.numerator * lam[0])
+            dens.append(w.denominator * sum(lam))
+    return _ratio_sum(nums, dens)
 
 
 def block_count_marginal(measure: SplitMeasure) -> dict[int, Fraction]:
-    out: dict[int, Fraction] = {}
+    """Law of the block count (-1 for the empty partition), keyed in the
+    order the counts first appear; each count's weights are summed as
+    integers over their lcm."""
+    terms: dict[int, tuple[list[int], list[int]]] = {}
     for lam, w in measure.atoms.items():
-        p = block_count(lam)
-        out[p] = out.get(p, Fraction(0)) + w
-    return out
+        nums, dens = terms.setdefault(block_count(lam), ([], []))
+        nums.append(w.numerator)
+        dens.append(w.denominator)
+    return {p: _ratio_sum(nums, dens) for p, (nums, dens) in terms.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -394,7 +394,8 @@ def run_root_limit(sizes=(25, 50, 100, 200)) -> SuiteResult:
         errors = []
         tops = []
         for m in snapped:
-            top = top_share_mean(root_split_measure(tables, m))
+            meas = root_split_measure(tables, m)
+            top = top_share_mean(meas)
             # sqrt(m) * E[1 - s1], exactly sqrt(m) * (1 - top share)
             val = math.sqrt(m) * float(1 - top)
             errors.append(abs(val - target) / target)
@@ -412,7 +413,8 @@ def run_root_limit(sizes=(25, 50, 100, 200)) -> SuiteResult:
             all(tops[i] < tops[i + 1] for i in range(len(tops) - 1)) and tops[-1] > 0.9,
             values=[round(v, 5) for v in tops],
         )
-        marg = block_count_marginal(root_split_measure(tables, snapped[-1]))
+        # the loop ends on the largest size, whose measure it keeps
+        marg = block_count_marginal(meas)
         xi_hat_2 = float(2 * dist.pmf(2))
         got = float(marg.get(2, Fraction(0)))
         res.add(

@@ -255,6 +255,9 @@ SPLIT_LAWS = {
     "geometric": geometric_dist(),
     "mixed": from_probs([Fraction(7, 12), Fraction(1, 6), Fraction(0), Fraction(1, 4)]),
     "coprime": from_probs([Fraction(1, 2), Fraction(1, 5), Fraction(1, 6), Fraction(2, 15)]),
+    # degrees 2 and 5 only: the largest degree sits far below the target
+    # sizes, so the part-count bound prunes, and degrees 3 and 4 are skipped
+    "gapped": from_probs([Fraction(13, 20), Fraction(0), Fraction(1, 4), Fraction(0), Fraction(0), Fraction(1, 10)]),
 }
 
 

@@ -5,12 +5,14 @@ from fractions import Fraction
 import pytest
 
 from gwtrees.degree_sets import DegreeSet
+from gwtrees.exact import marked_count_pmf
 from gwtrees.offspring import binary_dist, geometric_dist
 from gwtrees.samplers import SamplerTables
 from gwtrees.scaling import (
     ExperimentReport,
     SplitMeasure,
     TestFunction,
+    block_count_marginal,
     chi_square_test,
     damped_mean,
     depth_experiment,
@@ -22,6 +24,7 @@ from gwtrees.scaling import (
     top_share_mean,
 )
 from gwtrees.streams import RandomStream
+from gwtrees.suites import LIPSCHITZ_SUITE
 
 A0 = DegreeSet.of(0)
 ALL = DegreeSet.all_degrees()
@@ -65,6 +68,83 @@ def test_damped_mean_exact():
     meas = SplitMeasure(3, {(2, 1): Fraction(1)})
     assert damped_mean(meas, ONE) == Fraction(1, 3)
     assert damped_mean(meas, TestFunction(lambda s: s[0], name="s1")) == Fraction(1, 3) * Fraction(2, 3)
+
+
+def _reference_damped_mean(measure, f):
+    """The former damped_mean, one Fraction added per atom: the reference."""
+    total = Fraction(0)
+    for lam, w in measure.atoms.items():
+        if w == 0:
+            continue
+        t = sum(lam)
+        s = tuple(Fraction(part, t) for part in lam) if t else ()
+        total += w * (1 - (s[0] if s else Fraction(0))) * f(s)
+    return total
+
+
+def _reference_top_share_mean(measure):
+    """The former top_share_mean, one Fraction per total: the reference."""
+    by_total = {}
+    for lam, w in measure.atoms.items():
+        if lam:
+            t = sum(lam)
+            by_total[t] = by_total.get(t, 0) + w * lam[0]
+    return sum((v / t for t, v in by_total.items()), Fraction(0))
+
+
+def _reference_block_count_marginal(measure):
+    """The former block_count_marginal, one Fraction added per atom: the reference."""
+    out = {}
+    for lam, w in measure.atoms.items():
+        p = len(lam) if lam else -1
+        out[p] = out.get(p, Fraction(0)) + w
+    return out
+
+
+def _assert_statistics_match_references(meas):
+    for f in LIPSCHITZ_SUITE:
+        got = damped_mean(meas, f)
+        assert type(got) is Fraction and got == _reference_damped_mean(meas, f), (meas.size, f.name)
+    # the reference divides an int sum by its total when every weight of
+    # that total is an int, so it sees the weights as Fractions
+    as_fractions = SplitMeasure(meas.size, {lam: Fraction(w) for lam, w in meas.atoms.items()})
+    got = top_share_mean(meas)
+    assert type(got) is Fraction and got == _reference_top_share_mean(as_fractions)
+    got = list(block_count_marginal(meas).items())
+    assert got == list(_reference_block_count_marginal(meas).items()), meas.size
+
+
+@pytest.mark.parametrize(
+    "law, spec", [("binary", "0"), ("binary", "all"), ("geometric", "0"), ("geometric", "0,2"), ("geometric", "all")]
+)
+def test_statistics_match_per_atom_fraction_sums(law, spec):
+    # every value exact and equal, and the block-count keys in the same order
+    dist = binary_dist() if law == "binary" else geometric_dist()
+    marks = DegreeSet.parse(spec)
+    table = marked_count_pmf(dist, marks, 16)
+    tab = SamplerTables(dist, marks, max(m for m in range(17) if table[m]))
+    assert () in root_split_measure(tab, 1).atoms
+    for m in range(1, tab.n + 1):
+        if tab.admissible(m):
+            _assert_statistics_match_references(root_split_measure(tab, m))
+
+
+def test_statistics_match_references_on_zero_and_int_weights():
+    meas = SplitMeasure(4, {(3,): 0, (2, 1, 1): Fraction(1, 2), (): Fraction(0), (2, 2): 1, (1, 1): Fraction(1, 6)})
+    _assert_statistics_match_references(meas)
+    assert list(block_count_marginal(meas)) == [1, 3, -1, 2]
+    calls = []
+    damped_mean(meas, TestFunction(lambda s: calls.append(s) or Fraction(1), name="count"))
+    half, quarter = Fraction(1, 2), Fraction(1, 4)
+    assert calls == [(half, quarter, quarter), (half, half), (half, half)]
+    assert damped_mean(SplitMeasure(1, {}), ONE) == 0 and top_share_mean(SplitMeasure(1, {})) == 0
+
+
+def test_damped_mean_rejects_a_float_test_function():
+    meas = SplitMeasure(3, {(2, 1): Fraction(1)})
+    with pytest.raises(TypeError, match="float-half"):
+        damped_mean(meas, TestFunction(lambda s: 0.5, name="float-half"))
+    assert damped_mean(meas, TestFunction(lambda s: 2, name="int-two")) == Fraction(2, 3)
 
 
 def test_ks_examples():
