@@ -13,9 +13,11 @@ as a cross-validation oracle for small sizes).  Float mode uses the cycle
 lemma on blocks instead (SamplerTables.draw_block_values): the depth-first
 degrees cut into n runs that each end at a marked degree, whose collapsed
 values are i.i.d. given their sum and whose interiors are independent given
-their values.  The depth of a uniform marked vertex needs neither: it is
-drawn as a Markov chain on the sizes of the subtrees along the vertex's path
-(sample_marked_depth).
+their values.  The values are drawn by an exact rejection that proposes the
+counts of all but the two likeliest values and lets the sum fix those two,
+a few proposals per tree whatever n.  The depth of a uniform marked vertex
+needs neither: it is drawn as a Markov chain on the sizes of the subtrees
+along the vertex's path (sample_marked_depth).
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from math import ceil, comb, exp, gcd, lcm, pi, sqrt
+from math import comb, exp, gcd, lcm, lgamma, log
 
 import numpy as np
 
@@ -118,31 +120,57 @@ class _DegreeCdf:
 
 
 @dataclass(eq=False)
+class _TwoCell:
+    """Exact rejection proposal for the block values, fixing two cells.
+
+    a < b are the two values of largest mass; q is b's share of their mass
+    pi_ab, with `log_q` = (log q, log(1 - q)), and M = N_a + N_b.  `m_cdf`
+    is the CDF over M = 0..n of Binomial(n, pi_ab)(M) c(M), where c(M) =
+    exp(`log_mode`[M]) is the mass of Binomial(M, q) at its mode
+    floor((M + 1) q); `log_fact`[m] is log m!.  The other values, counted
+    by one multinomial of n - M draws over `cells`, are `others` one by one,
+    then, when `tail` is not empty, one last cell for the values of `tail`,
+    which carry at most 1 / n^2 of the mass and are drawn from `tail_cdf`,
+    the normalised CDF of their masses.
+    """
+
+    a: int
+    b: int
+    log_q: tuple[float, float]
+    log_fact: array
+    log_mode: array
+    m_cdf: array
+    others: np.ndarray
+    cells: np.ndarray
+    tail: np.ndarray
+    tail_cdf: np.ndarray
+
+
+@dataclass(eq=False)
 class _BlockLaw:
     """Float law of the blocks of a conditioned tree with n marked vertices.
 
     `values` are the block values c in 0..n-1 with positive mass and `probs`
     the collapsed law at them, tilted by theta^c to mean (n - 1) / n and
-    normalised; `batch` multinomial rows are drawn at a time.  The rows count
-    the first `head` values one by one and the rest, which carry at most
-    1 / (n * batch) of the mass, in one last cell of `cells`; the values in
-    that cell are drawn from `tail_cdf`, the normalised CDF of the rest.
-    `hat` is the untilted collapsed law on 0..n-1 and `free[u]` the mass of
-    an unmarked degree u, which weigh the steps inside a block; `interiors`
-    is False when the set covers the law's support and every block is one
-    vertex.
+    normalised; `pair` draws n values from it given their sum n - 1, and is
+    None at n = 1, whose one block has value 0.  `hat` is the untilted
+    collapsed law on 0..n-1 and `free[u]` the mass of an unmarked degree u,
+    which weigh the steps inside a block; `interiors` is False when the set
+    covers the law's support and every block is one vertex.
     """
 
     values: np.ndarray
     probs: np.ndarray
     theta: float
-    batch: int
-    head: int
-    cells: np.ndarray
-    tail_cdf: np.ndarray
+    pair: _TwoCell | None
     hat: np.ndarray
     free: np.ndarray
     interiors: bool
+
+
+def _log_binomial(log_fact, m, k, log_q: tuple[float, float]):
+    """log of Binomial(m, q) at k, for scalars or arrays alike."""
+    return log_fact[m] - log_fact[k] - log_fact[m - k] + k * log_q[0] + (m - k) * log_q[1]
 
 
 def _block_law(dist: OffspringDist, marks: DegreeSet, n: int, pmf: list[float]) -> _BlockLaw:
@@ -152,10 +180,8 @@ def _block_law(dist: OffspringDist, marks: DegreeSet, n: int, pmf: list[float]) 
     n values summing to n - 1 are all below n, so the collapsed law is cut
     at n - 1; this leaves the law of the values given their sum as it was.
     Tilting by theta^c leaves the law of n i.i.d. values given their sum
-    unchanged, so theta only sets the acceptance rate: with mean (n - 1) / n
-    a row hits the sum n - 1 with chance about 1 / sqrt(2 pi n Var), and a
-    batch of twice that many rows usually holds a hit.  log theta is found
-    by bisection; the mean grows with it.
+    unchanged, so theta only sets the acceptance rate of the proposal (see
+    _two_cell).  log theta is found by bisection; the mean grows with it.
     """
     hat = collapsed_coeffs_float(dist, marks, n - 1)
     values = np.flatnonzero(hat)
@@ -181,19 +207,53 @@ def _block_law(dist: OffspringDist, marks: DegreeSet, n: int, pmf: list[float]) 
     probs = tilted(hi)
     keep = probs > 0.0  # drop values whose tilted mass underflows
     values, probs = values[keep], probs[keep] / probs[keep].sum()
-    var = probs @ values**2 - (probs @ values) ** 2
-    batch = max(1, ceil(2 * sqrt(2 * pi * n * var)))
-    rest = np.cumsum(probs[::-1])[::-1]  # rest[k]: mass of values[k:]
-    head = int(np.argmax(rest * (n * batch) <= 1.0)) or len(values)
-    cells, tail_cdf = probs, probs[:0]
-    if head < len(values):
-        cells = np.append(probs[:head], rest[head])
-        tail_cdf = np.cumsum(probs[head:]) / rest[head]
-        tail_cdf[-1] = 1.0  # a uniform in [0, 1) lands inside
+    pair = _two_cell(values, probs, n) if n > 1 else None
     free = np.where([k not in marks for k in range(n + 1)], pmf[: n + 1], 0.0)
-    return _BlockLaw(
-        values, probs, exp(hi), batch, head, cells, tail_cdf, hat, free, not marks.covers_support(dist)
-    )
+    return _BlockLaw(values, probs, exp(hi), pair, hat, free, not marks.covers_support(dist))
+
+
+def _two_cell(values: np.ndarray, probs: np.ndarray, n: int) -> _TwoCell:
+    """The proposal of SamplerTables.draw_block_values for n >= 2 values.
+
+    Given M and the other values' counts, the sum n - 1 fixes N_b = k, so
+    the target law of (M, others) is Binomial(n, pi_ab)(M) times the
+    multinomial law of the others times Binomial(M, q)(k).  Proposing M from
+    Binomial(n, pi_ab)(M) c(M) and the others from their multinomial, then
+    accepting with Binomial(M, q)(k) / c(M) <= 1, draws exactly that law;
+    the acceptance is about sqrt(pi_ab q (1 - q) / Var), whatever n.  The
+    tail starts at the first other value from which the others' mass times
+    n^2 is at most 1, so a tail value enters about one proposal in n.
+    """
+    top = np.sort(np.argsort(probs, kind="stable")[-2:])
+    a, b = values[top].tolist()
+    pi_ab = probs[top].sum()
+    q = probs[top[1]] / pi_ab
+    log_q = (log(q), log(probs[top[0]] / pi_ab))
+    lf = np.array([lgamma(m + 1) for m in range(n + 1)])
+    m = np.arange(n + 1)
+    mode = np.minimum(np.floor((m + 1) * q).astype(np.int64), m)
+    log_mode = _log_binomial(lf, m, mode, log_q)
+    rest, others = np.delete(probs, top), np.delete(values, top)
+    tail, tail_cdf = others[:0], rest[:0]
+    if others.size:
+        rest_total = rest.sum()
+        log_m = log_mode + _log_binomial(lf, n, m, (log(pi_ab), log(rest_total)))
+        above = np.cumsum(rest[::-1])[::-1]  # above[j]: mass of others[j:]
+        head = int(np.count_nonzero(above * n * n > 1.0))
+        cells, tail, others = rest[:head] / rest_total, others[head:], others[:head]
+        if tail.size:
+            cells = np.append(cells, above[head] / rest_total)
+            tail_cdf = np.cumsum(rest[head:]) / above[head]
+            tail_cdf[-1] = 1.0  # a uniform in [0, 1) lands inside
+    else:  # two values only: M = n, and there is nothing else to draw
+        cells = rest
+        log_m = np.where(m == n, 0.0, -np.inf)
+    w = np.exp(log_m - log_m.max())
+    cum = np.cumsum(w[: np.flatnonzero(w)[-1] + 1])
+    cum /= cum[-1]
+    cum[-1] = 1.0
+    log_fact, log_mode, m_cdf = (array("d", x.tobytes()) for x in (lf, log_mode, cum))
+    return _TwoCell(a, b, log_q, log_fact, log_mode, m_cdf, others, cells, tail, tail_cdf)
 
 
 class SamplerTables:
@@ -398,32 +458,41 @@ class SamplerTables:
         """Collapsed values of the n blocks of a conditioned tree, in
         depth-first order.
 
-        Multinomial rows of n values are drawn in batches, and the first row
-        whose values sum to n - 1 is kept: its counts have the law of n
-        i.i.d. values given that sum.  A row's values in the tail cell are
-        i.i.d. from the tail law given their number, and are drawn for the
-        rare rows that have any.  Shuffled, the values are a uniform
-        arrangement of the kept row; by the cycle lemma exactly one rotation
-        keeps the walk of (c - 1) above -1 until its last step, the one that
-        starts just after the walk's first minimum.
+        Their counts have the law of n i.i.d. values given that they sum to
+        n - 1, drawn by the exact rejection of _two_cell: each proposal
+        takes one uniform for M, one multinomial of the other values (none
+        when the law has two values), uniforms for the rare tail values, and
+        one uniform to accept; the sum then fixes N_b = k, which must be an
+        integer in [0, M].  Shuffled, the values are a uniform arrangement
+        of the counts; by the cycle lemma exactly one rotation keeps the walk
+        of (c - 1) above -1 until its last step, the one that starts just
+        after the walk's first minimum.
         """
         law = self.block_law()
-        head = law.values[: law.head]
+        pair = law.pair
+        if pair is None:
+            return law.values.copy()
+        n, a, b, others = self.n, pair.a, pair.b, pair.others
+        counts = tail = others[:0]
+        rand = gen.random
         while True:
-            rows = gen.multinomial(self.n, law.cells, size=law.batch)
-            sums = rows[:, : law.head] @ head
-            tails = {}
-            for i in np.flatnonzero(rows[:, law.head :].any(axis=1)):
-                u = gen.random(rows[i, law.head])
-                tails[i] = law.values[law.head + np.searchsorted(law.tail_cdf, u, side="right")]
-                sums[i] += tails[i].sum()
-            hits = np.flatnonzero(sums == self.n - 1)
-            if hits.size:
+            m = bisect_right(pair.m_cdf, rand())
+            t = n - 1 - a * m  # minus the other values: (b - a) N_b
+            if pair.cells.size:
+                counts = gen.multinomial(n - m, pair.cells)
+                t -= int(counts[: others.size] @ others)
+                tail = others[:0]
+                if pair.tail.size and counts[-1]:
+                    tail = pair.tail[np.searchsorted(pair.tail_cdf, rand(int(counts[-1])), side="right")]
+                    t -= int(tail.sum())
+            k, r = divmod(t, b - a)
+            if r or not 0 <= k <= m:
+                continue
+            # a uniform below exp(log ratio), so that a zero uniform is safe
+            if rand() < exp(_log_binomial(pair.log_fact, m, k, pair.log_q) - pair.log_mode[m]):
                 break
-        i = hits[0]
-        values = np.repeat(head, rows[i, : law.head])
-        if i in tails:
-            values = np.concatenate((values, tails[i]))
+        values = np.repeat(np.append([a, b], others), np.append([m - k, k], counts[: others.size]))
+        values = np.concatenate((values, tail))
         gen.shuffle(values)
         start = int(np.argmin(np.cumsum(values - 1))) + 1
         return np.concatenate((values[start:], values[:start]))

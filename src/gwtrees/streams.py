@@ -12,8 +12,10 @@ Fraction input and put it over a common denominator first.
 
 Float-mode conditioned trees (samplers.sample_conditioned) seed one numpy
 Generator (PCG64) per tree from 128 bits of the stream and draw the tree's
-blocks with its multinomial, shuffle and random; their seeded output, and
-its digests, also depend on those numpy streams, which numpy may change
+blocks with it: each proposal of the block values takes uniforms from its
+random and one multinomial row, the kept values are put in order by its
+shuffle, and the block interiors take its uniforms.  Their seeded output,
+and its digests, also depend on those numpy streams, which numpy may change
 between versions.
 """
 

@@ -13,7 +13,7 @@ import pytest
 from gwtrees import samplers
 from gwtrees.degree_sets import DegreeSet
 from gwtrees.exact import FLOAT_TABLE_ATOL, FLOAT_TABLE_RTOL, enumerate_mass, marked_count_pmf
-from gwtrees.offspring import binary_dist, from_probs, geometric_dist
+from gwtrees.offspring import binary_dist, collapsed_offspring, from_probs, geometric_dist
 from gwtrees.partitions import block_count, distinct_arrangements, partitions_into
 from gwtrees.samplers import (
     QFamily,
@@ -672,15 +672,20 @@ def test_block_interior_cdf_short_of_the_block_law_raises():
 
 
 class _CountingGenerator:
-    """A numpy Generator that counts the multinomial rows drawn from it."""
+    """A numpy Generator that counts block proposals (multinomial calls
+    with no size) and single uniforms."""
 
     def __init__(self, seed):
         self.gen = np.random.default_rng(seed)
-        self.rows = 0
+        self.proposals = self.uniforms = 0
 
-    def multinomial(self, n, pvals, size):
-        self.rows += size
+    def multinomial(self, n, pvals, size=None):
+        self.proposals += size is None
         return self.gen.multinomial(n, pvals, size=size)
+
+    def random(self, size=None):
+        self.uniforms += size is None
+        return self.gen.random(size)
 
     def __getattr__(self, name):
         return getattr(self.gen, name)
@@ -692,7 +697,7 @@ def test_float_subcritical_cdfs_end_within_the_absolute_error(p, n):
     # absolute error at large values; the interior CDF of every block value
     # must still end within FLOAT_TABLE_RTOL * hat[r] of hat[r], a relative
     # bound, and the tilt to mean (n - 1) / n (theta about 1.27 for 3/5)
-    # keeps the rows per tree near one batch
+    # keeps the two-cell proposals per tree few
     tab = SamplerTables(geometric_dist(p), A0, n, exact=False)
     law = tab.block_law()
     assert law.theta > 1.1
@@ -703,8 +708,7 @@ def test_float_subcritical_cdfs_end_within_the_absolute_error(p, n):
     for _ in range(trees):
         values = tab.draw_block_values(gen)
         assert len(values) == n and values.sum() == n - 1
-    assert gen.rows <= 3 * trees * law.batch
-    assert law.batch <= 2 * math.sqrt(2 * math.pi * n * 8) + 1
+    assert trees <= gen.proposals <= 10 * trees
     s = stream(41)
     for _ in range(3):
         assert count_marked(sample_conditioned(tab, s), A0) == n
@@ -712,16 +716,16 @@ def test_float_subcritical_cdfs_end_within_the_absolute_error(p, n):
 
 @pytest.mark.parametrize("spec, n", [("0", 3), ("all", 5)])
 def test_block_tail_cell_draws_the_same_law(spec, n):
-    # with every value but 0 in the tail cell, each row's block values come
-    # from tail_cdf; the shape law must not move
+    # with every value but the pair in the tail cell, each proposal draws
+    # the other values from tail_cdf; the shape law must not move
     marks = DegreeSet.parse(spec)
     tab = SamplerTables(geometric_dist(), marks, n, exact=False)
     law = tab.block_law()
-    rest = law.probs[1:].sum()
-    tab._blocks = dataclasses.replace(
-        law, head=1, cells=np.array([law.probs[0], rest]), tail_cdf=np.cumsum(law.probs[1:]) / rest
-    )
-    tab._blocks.tail_cdf[-1] = 1.0
+    others = np.append(law.pair.others, law.pair.tail)
+    masses = law.probs[np.isin(law.values, others)]
+    tail_cdf = np.cumsum(masses) / masses.sum()
+    tail_cdf[-1] = 1.0
+    law.pair = dataclasses.replace(law.pair, others=others[:0], cells=np.ones(1), tail=others, tail_cdf=tail_cdf)
     total, shapes = enumerate_mass(geometric_dist(), marks, n, 11)
     size = marked_count_pmf(geometric_dist(), marks, n)[n]
     expected = {k: float(w / size) for k, w in shapes.items()}
@@ -736,14 +740,116 @@ def test_block_tail_cell_draws_the_same_law(spec, n):
     [(geometric_dist(), "all", 2000), (geometric_dist(), "0,2", 500), (SPLIT_LAWS["mixed"], "0", 301), (binary_dist(), "all", 201)],
 )
 def test_tilted_block_law_has_mean_one_step_short(dist, spec, n):
-    # n values summing to n - 1 are likeliest when their mean is (n - 1) / n
+    # n values summing to n - 1 are likeliest when their mean is (n - 1) / n;
+    # the pair are the two values of largest mass, and the tail holds the
+    # largest other values whose mass times n^2 is at most 1
     law = SamplerTables(dist, DegreeSet.parse(spec), n, exact=False).block_law()
     assert abs(law.probs @ law.values - (n - 1) / n) < 1e-12
     assert law.probs.sum() == pytest.approx(1.0, abs=1e-15)
     assert (law.values < n).all() and (law.probs > 0).all()
-    assert law.cells.sum() == pytest.approx(1.0, abs=1e-15)
-    if law.head < len(law.values):
-        assert law.cells[-1] * n * law.batch <= 1.0 and law.tail_cdf[-1] == 1.0
+    pair = law.pair
+    mass = dict(zip(law.values.tolist(), law.probs.tolist()))
+    assert pair.a < pair.b and sorted((mass[pair.a], mass[pair.b])) == sorted(law.probs)[-2:]
+    assert pair.m_cdf[-1] == 1.0 and len(pair.m_cdf) <= n + 1
+    others = [*pair.others.tolist(), *pair.tail.tolist()]
+    assert others == sorted(set(mass) - {pair.a, pair.b})
+    tail = sum(mass[c] for c in pair.tail.tolist())
+    if pair.tail.size:
+        assert tail * n * n <= 1.0 and pair.tail_cdf[-1] == 1.0
+    if pair.tail.size and pair.others.size:  # the cut is the first such value
+        assert (tail + mass[int(pair.others[-1])]) * n * n > 1.0
+    if others:
+        rest = sum(mass[c] for c in others)
+        cells = [mass[c] / rest for c in pair.others.tolist()] + ([tail / rest] if pair.tail.size else [])
+        assert pair.cells.tolist() == pytest.approx(cells, rel=1e-12)
+
+
+def _sorted_block_law(law, n: int) -> dict:
+    """Law of the sorted values of n i.i.d. draws from the block law given
+    that they sum to n - 1, enumerated over their counts."""
+    values, probs = law.values.tolist(), law.probs.tolist()
+    weights = {}
+
+    def walk(i, left, rest, prefix, w):
+        if i == len(values):
+            if left == rest == 0:
+                weights[tuple(prefix)] = w
+            return
+        v = values[i]
+        for c in range(left + 1):
+            if c * v > rest:
+                break
+            walk(i + 1, left - c, rest - c * v, prefix + [v] * c, w * probs[i] ** c / math.factorial(c))
+
+    walk(0, n, n - 1, [], 1.0)
+    total = sum(weights.values())
+    return {k: w / total for k, w in weights.items()}
+
+
+@pytest.mark.parametrize(
+    "dist, spec, n",
+    [(geometric_dist(), "all", 8), (geometric_dist(), "0", 7), (geometric_dist(), "0,2", 7), (SPLIT_LAWS["mixed"], "0", 11)],
+)
+def test_block_values_match_the_conditional_multinomial_law(dist, spec, n):
+    # the two-cell rejection against the law it must draw: n i.i.d. values
+    # of block_law() given their sum n - 1, as a law of sorted tuples
+    tab = SamplerTables(dist, DegreeSet.parse(spec), n, exact=False)
+    expected = _sorted_block_law(tab.block_law(), n)
+    assert len(expected) >= 4
+    gen = np.random.default_rng(151)
+    m = 20000
+    observed = Counter(tuple(sorted(tab.draw_block_values(gen).tolist())) for _ in range(m))
+    assert set(observed) <= set(expected)
+    _stat, _df, p = chi_square_test(observed, expected, m)
+    assert p > 0.001, spec
+
+
+@pytest.mark.parametrize("spec", ["0", "0,2"])
+def test_one_block_value_matches_the_exact_marginal_at_n_60(spec):
+    # a block picked by an independent uniform index has value c with
+    # probability pi_c tau_{n-1}(n-1-c) / tau_n(n-1), tau_j the j-th
+    # convolution power of the collapsed law, here in exact integers
+    n, marks = 60, DegreeSet.parse(spec)
+    nums, _den = common_denominator(collapsed_offspring(geometric_dist(), marks, n - 1).coeffs(n - 1))
+    power = [1] + [0] * (n - 1)
+    for _ in range(n - 1):
+        power = [sum(power[i] * nums[s - i] for i in range(s + 1)) for s in range(n)]
+    weights = [nums[c] * power[n - 1 - c] for c in range(n)]
+    total = sum(weights)
+    expected = {c: w / total for c, w in enumerate(weights) if w}
+    tab = SamplerTables(geometric_dist(), marks, n, exact=False)
+    assert tab.block_law().pair.tail.size  # the tail cell is exercised
+    gen, pick = np.random.default_rng(157), np.random.default_rng(163)
+    m = 6000
+    observed = Counter(int(tab.draw_block_values(gen)[pick.integers(n)]) for _ in range(m))
+    _stat, df, p = chi_square_test(observed, expected, m)
+    assert df >= 5 and p > 0.001, spec
+
+
+def test_block_values_at_the_edges():
+    # n = 1 is one block of value 0; at n = 2 the values are 1 then 0
+    for spec in ("0", "all", "0,2"):
+        one = SamplerTables(geometric_dist(), DegreeSet.parse(spec), 1, exact=False)
+        assert one.block_law().pair is None
+        assert one.draw_block_values(np.random.default_rng(1)).tolist() == [0]
+    for spec in ("0", "all"):  # {0,2} has no block of value 1, so no n = 2
+        two = SamplerTables(geometric_dist(), DegreeSet.parse(spec), 2, exact=False)
+        gen = np.random.default_rng(2)
+        assert all(two.draw_block_values(gen).tolist() == [1, 0] for _ in range(20))
+    # binary/all has the values {0, 2} only: M = n, no multinomial, and
+    # N_2 = (n - 1) / 2 is the mode, so the one proposal is accepted
+    n = 201
+    tab = SamplerTables(binary_dist(), ALL, n, exact=False)
+    pair = tab.block_law().pair
+    assert (pair.a, pair.b) == (0, 2) and not pair.cells.size
+    assert bisect_right(pair.m_cdf, 0.0) == n
+    gen = _CountingGenerator(167)
+    for _ in range(10):
+        assert sorted(tab.draw_block_values(gen).tolist()) == [0] * 101 + [2] * 100
+    assert gen.proposals == 0 and gen.uniforms == 2 * 10
+    # a pair two apart: the mixed law's values are even
+    pair = SamplerTables(SPLIT_LAWS["mixed"], A0, 301, exact=False).block_law().pair
+    assert (pair.a, pair.b) == (0, 2) and pair.others.tolist()[:2] == [4, 6]
 
 
 @pytest.mark.parametrize("spec", ["0", "all", "0,1"])
@@ -869,15 +975,16 @@ FLOAT_DIGEST_ARMS = {
     "geometric/all": (geometric_dist(), ALL, 2000),
 }
 # SHA-256 of seeded float-mode output.  The depths are those of the size
-# chain.  The trees are those of the block route, pinned once the shape-law
-# and root-degree chi-squares above held for it; they also depend on numpy's
+# chain.  The trees are those of the block route with the two-cell
+# rejection, pinned once the block-value law tests, the shape-law and the
+# root-degree chi-squares above held for it; they also depend on numpy's
 # Generator (PCG64, multinomial, shuffle and random), which numpy may change
 # between versions, so a new numpy can move this digest alone.
 FLOAT_PINNED_DIGESTS = {
     "depths.binary/0": "c6054acedd7cf51d227b88f254a04cbc5465173f60821f8cf3a92d04d09fad16",
     "depths.binary/all": "5d808382097403f3034ce73bbc9b4379ea2b242157442e3403de050e347adcd2",
     "depths.geometric/all": "7224ab9542c3b9b0aa0981c2dbfc4cc6990acc8ada6c268212bacbe53c2b4183",
-    "trees.geometric/all": "f9f57e554cdf4630f807e2bf5c52a5ef7f7f82f55c6ade16be927d15345709df",
+    "trees.geometric/all": "430e83c2542fa1e7415e1c7e84a2d223240d36bfec9cb70aa6ebbda586557c9c",
 }
 
 
