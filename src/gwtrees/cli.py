@@ -14,7 +14,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
@@ -25,7 +25,7 @@ from .samplers import SamplerTables, sample_conditioned
 from .scaling import root_split_measure, top_share_mean
 from .streams import RandomStream
 from .suites import SUITES
-from .transforms import collapse, first_hit_rule, lifeline_tree
+from .transforms import collapse, lifeline_tree
 from .trees import format_queue, format_tree, parse_queue, parse_tree
 
 
@@ -54,13 +54,6 @@ class RunConfig:
     seed: int | None = None
     cache_dir: str | None = None
     out_format: str = "text"
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
-
-    @staticmethod
-    def from_json(text: str) -> RunConfig:
-        return RunConfig(**json.loads(text))
 
 
 # the fields a config file may set and their JSON types; _dist checks dist
@@ -203,7 +196,7 @@ def cmd_transform(args: argparse.Namespace) -> int:
     for line in lines:
         try:
             if args.kind == "hat":
-                out = collapse(parse_queue(line), first_hit_rule(marks))
+                out = collapse(parse_queue(line), marks)
                 print(format_queue(out))
             else:
                 print(format_tree(lifeline_tree(parse_tree(line))))

@@ -46,7 +46,6 @@ from .partitions import Partition, block_count, iota
 from .streams import (
     RandomStream,
     common_denominator,
-    draw_cdf_int,
     draw_geometric,
     draw_weights_int,
 )
@@ -64,7 +63,7 @@ class TryBudgetExceeded(RuntimeError):
 def draw_offspring(dist: OffspringDist, stream: RandomStream) -> int:
     """One child count with exactly the distribution's law."""
     if dist.family == "finite":
-        return draw_cdf_int(*dist.integer_cdf, stream)
+        return draw_weights_int(*dist.integer_cdf, stream)
     return draw_geometric(dist.param.numerator, dist.param.denominator, stream)
 
 
@@ -771,9 +770,6 @@ class QFamily:
     q1_empty: Fraction
     _cond_cum: dict[int, tuple] = field(default_factory=dict, repr=False)
 
-    def sizes(self) -> list[int]:
-        return [1] + sorted(self.splits)
-
     def whole_mass(self, n: int):
         """Mass on the undivided partition (n,), which feeds the stalk law."""
         return self.splits[n].get((n,), Fraction(0))
@@ -803,31 +799,31 @@ class QFamily:
                     raise ValueError(f"partition {lam} uses sizes without a split law")
 
     def _conditioned(self, n: int) -> tuple:
-        """(partitions, CDF, CDF denominator, mass off the whole block) at size n.
+        """(partitions, CDF, mass off the whole block) at size n.
 
         The atoms' cumulative weights and the mass off (n,) are put over one
-        lcm denominator, so the CDF is integers over that mass.
+        lcm denominator, so the CDF is integers ending at that mass.
         """
         entry = self._cond_cum.get(n)
         if entry is None:
             atoms = sorted((lam, w) for lam, w in self.splits[n].items() if lam != (n,) and w > 0)
             rest = 1 - self.whole_mass(n)
             nums, _den = common_denominator([*(w for _, w in atoms), rest])
-            entry = ([lam for lam, _ in atoms], list(itertools.accumulate(nums[:-1])), nums[-1], rest)
+            entry = ([lam for lam, _ in atoms], list(itertools.accumulate(nums[:-1])), rest)
             self._cond_cum[n] = entry
         return entry
 
     def split_mass(self, n: int):
         """Mass off the undivided partition (n,): the success probability of
         the stalk above a branch vertex of size n."""
-        return self._conditioned(n)[3]
+        return self._conditioned(n)[2]
 
     def draw_conditioned(self, n: int, stream: RandomStream) -> Partition:
         """Draw a partition at size n conditioned away from the whole block (n,)."""
-        lams, cum, den, _rest = self._conditioned(n)
+        lams, cum, _rest = self._conditioned(n)
         if not lams:
             raise ValueError(f"no admissible split at size {n}")
-        return lams[draw_cdf_int(cum, den, stream)]
+        return lams[draw_weights_int(cum, cum[-1], stream)]
 
 
 def split_measure(tables: SamplerTables, m: int) -> dict[Partition, Fraction]:
@@ -944,10 +940,9 @@ def split_measure(tables: SamplerTables, m: int) -> dict[Partition, Fraction]:
     return atoms
 
 
-def family_from_tables(tables: SamplerTables, max_size: int | None = None) -> QFamily:
+def family_from_tables(tables: SamplerTables) -> QFamily:
     """The Markov branching family matched to the conditioned tree's law."""
-    top = tables.n if max_size is None else max_size
-    splits = {m: split_measure(tables, m) for m in range(2, top + 1) if tables.admissible(m)}
+    splits = {m: split_measure(tables, m) for m in range(2, tables.n + 1) if tables.admissible(m)}
     q1 = split_measure(tables, 1).get((), Fraction(0)) if tables.admissible(1) else Fraction(1)
     fam = QFamily(tables.marks, splits, q1)
     fam.validate()

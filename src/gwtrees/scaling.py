@@ -160,18 +160,15 @@ def ks_two_sample(xs, ys) -> float:
     return float(np.max(np.abs(fx - fy)))
 
 
-def ks_threshold(m: int, n: int | None = None, alpha: float = 0.05) -> float:
-    """Asymptotic KS critical value; 1.358 corresponds to alpha = 0.05.
+def ks_threshold(m: int, n: int | None = None) -> float:
+    """Asymptotic KS critical value at the 5% level (coefficient 1.358).
 
     Two-sample for sample sizes m and n; one-sample (against an exact law)
     when n is None.
     """
-    coeff = {0.05: 1.358, 0.01: 1.628}.get(alpha)
-    if coeff is None:
-        raise ValueError("only alpha in {0.05, 0.01} supported")
     if n is None:
-        return coeff / math.sqrt(m)
-    return coeff * math.sqrt((m + n) / (m * n))
+        return 1.358 / math.sqrt(m)
+    return 1.358 * math.sqrt((m + n) / (m * n))
 
 
 def sup_distance(xa, pa, xb, pb) -> float:
@@ -247,8 +244,8 @@ def depth_law(dist: OffspringDist, marks: DegreeSet, n: int) -> np.ndarray:
     return law / law.sum()
 
 
-def chi_square_test(observed: dict, expected_probs: dict, total: int, min_expected: float = 5.0):
-    """Goodness-of-fit statistic and p-value, merging thin cells.
+def chi_square_test(observed: dict, expected_probs: dict, total: int):
+    """Goodness-of-fit statistic and p-value, merging cells expected below 5.
 
     `expected_probs` may sum to less than one; the remainder becomes an
     "other" cell collecting observations outside the listed keys.
@@ -270,7 +267,7 @@ def chi_square_test(observed: dict, expected_probs: dict, total: int, min_expect
     for o, e in zip(obs, exp):
         carry_o += o
         carry_e += e
-        if carry_e >= min_expected:
+        if carry_e >= 5.0:
             m_obs.append(carry_o)
             m_exp.append(carry_e)
             carry_o = carry_e = 0.0
@@ -318,11 +315,12 @@ class DepthArm:
         """The integer depths behind the samples (each is depth / sqrt(n))."""
         return np.rint(np.asarray(self.samples) * math.sqrt(self.n)).astype(np.int64)
 
-    def ecdf_grid(self, points: int = 257) -> list[list[float]]:
+    def ecdf_grid(self) -> list[list[float]]:
+        """The empirical CDF, thinned to at most 257 evenly spaced points."""
         xs, fs = ecdf(self.samples)
-        if len(xs) <= points:
+        if len(xs) <= 257:
             return [[float(x), float(v)] for x, v in zip(xs, fs)]
-        idx = np.linspace(0, len(xs) - 1, points).astype(int)
+        idx = np.linspace(0, len(xs) - 1, 257).astype(int)
         return [[float(xs[i]), float(fs[i])] for i in idx]
 
 

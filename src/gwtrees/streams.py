@@ -6,8 +6,10 @@ with a label, so parallel arms can own independent deterministic streams.
 
 Exact draws refine a dyadic interval until it separates the rational
 cumulative weights, so a draw from an exact pmf has exactly the stated law.
-The cumulative weights are integer numerators over one integer denominator,
-so every decision is an integer comparison; draw_cdf and draw_weights take
+Every one of them goes through draw_weights_int, on one bit schedule (64
+bits, then 16 more at a time), with integer cumulative weights over their
+integer total, so every decision is an integer comparison; draw_geometric
+is its closed form on the geometric pmf, and draw_cdf and draw_weights take
 Fraction input and put it over a common denominator first.
 
 Float-mode conditioned trees (samplers.sample_conditioned) seed one numpy
@@ -58,27 +60,6 @@ class RandomStream:
             v = self._rng.getrandbits(bits) if bits else 0
             if v < n:
                 return v
-
-
-def draw_cdf_int(cum: Sequence[int], den: int, stream: RandomStream) -> int:
-    """Index i with cum[i-1] <= U*den < cum[i] for a uniform U, decided exactly.
-
-    `cum` holds non-decreasing integer numerators over the denominator `den`.
-    U is refined sixteen bits at a time until the dyadic interval
-    [num/2^b, (num+1)/2^b) pins the index: cum[i]/den <= num/2^b holds exactly
-    when cum[i] <= floor(num*den / 2^b), and cum[i]/den < (num+1)/2^b exactly
-    when cum[i] < ceil((num+1)*den / 2^b).
-    """
-    num = 0
-    bits = 0
-    while True:
-        num = (num << 16) | stream.getrandbits(16)
-        bits += 16
-        # smallest index reachable at the interval's low end vs its high end
-        i_lo = bisect_right(cum, (num * den) >> bits)
-        i_hi = bisect_left(cum, -((-(num + 1) * den) >> bits))
-        if i_lo >= i_hi or bits >= 1024:
-            return min(i_lo, len(cum) - 1)
 
 
 def draw_weights_int(
@@ -152,13 +133,13 @@ def common_denominator(values: Iterable) -> tuple[list[int], int]:
 
 
 def draw_cdf(cum: Sequence, stream: RandomStream) -> int:
-    """Index i with cum[i-1] <= U < cum[i] for a uniform U, decided exactly.
+    """Index i with cum[i-1] <= U*cum[-1] < cum[i] for a uniform U, decided exactly.
 
     Works for Fraction, int or float cumulative lists; the values are put
-    over their common denominator and drawn by draw_cdf_int.
+    over their common denominator and drawn by draw_weights_int.
     """
-    nums, den = common_denominator(cum)
-    return draw_cdf_int(nums, den, stream)
+    nums, _den = common_denominator(cum)
+    return draw_weights_int(nums, nums[-1], stream)
 
 
 def draw_weights(weights: Iterable, total, stream: RandomStream) -> int:

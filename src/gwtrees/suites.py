@@ -43,7 +43,7 @@ from .scaling import (
     top_share_mean,
 )
 from .streams import RandomStream
-from .transforms import collapse, first_hit_rule, lifeline_tree
+from .transforms import collapse, lifeline_tree
 from .trees import canonical_key, decode, encode, iter_trees
 
 BINARY = "binary"
@@ -185,15 +185,21 @@ def run_checkmap(max_vertices: int = 9) -> SuiteResult:
     t0 = time.time()
     dist = binary_dist()
     zeta = geometric_dist()  # collapsed law of binary at the leaf set
+    leaves = DegreeSet.of(0)
+    # pushforward laws of both routes, on ordered trees and on unordered shapes
     push: dict = {}
     push_queue: dict = {}
-    rule = first_hit_rule(DegreeSet.of(0))
+    by_key_life: dict = {}
+    by_key_queue: dict = {}
     for t in iter_trees(max_vertices, degree_ok=lambda d: d in (0, 2)):
         mass = _gw_weight(dist, t)
         s1 = lifeline_tree(t)
+        s2 = decode(collapse(encode(t), leaves))
         push[s1] = push.get(s1, Fraction(0)) + mass
-        s2 = decode(collapse(encode(t), rule))
         push_queue[s2] = push_queue.get(s2, Fraction(0)) + mass
+        k1, k2 = canonical_key(s1), canonical_key(s2)
+        by_key_life[k1] = by_key_life.get(k1, Fraction(0)) + mass
+        by_key_queue[k2] = by_key_queue.get(k2, Fraction(0)) + mass
     target_max = (max_vertices + 1) // 2
     ok_life = ok_queue = True
     count = 0
@@ -205,14 +211,6 @@ def run_checkmap(max_vertices: int = 9) -> SuiteResult:
     res.add("lifeline-pushforward-exact", ok_life, targets=count, source_cap=max_vertices)
     res.add("queue-collapse-pushforward-exact", ok_queue, targets=count)
     # the two transform routes agree in law on unordered shapes
-    by_key_life: dict = {}
-    by_key_queue: dict = {}
-    for t in iter_trees(max_vertices, degree_ok=lambda d: d in (0, 2)):
-        mass = _gw_weight(dist, t)
-        k1 = canonical_key(lifeline_tree(t))
-        k2 = canonical_key(decode(collapse(encode(t), rule)))
-        by_key_life[k1] = by_key_life.get(k1, Fraction(0)) + mass
-        by_key_queue[k2] = by_key_queue.get(k2, Fraction(0)) + mass
     res.add("lifeline-vs-collapse-same-shape-law", by_key_life == by_key_queue)
     res.elapsed = time.time() - t0
     return res
@@ -243,10 +241,7 @@ def run_hat_law(seed: int, samples: int = 100_000) -> SuiteResult:
         res.add(f"chi-square[{label}]", pval > 0.001, stat=stat, df=df, p=pval)
         mean_hat, var_hat = collapsed_moments(dist, marks)
         assert var_hat == want_var
-        m = sum(draws) / samples
-        s2 = sum((v - m) ** 2 for v in draws) / (samples - 1)
-        m4 = sum((v - m) ** 4 for v in draws) / samples
-        se_var = math.sqrt(max(m4 - s2 * s2, 0.0) / samples)
+        m, s2, se_var = wald_moments(draws, float(var_hat))
         res.add(
             f"wald-variance[{label}]",
             abs(s2 - float(var_hat)) <= 3 * se_var,
@@ -257,6 +252,22 @@ def run_hat_law(seed: int, samples: int = 100_000) -> SuiteResult:
         res.add(f"wald-mean[{label}]", abs(m - 1.0) <= 3 * math.sqrt(s2 / samples), empirical=m)
     res.elapsed = time.time() - t0
     return res
+
+
+def wald_moments(draws: list[int], var: float) -> tuple[float, float, float]:
+    """Sample mean, sample variance s2, and the standard error of s2 when
+    the law's variance is `var`.
+
+    The error is the finite-sample one, Var(s2) = (m4 - var^2 (n-3)/(n-1)) / n
+    with m4 the sample fourth central moment.  The plug-in m4 - s2^2 is 0
+    for a symmetric two-point law, whose s2 would then have to equal var
+    exactly.
+    """
+    n = len(draws)
+    mean = sum(draws) / n
+    s2 = sum((v - mean) ** 2 for v in draws) / (n - 1)
+    m4 = sum((v - mean) ** 4 for v in draws) / n
+    return mean, s2, math.sqrt(max(m4 - var * var * (n - 3) / (n - 1), 0.0) / n)
 
 
 def _shape_law_from_enumeration(dist, marks, n, cap):
@@ -370,9 +381,9 @@ def run_follower(max_n: int = 12) -> SuiteResult:
     return res
 
 
-def snap_admissible(dist: OffspringDist, marks: DegreeSet, n: int, max_n: int | None = None) -> int:
-    """Smallest admissible size >= n, up to max_n (default n + 8), from the exact support."""
-    support = marked_count_support(dist, marks, max_n or n + 8)
+def snap_admissible(dist: OffspringDist, marks: DegreeSet, n: int) -> int:
+    """Smallest admissible size >= n, up to n + 8, from the exact support."""
+    support = marked_count_support(dist, marks, n + 8)
     for m in range(n, len(support)):
         if support[m]:
             return m

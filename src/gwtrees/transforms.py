@@ -1,9 +1,9 @@
 """Excursion block transforms and the life-line tree.
 
-The block collapse compresses a depth-first queue along successive stopping
-times: each block runs until its stopping rule fires (or the block's own
-partial sums hit -1, whichever is first) and is replaced by its sum.  The
-resulting sequence is again a valid queue.
+The block collapse cuts a depth-first queue at each first hit of the marked
+set: each block runs up to its first increment whose degree (increment + 1)
+is marked, and is replaced by its sum.  The result is again a valid queue,
+with one entry per marked vertex.
 
 The life-line construction produces, for each tree, a tree on its leaves:
 leaf k colours the not-yet-coloured edges on its path to the root, and leaf j
@@ -12,60 +12,30 @@ attaches below the smallest colour sharing a vertex with colour j.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Sequence
 
 from .degree_sets import DegreeSet, require_zero
-from .trees import OrderedTree, is_excursion, single_vertex
-
-# A stopping rule sees the block read so far and says whether to stop there.
-# Decisions depend on the prefix only, which makes adaptedness structural.
-StoppingRule = Callable[[Sequence[int]], bool]
+from .trees import OrderedTree, decode, single_vertex
 
 
-def first_hit_rule(marks: DegreeSet) -> StoppingRule:
-    """Stop the first time an increment plus one lands in the marked set.
+def collapse(seq: Sequence[int], marks: DegreeSet) -> tuple[int, ...]:
+    """Block sums of a queue cut after each increment whose degree is marked.
 
-    With degree 0 marked this always fires no later than the block's own
-    first passage, since a -1 increment is a hit.
+    Degree 0 is marked, so an unmarked increment is >= 0 and no block's
+    partial sum reaches -1 before its marked end; the queue's last entry, -1,
+    ends the last block.  Input and output are both checked by decode.
     """
     require_zero(marks)
-
-    def rule(prefix: Sequence[int]) -> bool:
-        return prefix[-1] + 1 in marks
-
-    return rule
-
-
-def collapse_blocks(seq: Iterable[int], rule: StoppingRule) -> Iterator[int]:
-    """Yield block sums; consumes the input lazily, one increment at a time."""
-    block: list[int] = []
+    decode(seq)
+    out: list[int] = []
     total = 0
     for x in seq:
-        block.append(x)
         total += x
-        if rule(tuple(block)) or total == -1:
-            yield total
-            block = []
+        if x + 1 in marks:
+            out.append(total)
             total = 0
-    if block:
-        raise ValueError("input ended inside an unfinished block")
-
-
-def collapse(seq: Sequence[int], rule: StoppingRule) -> tuple[int, ...]:
-    """Block-sum compression of a full queue; the result is again a queue."""
-    if not is_excursion(seq):
-        raise ValueError("collapse requires a valid depth-first queue")
-    out: list[int] = []
-    psum = 0
-    for s in collapse_blocks(seq, rule):
-        out.append(s)
-        psum += s
-        if psum == -1:
-            break
-    result = tuple(out)
-    if not is_excursion(result):
-        raise AssertionError("collapsed sequence left the queue space")
-    return result
+    decode(out)
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -193,28 +193,6 @@ def format_tree(t: OrderedTree) -> str:
 # queue encoding
 
 
-def first_passage(seq: Sequence[int]) -> int | None:
-    """1-based index where partial sums first hit -1, or None if they never do."""
-    s = 0
-    for i, x in enumerate(seq, start=1):
-        s += x
-        if s == -1:
-            return i
-    return None
-
-
-def is_excursion(seq: Sequence[int]) -> bool:
-    """True if the sequence is a valid queue: entries >= -1, sums hit -1 exactly at the end."""
-    s = 0
-    for i, x in enumerate(seq, start=1):
-        if x < -1:
-            return False
-        s += x
-        if s == -1:
-            return i == len(seq)
-    return False
-
-
 def encode(t: OrderedTree) -> tuple[int, ...]:
     """Out-degree minus one along the depth-first walk."""
     return tuple(d - 1 for d in t.degrees)
@@ -234,12 +212,6 @@ def parse_queue(text: str) -> tuple[int, ...]:
 
 def format_queue(seq: Sequence[int]) -> str:
     return ",".join(str(x) for x in seq)
-
-
-def queue_marked_count(seq: Sequence[int], marks: DegreeSet) -> int:
-    """Number of entries (up to the first passage) whose value + 1 is marked."""
-    require_zero(marks)
-    return sum(1 for x in seq if x + 1 in marks)
 
 
 # ---------------------------------------------------------------------------

@@ -308,13 +308,6 @@ def test_root_partition_csv_rows_match_json():
     assert parsed == json.loads(as_json.stdout)
 
 
-def test_runconfig_roundtrip():
-    from gwtrees.cli import RunConfig
-
-    cfg = RunConfig(command="exact", dist={"family": "binary"}, degree_set="0,2", max_n=7, seed=3)
-    assert RunConfig.from_json(cfg.to_json()) == cfg
-
-
 def test_main_entrypoint_inprocess(capsys):
     code = main(["exact", "--dist", '{"family":"binary"}', "--set", "all", "--max-n", "3", "--format", "json", "--seed", "1"])
     assert code == 0

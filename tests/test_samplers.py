@@ -3,7 +3,7 @@ import hashlib
 import itertools
 import math
 import random
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
 
@@ -37,7 +37,6 @@ from gwtrees.streams import (
     RandomStream,
     common_denominator,
     draw_cdf,
-    draw_cdf_int,
     draw_geometric,
     draw_weights,
     draw_weights_int,
@@ -46,6 +45,7 @@ from gwtrees.trees import canonical_key, count_marked, leaf_augment, parse_tree,
 
 A0 = DegreeSet.of(0)
 ALL = DegreeSet.all_degrees()
+MIXED = from_probs([Fraction(7, 12), Fraction(1, 6), Fraction(0), Fraction(1, 4)])
 
 
 def stream(seed=1234):
@@ -469,20 +469,6 @@ def test_exact_draws_match_fractions():
 # exact draws on integers: same decisions on the same random bits
 
 
-def _fraction_draw_cdf(cum, stream):
-    """Reference: draw_cdf as a loop over Fraction comparisons."""
-    num = 0
-    bits = 0
-    while True:
-        num = (num << 16) | stream.getrandbits(16)
-        bits += 16
-        den = 1 << bits
-        i_lo = bisect_right(cum, Fraction(num, den))
-        i_hi = bisect_left(cum, Fraction(num + 1, den))
-        if i_lo >= i_hi or bits >= 1024:
-            return min(i_lo, len(cum) - 1)
-
-
 def _fraction_draw_weights(weights, total, stream):
     """Reference: draw_weights as a lazy loop over Fraction partial sums."""
     num = stream.getrandbits(64)
@@ -526,44 +512,6 @@ def _random_weights(rng, many=(1000, 4000)):
     return ws
 
 
-def _cdf_mismatches(core, cases=60, draws=40) -> int:
-    """Draws of `core` on integer CDFs that differ from the Fraction loop,
-    index for index or in the random bits consumed."""
-    rng = random.Random(71)
-    bad = 0
-    for _ in range(cases):
-        ws = _random_weights(rng)
-        total = sum(ws)
-        cum = list(itertools.accumulate(w / total for w in ws))
-        nums, den = common_denominator(cum)
-        seed = rng.randrange(2**32)
-        a, b = RandomStream(seed), RandomStream(seed)
-        bad += sum(_fraction_draw_cdf(cum, a) != core(nums, den, b) for _ in range(draws))
-        bad += a.getrandbits(64) != b.getrandbits(64)
-    return bad
-
-
-def test_integer_cdf_core_matches_fraction_loop():
-    assert _cdf_mismatches(draw_cdf_int) == 0
-
-
-def test_cdf_check_rejects_floor_upper_threshold():
-    # cum[i]/den < (num+1)/2^b needs cum[i] < ceil((num+1)*den / 2^b); with
-    # the floor the draw stops while the interval still straddles cum[i]
-    def floor_mutant(cum, den, stream):
-        num = 0
-        bits = 0
-        while True:
-            num = (num << 16) | stream.getrandbits(16)
-            bits += 16
-            i_lo = bisect_right(cum, (num * den) >> bits)
-            i_hi = bisect_left(cum, ((num + 1) * den) >> bits)
-            if i_lo >= i_hi or bits >= 1024:
-                return min(i_lo, len(cum) - 1)
-
-    assert _cdf_mismatches(floor_mutant) > 0
-
-
 def test_integer_weight_draws_match_fraction_loop():
     rng = random.Random(73)
     for case in range(60):
@@ -585,8 +533,29 @@ def test_integer_weight_draws_match_fraction_loop():
 
 def test_public_cdf_draw_matches_fraction_loop():
     cum = [Fraction(1, 3), Fraction(1, 2), Fraction(1)]
+    steps = [hi - lo for lo, hi in zip([0, *cum], cum)]
     a, b = stream(79), stream(79)
-    assert [_fraction_draw_cdf(cum, a) for _ in range(2000)] == [draw_cdf(cum, b) for _ in range(2000)]
+    assert [_fraction_draw_weights(steps, 1, a) for _ in range(2000)] == [draw_cdf(cum, b) for _ in range(2000)]
+    assert a.getrandbits(64) == b.getrandbits(64)
+
+
+@pytest.mark.parametrize("dist", [binary_dist(), MIXED], ids=["binary", "mixed"])
+def test_finite_offspring_draws_match_fraction_loop(dist):
+    a, b = stream(89), stream(89)
+    for _ in range(2000):
+        assert draw_offspring(dist, b) == _fraction_draw_weights(dist.probs, 1, a)
+    assert a.getrandbits(64) == b.getrandbits(64)
+
+
+def test_conditioned_split_draws_match_fraction_loop():
+    fam = family_from_tables(SamplerTables(geometric_dist(), A0, 9))
+    a, b = stream(97), stream(97)
+    for n in sorted(fam.splits):
+        atoms = sorted((lam, w) for lam, w in fam.splits[n].items() if lam != (n,) and w > 0)
+        for _ in range(200):
+            i = _fraction_draw_weights([w for _, w in atoms], 1 - fam.whole_mass(n), a)
+            assert fam.draw_conditioned(n, b) == atoms[i][0]
+    assert a.getrandbits(64) == b.getrandbits(64)
 
 
 @pytest.mark.parametrize("p", ["1/2", "1/3", "2/3", "999/1000", "1/10", "1"])
@@ -927,7 +896,6 @@ def test_float_depths_build_only_chain_cdfs():
     assert 0 < stats["chain_entries"] <= (n + 1) * (n + 2) // 2
 
 
-MIXED = from_probs([Fraction(7, 12), Fraction(1, 6), Fraction(0), Fraction(1, 4)])
 DIGEST_ARMS = {
     "binary/0": (binary_dist(), A0),
     "geometric/0": (geometric_dist(), A0),
@@ -939,28 +907,31 @@ DIGEST_ARMS = {
 # changed stream: it is pinned again only with a new draw route, once
 # independent checks of the law hold for it (the depth entries moved to the
 # size chain with the n=5 chi-square, the exact depth-law tests and the
-# rotation oracles in tests/test_depth_oracle.py).
+# rotation oracles in tests/test_depth_oracle.py).  The finite-law offspring
+# and hat entries and every mb entry come from draw_weights_int, the one
+# exact inversion, matched draw for draw against _fraction_draw_weights
+# above; the depth entries follow the mb draws on the same stream.
 PINNED_DIGESTS = {
     "trees.binary/0": "a7cdee6a70c26ec468df8dc72f0cc041da2310ef17df978dfdf9e91bda81b789",
-    "depths.binary/0": "f9eb952ecd819183eaab3e8144a3f379ed0287abc11d19ba6225ebb0ab1d3d14",
-    "hat.binary/0": "aee3a0d2c57d8c41a7915f31702fb26a4886cc311f34424b516f099ef0db18ce",
-    "offspring.binary/0": "1062bbc44417f5c349d6c7686968307afb602296501ecafeb63e39ddf925d6f3",
-    "mb.binary/0": "df25aa0473d1dff1a6dad49728d557ec2322f7e5516f60704f7f91be6bd625aa",
+    "depths.binary/0": "ab72477d28d080fdbdd63f42ccddb6586f0d321b64311880e0ebfa1ac4b50da3",
+    "hat.binary/0": "c92e3d9111fb7de3b1a2e92f1eb37e14a631d64db88a1b69ea2305de6cc3f507",
+    "offspring.binary/0": "38c1d2c2a32bd12db99120d2cca531559c26627a3c4542f834fe6fe95dcfe46c",
+    "mb.binary/0": "edd9c8f362a729f8f96bc352c8fd30c6d780fd39f5d103cb933ac02783cc9002",
     "trees.geometric/0": "58ea315139e6717142bb1c049296daadad05163fd8cd38b35824933badb23d5a",
-    "depths.geometric/0": "9c8efd58ef80150712b6dcaeedcf8941c1df1b57081af200f5f70213c676380e",
+    "depths.geometric/0": "f5890b1465c5bc1509a5676663fa959d11ce84ec31ed502ce35aee6d99c5453e",
     "hat.geometric/0": "9b7c8a68fb5db1f8030ac76c7b20d04246e2fc762a898da1cc9e127e5aafb318",
     "offspring.geometric/0": "f6e27d2103de127898e1899aafca5c56c546122e21d7cce8eb222d4f42dacb09",
-    "mb.geometric/0": "024687c96f7d97c9f5559cad4882b80c931026bc61785df496c33f3901483845",
+    "mb.geometric/0": "ae0187a588bb3f2e96534fbec0cef2d216b5ba853a5bdcfd652746baa4163006",
     "trees.geometric/0,2": "26f9229b1fdf31340380d07dbab71fef4c36711591aef9dbb288d061c8a981cb",
-    "depths.geometric/0,2": "021672a45cd803b7b5c870f695d11ce2841579fb944a01623208ff156a1b9171",
+    "depths.geometric/0,2": "97187684479bb3c25990d789a015f2ced68bbcbda1c0749015a2e9eb618dc075",
     "hat.geometric/0,2": "1571f0daf177db28961c4e275d2665ba6104953c20d5b77a29735ff2701f1798",
     "offspring.geometric/0,2": "9f9ad6d5d19ebdda100ad62d2f67c69dc39fa71e110237381ab982de1f41ae99",
-    "mb.geometric/0,2": "a1f4bee44f9cb6c9161c63f9d29fdcd3c853bece4d8246619da39d8fd8c3d296",
+    "mb.geometric/0,2": "850a88468245cf563a29ad50187e2d624d7c3c53ae18bf5b773dc514a3d2f971",
     "trees.mixed/0": "46b9e3f776de730c0c0eaf543e5e979f906fb24f23387f8b4b025cde683e2c64",
-    "depths.mixed/0": "732f7205ed6bce9fd704db9d653352ae52f73740b3de0c05fd088d8e8b8c12e5",
-    "hat.mixed/0": "c626855ce3c5cffdebe666985624007d6fe1d1546b64e4ec8415c7ce25484fb0",
-    "offspring.mixed/0": "4ecff3e4df38723ea9f1c9cc92706c552bc5ed1d667fa1fcc4a2953f0e031d1e",
-    "mb.mixed/0": "56f0967a2c19eb03a81c23cf7c895ba4e997791289c4d684c1b61a7eb14a2065",
+    "depths.mixed/0": "39a8ba180cb918b17efeb8d9d1bbb7fcb04b98ee3035608c6333b34fc93e7854",
+    "hat.mixed/0": "5c576928ba01c00bcb3ab26202866344763e9404d422b23fde52e661d4c19a2b",
+    "offspring.mixed/0": "3c1066b06c018760abc0400953689c8a5e95f7405de54ce018205fb33952923f",
+    "mb.mixed/0": "8ed8ea3d8680ea60e7d0506ecfdb33c08eb88998a70aef96f741259d9ba997da",
     "offspring.geometric-1/3": "f6124ed0ed37003781b4c8c1da9fc2c7bd33449ef19b3c5bf7990989980e5a4b",
 }
 # The hat, offspring and mb digests were pinned with 100 depths drawn between
@@ -992,6 +963,11 @@ def _sha(items) -> str:
     return hashlib.sha256("\n".join(map(str, items)).encode()).hexdigest()
 
 
+def _changed(got: dict, pinned: dict) -> str:
+    """Each changed key with its new digest, one line of the pinned dict each."""
+    return "".join(f'\n    "{k}": "{got[k]}",' for k in sorted(pinned) if got[k] != pinned[k])
+
+
 def test_seeded_exact_output_is_pinned():
     got = {}
     for name, (dist, marks) in DIGEST_ARMS.items():
@@ -1007,8 +983,8 @@ def test_seeded_exact_output_is_pinned():
         got[f"depths.{name}"] = _sha(sample_marked_depth(tab, s) for _ in range(100))
     s = RandomStream(62)
     got["offspring.geometric-1/3"] = _sha(draw_offspring(geometric_dist(Fraction(1, 3)), s) for _ in range(300))
-    changed = sorted(k for k in PINNED_DIGESTS if got[k] != PINNED_DIGESTS[k])
-    assert not changed, f"seeded exact output changed: {changed}"
+    changed = _changed(got, PINNED_DIGESTS)
+    assert not changed, f"seeded exact output changed:{changed}"
 
 
 def test_seeded_float_output_is_pinned():
@@ -1020,5 +996,5 @@ def test_seeded_float_output_is_pinned():
     tab = SamplerTables(*FLOAT_DIGEST_ARMS["geometric/all"], exact=False)
     s = RandomStream(65)
     got["trees.geometric/all"] = _sha(sample_conditioned(tab, s) for _ in range(5))
-    changed = sorted(k for k in FLOAT_PINNED_DIGESTS if got[k] != FLOAT_PINNED_DIGESTS[k])
-    assert not changed, f"seeded float output changed: {changed}"
+    changed = _changed(got, FLOAT_PINNED_DIGESTS)
+    assert not changed, f"seeded float output changed:{changed}"

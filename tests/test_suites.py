@@ -2,13 +2,17 @@ import json
 from fractions import Fraction
 from math import comb
 
+import pytest
+
 from gwtrees.suites import (
     SUITES,
     run_checkmap,
     run_follower,
+    run_hat_law,
     run_otter_dwass,
     run_universality,
     snap_admissible,
+    wald_moments,
 )
 from gwtrees.degree_sets import DegreeSet
 from gwtrees.offspring import binary_dist, geometric_dist
@@ -61,6 +65,23 @@ def test_otter_dwass_mismatch_names_first_size(monkeypatch):
 def test_checkmap_small():
     result = run_checkmap(max_vertices=7)
     assert result.ok()
+
+
+@pytest.mark.parametrize("seed", [2, 3])
+def test_hat_law_passes_where_the_plug_in_error_was_zero(seed):
+    # binary/{0,2} has the two-point hat law on {0, 2}, where m4 - s2^2 is 0
+    result = run_hat_law(seed)
+    assert result.ok(), [c.name for c in result.checks if not c.passed]
+
+
+def test_wald_variance_rejects_a_tilted_two_point_law():
+    # P(2) = 0.51 has variance 0.9996, not the target 1; P(2) = 1/2 has 1
+    n = 100_000
+    _m, s2, se = wald_moments([2] * 51_000 + [0] * 49_000, 1.0)
+    assert abs(s2 - 1.0) > 3 * se
+    _m, s2, se = wald_moments([2] * 50_000 + [0] * 50_000, 1.0)
+    assert abs(s2 - 1.0) <= 3 * se
+    assert abs(se - 2**0.5 / n) < 1e-7
 
 
 def test_follower_small():

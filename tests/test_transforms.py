@@ -4,16 +4,16 @@ import pytest
 
 from gwtrees.degree_sets import DegreeSet
 from gwtrees.offspring import binary_dist, collapsed_offspring, from_probs, geometric_dist
-from gwtrees.transforms import collapse, first_hit_rule, lifeline_coloring, lifeline_tree
+from gwtrees.transforms import collapse, lifeline_coloring, lifeline_tree
 from gwtrees.trees import (
     OrderedTree,
     canonical_key,
+    count_marked,
     decode,
     encode,
     format_tree,
     iter_trees,
     parse_tree,
-    queue_marked_count,
     single_vertex,
 )
 
@@ -29,67 +29,41 @@ def gw_weight(dist, t):
     return mass
 
 
-def test_first_hit_rule():
-    rule = first_hit_rule(A0)
-    assert [rule((1, 0, -1)[:k]) for k in (1, 2, 3)] == [False, False, True]
-    rule_all = first_hit_rule(ALL)
-    assert rule_all((5,)) and rule_all((-1,))
-    rule02 = first_hit_rule(A02)
-    assert [rule02((0, 1)[:k]) for k in (1, 2)] == [False, True]
-    with pytest.raises(ValueError):
-        first_hit_rule(DegreeSet.of(2))
-
-
 def test_collapse_examples():
-    assert collapse((1, -1, -1), first_hit_rule(A0)) == (0, -1)
-    assert collapse((1, -1, -1), first_hit_rule(ALL)) == (1, -1, -1)
-    assert collapse((-1,), first_hit_rule(A0)) == (-1,)
+    assert collapse((1, -1, -1), A0) == (0, -1)
+    assert collapse((1, -1, -1), ALL) == (1, -1, -1)
+    assert collapse((-1,), A0) == (-1,)
+    assert collapse((0, 1, -1, -1), A02) == (1, -1, -1)
+    for bad in [(1, -1, 1), (1, -3, 1), (0, 0), (-1, -1)]:
+        with pytest.raises(ValueError):
+            collapse(bad, A0)
     with pytest.raises(ValueError):
-        collapse((1, -1, 1), first_hit_rule(A0))
-
-
-def test_collapse_adapted_to_prefix():
-    # a rule only ever sees the block prefix; perturbing later entries of the
-    # input cannot change earlier block boundaries
-    seen = []
-
-    def spy(prefix):
-        seen.append(tuple(prefix))
-        return prefix[-1] + 1 == 0
-
-    collapse((1, 0, -1, -1), spy)
-    for prefix in seen:
-        assert all(isinstance(v, int) for v in prefix)
-    assert (1,) in seen and (1, 0) in seen
+        collapse((1, -1, -1), DegreeSet.of(2))  # degree 0 must be marked
 
 
 def test_collapse_marked_count_becomes_length():
     for marks in (A0, A02, ALL):
-        rule = first_hit_rule(marks)
         for t in iter_trees(9):
-            q = encode(t)
-            out = collapse(q, rule)
-            assert len(out) == queue_marked_count(q, marks)
+            assert len(collapse(encode(t), marks)) == count_marked(t, marks)
 
 
 def test_hitting_rule_fires_at_blocks_end():
-    # with degree zero marked the stopping rule always fires no later than the
-    # block's own first passage
+    # with degree zero marked no block's partial sum reaches -1 before the
+    # block's marked end, and each block sums to its collapsed value
     for marks in (A0, A02):
-        rule = first_hit_rule(marks)
         for t in iter_trees(8):
             q = encode(t)
-            i = 0
-            while i < len(q):
-                j = i
-                total = 0
-                while True:
-                    j += 1
-                    total += q[j - 1]
-                    if rule(q[i:j]):
-                        break
-                    assert total != -1, "first passage beat the stopping rule"
-                i = j
+            sums = []
+            total = 0
+            for x in q:
+                total += x
+                if x + 1 in marks:
+                    sums.append(total)
+                    total = 0
+                else:
+                    assert total != -1, "first passage beat the marked end"
+            assert total == 0
+            assert tuple(sums) == collapse(q, marks)
 
 
 def test_lifeline_coloring_examples():
@@ -177,13 +151,12 @@ def test_queue_collapse_pushforward_matches_collapsed_law_mixed():
     # fits within n + (n-1)//2 vertices, so the pushforward is complete
     dist = from_probs([Fraction(3, 5), Fraction(0), Fraction(1, 5), Fraction(1, 5)])
     zeta = collapsed_offspring(dist, A02, 16)
-    rule = first_hit_rule(A02)
     push = {}
     for t in iter_trees(6):
         mass = gw_weight(dist, t)
         if mass == 0:
             continue
-        s = decode(collapse(encode(t), rule))
+        s = decode(collapse(encode(t), A02))
         push[s] = push.get(s, Fraction(0)) + mass
     for s in iter_trees(4):
         expect = Fraction(1)
@@ -194,13 +167,12 @@ def test_queue_collapse_pushforward_matches_collapsed_law_mixed():
 
 def test_lifeline_vs_collapse_same_unordered_law():
     dist = binary_dist()
-    rule = first_hit_rule(A0)
     a: dict = {}
     b: dict = {}
     for t in iter_trees(9, degree_ok=lambda d: d in (0, 2)):
         mass = gw_weight(dist, t)
         a_key = canonical_key(lifeline_tree(t))
-        b_key = canonical_key(decode(collapse(encode(t), rule)))
+        b_key = canonical_key(decode(collapse(encode(t), A0)))
         a[a_key] = a.get(a_key, Fraction(0)) + mass
         b[b_key] = b.get(b_key, Fraction(0)) + mass
     assert a == b

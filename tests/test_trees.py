@@ -13,15 +13,12 @@ from gwtrees.trees import (
     encode,
     format_queue,
     format_tree,
-    is_excursion,
     iter_trees,
     leaf_augment,
     parse_queue,
     parse_tree,
-    queue_marked_count,
     root_partition,
     single_vertex,
-    first_passage,
 )
 
 A0 = DegreeSet.of(0)
@@ -67,18 +64,12 @@ def test_from_degrees_rejects_sequences_that_do_not_close_at_the_end(degrees):
         OrderedTree.from_degrees(degrees)
 
 
-def test_first_passage():
-    assert first_passage((-1,)) == 1
-    assert first_passage((1, -1, -1)) == 3
-    assert first_passage((0, 1, 0)) is None
-
-
 def test_bijection_exhaustive():
     seen = set()
     for t in iter_trees(10):
         q = encode(t)
-        assert is_excursion(q)
-        assert first_passage(q) == t.n
+        assert len(q) == t.n and min(q) >= -1
+        assert [sum(q[:i]) for i in range(1, t.n + 1)].index(-1) == t.n - 1
         assert decode(q) == t
         seen.add(q)
     # decode is injective back onto the same set of queues
@@ -93,10 +84,11 @@ def test_count_marked_examples():
         count_marked(CHERRY, DegreeSet.of(1))  # degree 0 must be marked
 
 
-def test_queue_marked_count_matches_tree_count():
+def test_marked_queue_entries_match_tree_count():
     for marks in (A0, A01, DegreeSet.of(0, 2), ALL):
         for t in iter_trees(10):
-            assert queue_marked_count(encode(t), marks) == count_marked(t, marks)
+            q = encode(t)
+            assert count_marked(decode(q), marks) == sum(1 for x in q if x + 1 in marks)
 
 
 def test_root_partition_examples():
