@@ -225,17 +225,27 @@ FLOAT_TABLE_ATOL = 1e-15
 
 
 def marked_count_pmf_float(dist: OffspringDist, marks: DegreeSet, max_n: int) -> np.ndarray:
-    """Float marked-count law via FFT powering; entry n is (1/n)[z^{n-1}] zeta(z)^n."""
+    """Float marked-count law via FFT powering; entry n is (1/n)[z^{n-1}] zeta(z)^n.
+
+    The collapsed coefficients zeta are real, so their spectrum is
+    conjugate symmetric, and the powering runs on the m/2 + 1 bins of its
+    real FFT: half the work of the full spectrum.
+    """
     require_zero(marks)
     m = 1 << max(8, (2 * max_n + 2).bit_length())
     coeffs = collapsed_coeffs_float(dist, marks, m - 1)
-    f = np.fft.fft(coeffs, m)
-    twiddle = np.exp(2j * np.pi * np.arange(m) / m)
+    f = np.fft.rfft(coeffs, m)
+    bins = np.arange(m // 2 + 1)
+    twiddle = np.exp(2j * np.pi * bins / m)
+    # the mean over all m bins, as h[m - k] = conj(h[k]): bins 0 and m/2
+    # once, the others twice
+    weight = np.full(bins.size, 2.0 / m)
+    weight[0] = weight[-1] = 1.0 / m
     g = f * twiddle
     out = np.zeros(max_n + 1)
     h = f.copy()  # h = f * g^(n-1) after the n-th update
     for n in range(1, max_n + 1):
-        out[n] = h.mean().real / n
+        out[n] = np.dot(weight, h.real) / n
         h *= g
     np.clip(out, 0.0, None, out=out)
     return out

@@ -1,6 +1,5 @@
 import math
 from collections import Counter
-from fractions import Fraction
 
 from gwtrees.partitions import (
     block_count,

@@ -845,8 +845,8 @@ def test_depth_draws_build_no_block_state():
 
 
 def test_float_table_below_its_absolute_error_is_a_value_error():
-    # geometric(2/3)/all masses near n=282 are about 1e-17, inside the FFT's
-    # noise, and some come back as zero at admissible sizes
+    # geometric(2/3)/all masses near n=281 are about 4e-19, inside the FFT's
+    # noise, and from n=281 on they come back as zero at admissible sizes
     with pytest.raises(ValueError, match="cannot resolve"):
         SamplerTables(geometric_dist(Fraction(2, 3)), ALL, 300, exact=False)
 
@@ -894,6 +894,77 @@ def test_float_depths_build_only_chain_cdfs():
     assert stats["split_cdfs"] == stats["degree_cdfs"] == 0
     assert stats["powers"] == 2
     assert 0 < stats["chain_entries"] <= (n + 1) * (n + 2) // 2
+
+
+# the three criterion-7 arms at a small size (binary/all needs an odd one)
+CHAIN_ARMS = {
+    "binary/0": (binary_dist(), A0, 200),
+    "binary/all": (binary_dist(), ALL, 201),
+    "geometric/all": (geometric_dist(), ALL, 200),
+}
+
+
+def _chain_weights(series, s):
+    w, g, stop = series
+    return np.concatenate([[stop[s]], g[s - 1 :: -1] * w[1 : s + 1]])
+
+
+@pytest.mark.parametrize("name", CHAIN_ARMS)
+def test_float_chain_cdfs_are_unit_cdfs_of_the_series(name):
+    # each cached float chain CDF is divided by its sum: it rises, ends at
+    # exactly 1.0 on a positive weight, and its increments times W(s) are
+    # Phi_A[s] and G[s - s'] W(s') within the chain's sum check
+    tab = SamplerTables(*CHAIN_ARMS[name], exact=False)
+    s = stream(211)
+    for _ in range(300):
+        sample_marked_depth(tab, s)
+    series = marked_vertex_series(tab)
+    w = series[0]
+    assert len(tab._chain_cum) > 10
+    for size, cdf in tab._chain_cum.items():
+        cum = np.array(cdf)
+        steps = np.diff(cum, prepend=0.0)
+        weights = _chain_weights(series, size)
+        assert (steps >= 0).all() and steps[-1] > 0 and cum[-1] == 1.0
+        assert not weights[len(cum) :].any()
+        tol = FLOAT_TABLE_RTOL * w[size] + FLOAT_TABLE_ATOL
+        assert np.abs(steps * w[size] - weights[: len(cum)]).max() <= tol, size
+
+
+class _EdgeStream:
+    """A stream whose first uniform is the largest double below 1.0 and
+    whose every later uniform is 0.0."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def random(self):
+        self.calls += 1
+        return math.nextafter(1.0, 0.0) if self.calls == 1 else 0.0
+
+
+@pytest.mark.parametrize("name", CHAIN_ARMS)
+def test_float_chain_edge_uniforms_land_on_positive_weights(name):
+    # a uniform just below 1.0 steps to the last positive weight and 0.0 to
+    # the first, never past the CDF's end nor onto a zero weight; a size
+    # whose only weight is the stop returns without a uniform
+    tab = SamplerTables(*CHAIN_ARMS[name], exact=False)
+    series = marked_vertex_series(tab)
+    path = [tab.n]
+    uniforms = 0
+    while True:
+        positive = np.flatnonzero(_chain_weights(series, path[-1]))
+        if positive[-1] == 0:
+            break
+        uniforms += 1
+        step = positive[-1] if uniforms == 1 else positive[0]
+        if not step:
+            break
+        path.append(int(step))
+    edge = _EdgeStream()
+    assert sample_marked_depth(tab, edge) == len(path) - 1
+    assert edge.calls == uniforms
+    assert sorted(tab._chain_cum) == sorted(path)
 
 
 DIGEST_ARMS = {
