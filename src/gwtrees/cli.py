@@ -146,11 +146,14 @@ def cmd_exact(cfg: RunConfig) -> int:
     table = marked_count_pmf(dist, marks, cfg.max_n)
     values = [format_rational(v) for v in table[1:]]
     if cache_file is not None:
-        cache_file.parent.mkdir(parents=True, exist_ok=True)
         payload = {"dist": cfg.dist, "set": marks.spec(), "max_n": cfg.max_n, "values": values}
         tmp = cache_file.with_name(f"{cache_file.name}.{os.getpid()}.tmp")  # written, then renamed: never partial
-        tmp.write_text(json.dumps(payload, sort_keys=True))
-        tmp.replace(cache_file)
+        try:
+            cache_file.parent.mkdir(parents=True, exist_ok=True)
+            tmp.write_text(json.dumps(payload, sort_keys=True))
+            tmp.replace(cache_file)
+        except OSError as exc:
+            raise ConfigError(f"cannot write to --cache-dir: {exc}") from exc
     _emit_exact(cfg, values)
     return 0
 
@@ -256,6 +259,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise ConfigError(f"unknown suite(s): {', '.join(unknown)}; pick from {', '.join(SUITES)} or 'all'")
     if args.max_n is not None and args.max_n < 1:
         raise ConfigError(f"--max-n must be at least 1, got {args.max_n}")
+    for flag, path in (("--report-out", args.report_out), ("--csv-out", args.csv_out)):
+        if path and not Path(path).parent.is_dir():
+            raise ConfigError(f"{flag}: directory {str(Path(path).parent)!r} does not exist")
     needs_seed = {"hat-law", "mb-equivalence", "universality"}
     if needs_seed & set(names) and args.seed is None:
         raise ConfigError("--seed is required for stochastic suites")

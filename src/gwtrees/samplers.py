@@ -16,8 +16,8 @@ values are i.i.d. given their sum and whose interiors are independent given
 their values.  The values are drawn by an exact rejection that proposes the
 counts of all but the two likeliest values and lets the sum fix those two,
 a few proposals per tree whatever n.  The depth of a uniform marked vertex
-needs neither: it is drawn as a Markov chain on the sizes of the subtrees
-along the vertex's path (sample_marked_depth).
+needs neither: it is drawn, on float tables only, as a Markov chain on the
+sizes of the subtrees along the vertex's path (sample_marked_depth).
 """
 
 from __future__ import annotations
@@ -259,15 +259,16 @@ class SamplerTables:
     """Marked-count law and its convolution powers for one (law, set, size).
 
     Exact mode keeps each power as integer numerators over one denominator
-    per row, caches root-degree, split and size-chain CDFs as integer lists
-    and draws them with exact dyadic inversion; float mode keeps each power
-    once, as a numpy vector, and float CDFs as arrays of doubles that end
-    at exactly 1.0, each drawn by one bisect of a uniform.  Float
-    trees need no power and no root-degree or split CDF: they are drawn from
-    the block law and its per-value interior CDFs, built on the first tree
-    draw.  `stats()` reports the sizes of the caches.  The size chain of
-    sample_marked_depth is built on its first call, so tree sampling never
-    pays for it, and depth draws never build the block law.
+    per row, caches root-degree and split CDFs as integer lists and draws
+    them with exact dyadic inversion; float mode keeps each power once, as a
+    numpy vector, and float CDFs as arrays of doubles that end at exactly
+    1.0, each drawn by one bisect of a uniform.  Float trees need no power
+    and no root-degree or split CDF: they are drawn from the block law and
+    its per-value interior CDFs, built on the first tree draw.  Depths are
+    drawn on float tables only: the size chain of sample_marked_depth is
+    built on its first call, so tree sampling never pays for it, and depth
+    draws never build the block law.  `stats()` reports the sizes of the
+    caches.
     """
 
     def __init__(self, dist: OffspringDist, marks: DegreeSet, n: int, exact: bool = True):
@@ -304,7 +305,7 @@ class SamplerTables:
         self._interior_cum: dict[int, array] = {}
         # the size chain of sample_marked_depth, built on its first call
         self._chain: tuple | None = None
-        self._chain_cum: dict[int, list[int] | array] = {}
+        self._chain_cum: dict[int, array] = {}
         self.marked_degree = [k in marks for k in range(n + 2)]
         if exact:
             # row p of _tau: numerators of the p-th convolution power, and
@@ -450,6 +451,8 @@ class SamplerTables:
     def block_law(self) -> _BlockLaw:
         """The block law of float trees, built on the first call and cached.
         Float tables only."""
+        if self.exact:
+            raise ValueError("block draws need float tables")
         if self._blocks is None:
             self._blocks = _block_law(self.dist, self.marks, self.n, self._pmf_f)
         return self._blocks
@@ -519,53 +522,27 @@ class SamplerTables:
         self._interior_cum[r] = cdf
         return cdf
 
-    def _chain_cdf(self, s: int):
+    def _chain_cdf(self, s: int) -> array:
         """CDF of one step of sample_marked_depth's size chain from size s,
-        built on the first visit to s and cached.
+        built on the first visit to s and cached.  Float tables only.
 
         Entry 0 is the stop, with weight Phi_A[s]; entry s' in [1, s] is the
         step into a subtree of size s', with weight G[s - s'] * W(s') (see
-        marked_vertex_series), and the list ends at the last positive
-        weight.  The weights sum to W(s).  Exact CDFs are integers over one
-        denominator and must end exactly at W(s).  Float weights must sum to
-        W(s) within FLOAT_TABLE_RTOL * W(s) + FLOAT_TABLE_ATOL; their CDF is
-        then divided by that sum and ends at exactly 1.0 (_unit_cdf), so one
-        bisect of a uniform draws a step.
+        marked_vertex_series).  The weights must sum to W(s) within
+        FLOAT_TABLE_RTOL * W(s) + FLOAT_TABLE_ATOL; their CDF is then cut at
+        the last positive weight and divided by that sum, so it ends at
+        exactly 1.0 (_unit_cdf) and one bisect of a uniform draws a step.
         """
         if self._chain is None:
-            w, g, stop = marked_vertex_series(self)
-            if self.exact:
-                # stop / den_a, g / den_g and s * count[s] = s * ints[s] / int_den,
-                # all scaled by int_den * den_g * den_a
-                ints, int_den = self._tau[1]
-                a, den_a = common_denominator(stop)
-                g, den_g = common_denominator(g)
-                self._chain = (
-                    [x * den_g * int_den for x in a],
-                    [x * den_a for x in g],
-                    [m * c for m, c in enumerate(ints)],
-                    den_g * den_a,
-                )
-            else:
-                self._chain = (stop, g, w, None)
-        stop, g, w, scale = self._chain
-        if self.exact:
-            weights = [stop[s], *(g[s - m] * w[m] for m in range(1, s + 1))]
-            cum = list(itertools.accumulate(weights))
-            if cum[-1] != w[s] * scale:
-                raise AssertionError(f"chain weights at size {s} do not sum to W({s})")
-            last = len(weights) - 1
-            while last and not weights[last]:
-                last -= 1
-            del cum[last + 1 :]
-        else:
-            weights = np.empty(s + 1)
-            weights[0] = stop[s]
-            weights[1:] = g[s - 1 :: -1] * w[1 : s + 1]
-            tol = FLOAT_TABLE_RTOL * w[s] + FLOAT_TABLE_ATOL
-            cum = _unit_cdf(weights, w[s], tol, f"chain weights at size {s}", f"W({s})")
-        self._chain_cum[s] = cum
-        return cum
+            self._chain = marked_vertex_series(self)
+        w, g, stop = self._chain
+        weights = np.empty(s + 1)
+        weights[0] = stop[s]
+        weights[1:] = g[s - 1 :: -1] * w[1 : s + 1]
+        tol = FLOAT_TABLE_RTOL * w[s] + FLOAT_TABLE_ATOL
+        cdf = _unit_cdf(weights, w[s], tol, f"chain weights at size {s}", f"W({s})")
+        self._chain_cum[s] = cdf
+        return cdf
 
 
 def _unit_cdf(weights: np.ndarray, want: float, tol: float, what: str, name: str) -> array:
@@ -710,33 +687,26 @@ def marked_vertex_series(tables: SamplerTables) -> tuple:
 
 def sample_marked_depth(tables: SamplerTables, stream: RandomStream) -> int:
     """Depth of a uniformly chosen marked vertex of a conditioned tree.
+    Float tables only.
 
     Along the path from the root to a uniform marked vertex, the marked
     counts of the subtrees entered form a Markov chain
     (marked_vertex_series): from size s it stops, the root being the chosen
     vertex, or steps into a child subtree of size s' <= s, where s' = s is
     an unmarked degree-one stalk.  The depth is the number of steps: one
-    draw per level from one cached CDF per size (SamplerTables._chain_cdf),
-    and no root degree or sibling size is drawn.  A float level is one
-    bisect of one uniform on a CDF that ends at 1.0: at n about 2000 a
-    depth takes about 39, 55 and 78 uniforms on geometric/all, binary/all
-    and binary/{0}.  A size whose only weight is the stop returns without
-    a draw.
+    bisect of one uniform per level, on one cached CDF per size that ends
+    at 1.0 (SamplerTables._chain_cdf), and no root degree or sibling size
+    is drawn.  At n about 2000 a depth takes about 39, 55 and 78 uniforms on
+    geometric/all, binary/all and binary/{0}.  A size whose only weight is
+    the stop returns without a draw.
     """
+    if tables.exact:
+        raise ValueError("depth draws need float tables")
     cdfs = tables._chain_cum
     build = tables._chain_cdf
+    rand = stream.random
     depth = 0
     s = tables.n
-    if tables.exact:
-        while True:
-            cum = cdfs.get(s) or build(s)
-            if len(cum) == 1:
-                return depth
-            s = draw_weights_int(cum, cum[-1], stream)
-            if not s:
-                return depth
-            depth += 1
-    rand = stream.random
     while True:
         cum = cdfs.get(s) or build(s)
         if len(cum) == 1:

@@ -54,6 +54,25 @@ def test_exact_cache_roundtrip(tmp_path):
     assert second.stdout == first.stdout
 
 
+@pytest.mark.parametrize("under", [False, True], ids=["is-a-file", "under-a-file"])
+def test_exact_cache_dir_that_cannot_be_written_is_a_json_error(tmp_path, under):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    cache_dir = blocker / "cache" if under else blocker
+    code, out, err = _main(["exact", "--dist", BINARY, "--set", "0", "--max-n", "5", "--cache-dir", str(cache_dir)])
+    _assert_json_error(code, out, err)
+    assert "--cache-dir" in json.loads(err)["message"]
+    assert [p.name for p in tmp_path.iterdir()] == ["file"] and blocker.read_text() == ""
+
+
+@pytest.mark.parametrize("flag", ["--report-out", "--csv-out"])
+def test_verify_output_into_a_missing_directory_fails_before_any_suite(tmp_path, flag):
+    # checked with the other flags, so checkmap neither runs nor prints
+    code, out, err = _main(["verify", "checkmap", flag, str(tmp_path / "missing" / "out")])
+    _assert_json_error(code, out, err)
+    assert flag in json.loads(err)["message"]
+
+
 @pytest.mark.parametrize("corrupt", ['{"values": ', "{}"], ids=["truncated", "no-values"])
 def test_exact_cache_of_another_shape_is_a_miss(tmp_path, corrupt):
     args = ["exact", "--dist", '{"family":"binary"}', "--set", "0", "--max-n", "9", "--format", "json"]

@@ -383,7 +383,8 @@ def _depth_law_p(counts: Counter, m: int) -> float:
 
 
 def test_sample_marked_depth_matches_tree_route():
-    # both routes are tested against the exact law, not against each other
+    # both routes are tested against the exact law, not against each other;
+    # trees are drawn on exact tables, depths on float tables
     law = depth_law(binary_dist(), A0, 5)
     assert np.allclose(law, [float(DEPTH_LAW_BINARY_5.get(k, 0)) for k in range(5)], atol=1e-12)
     s = stream(47)
@@ -396,7 +397,8 @@ def test_sample_marked_depth_matches_tree_route():
         d = depths(t)
         marked = [v for v in range(t.n) if t.degree(v) == 0]
         direct[d[marked[s.randbelow(len(marked))]]] += 1
-    fast = Counter(sample_marked_depth(tab, s) for _ in range(4000))
+    float_tab = SamplerTables(binary_dist(), A0, 5, exact=False)
+    fast = Counter(sample_marked_depth(float_tab, s) for _ in range(4000))
     assert _depth_law_p(direct, 4000) > 0.001
     assert _depth_law_p(fast, 4000) > 0.001
 
@@ -425,7 +427,8 @@ def test_depth_check_rejects_uniform_child_descent():
 def test_depth_check_rejects_chain_without_size_bias():
     # the chain must step into size s' in proportion to G[s - s'] times
     # s' * count[s'], the subtree's trees with a pointed marked vertex;
-    # weighting by count[s'] alone changes the law
+    # weighting by count[s'] alone changes the law; the mutant reads the
+    # exact series, the sampler draws on float tables
     tab = SamplerTables(binary_dist(), A0, 5)
     _w, g, stop = marked_vertex_series(tab)
 
@@ -441,7 +444,8 @@ def test_depth_check_rejects_chain_without_size_bias():
     s = stream(47)
     mutant = Counter(unbiased_chain_depth(s) for _ in range(4000))
     assert _depth_law_p(mutant, 4000) < 1e-6
-    right = Counter(sample_marked_depth(tab, s) for _ in range(4000))
+    float_tab = SamplerTables(binary_dist(), A0, 5, exact=False)
+    right = Counter(sample_marked_depth(float_tab, s) for _ in range(4000))
     assert _depth_law_p(right, 4000) > 0.001
 
 
@@ -866,20 +870,43 @@ def test_stats_follow_the_caches():
     assert stats["chain_cdfs"] == stats["chain_entries"] == stats["interior_cdfs"] == 0
     assert stats["cache_bytes"] > empty["cache_bytes"]
     assert tab.stats() == stats  # reading them changes nothing
-    for _ in range(5):
-        sample_marked_depth(tab, s)
-    stats = tab.stats()
-    assert stats["chain_cdfs"] == len(tab._chain_cum) > 0
-    assert stats["chain_entries"] == sum(map(len, tab._chain_cum.values()))
-    assert stats["cache_bytes"] == 8 * (
-        stats["powers"] * 61 + stats["degree_entries"] + stats["split_entries"] + stats["chain_entries"]
-    )
+    assert stats["cache_bytes"] == 8 * (stats["powers"] * 61 + stats["degree_entries"] + stats["split_entries"])
     float_tab = SamplerTables(geometric_dist(), A0, 60, exact=False)
     for _ in range(5):
         sample_conditioned(float_tab, s)
     stats = float_tab.stats()
     assert stats["interior_cdfs"] == len(float_tab._interior_cum) > 0
+    assert stats["chain_cdfs"] == stats["chain_entries"] == 0
     assert stats["cache_bytes"] == 8 * (stats["powers"] * 61 + stats["interior_entries"])
+    for _ in range(5):
+        sample_marked_depth(float_tab, s)
+    stats = float_tab.stats()
+    assert stats["chain_cdfs"] == len(float_tab._chain_cum) > 0
+    assert stats["chain_entries"] == sum(map(len, float_tab._chain_cum.values()))
+    assert stats["cache_bytes"] == 8 * (stats["powers"] * 61 + stats["interior_entries"] + stats["chain_entries"])
+
+
+@pytest.mark.parametrize(
+    "exact, draw",
+    [
+        (False, lambda tab: tab.draw_root_degree(5, stream())),
+        (False, lambda tab: tab.draw_split_sizes(2, 4, stream())),
+        (False, lambda tab: split_measure(tab, 5)),
+        (True, lambda tab: tab.block_law()),
+        (True, lambda tab: tab.draw_block_values(np.random.default_rng(1))),
+        (True, lambda tab: sample_marked_depth(tab, stream())),
+    ],
+    ids=["draw_root_degree", "draw_split_sizes", "split_measure", "block_law", "draw_block_values", "sample_marked_depth"],
+)
+def test_draws_of_the_other_mode_are_value_errors(exact, draw):
+    # each mode-only entry point fails one way on tables of the other mode,
+    # and before it builds anything
+    tab = SamplerTables(binary_dist(), A0, 5, exact=exact)
+    before = tab.stats()
+    with pytest.raises(ValueError, match="need"):
+        draw(tab)
+    assert tab.stats() == before
+    assert tab._chain is None and tab._blocks is None
 
 
 def test_float_depths_build_only_chain_cdfs():
@@ -976,30 +1003,25 @@ DIGEST_ARMS = {
 # SHA-256 of seeded exact-mode output as drawn by the Fraction loops above;
 # the integer draws must reproduce it byte for byte.  A changed digest is a
 # changed stream: it is pinned again only with a new draw route, once
-# independent checks of the law hold for it (the depth entries moved to the
-# size chain with the n=5 chi-square, the exact depth-law tests and the
-# rotation oracles in tests/test_depth_oracle.py).  The finite-law offspring
-# and hat entries and every mb entry come from draw_weights_int, the one
-# exact inversion, matched draw for draw against _fraction_draw_weights
-# above; the depth entries follow the mb draws on the same stream.
+# independent checks of the law hold for it.  The finite-law offspring and
+# hat entries and every mb entry come from draw_weights_int, the one exact
+# inversion, matched draw for draw against _fraction_draw_weights above.
+# Depths are drawn on float tables only, so their digests are in
+# FLOAT_PINNED_DIGESTS.
 PINNED_DIGESTS = {
     "trees.binary/0": "a7cdee6a70c26ec468df8dc72f0cc041da2310ef17df978dfdf9e91bda81b789",
-    "depths.binary/0": "ab72477d28d080fdbdd63f42ccddb6586f0d321b64311880e0ebfa1ac4b50da3",
     "hat.binary/0": "c92e3d9111fb7de3b1a2e92f1eb37e14a631d64db88a1b69ea2305de6cc3f507",
     "offspring.binary/0": "38c1d2c2a32bd12db99120d2cca531559c26627a3c4542f834fe6fe95dcfe46c",
     "mb.binary/0": "edd9c8f362a729f8f96bc352c8fd30c6d780fd39f5d103cb933ac02783cc9002",
     "trees.geometric/0": "58ea315139e6717142bb1c049296daadad05163fd8cd38b35824933badb23d5a",
-    "depths.geometric/0": "f5890b1465c5bc1509a5676663fa959d11ce84ec31ed502ce35aee6d99c5453e",
     "hat.geometric/0": "9b7c8a68fb5db1f8030ac76c7b20d04246e2fc762a898da1cc9e127e5aafb318",
     "offspring.geometric/0": "f6e27d2103de127898e1899aafca5c56c546122e21d7cce8eb222d4f42dacb09",
     "mb.geometric/0": "ae0187a588bb3f2e96534fbec0cef2d216b5ba853a5bdcfd652746baa4163006",
     "trees.geometric/0,2": "26f9229b1fdf31340380d07dbab71fef4c36711591aef9dbb288d061c8a981cb",
-    "depths.geometric/0,2": "97187684479bb3c25990d789a015f2ced68bbcbda1c0749015a2e9eb618dc075",
     "hat.geometric/0,2": "1571f0daf177db28961c4e275d2665ba6104953c20d5b77a29735ff2701f1798",
     "offspring.geometric/0,2": "9f9ad6d5d19ebdda100ad62d2f67c69dc39fa71e110237381ab982de1f41ae99",
     "mb.geometric/0,2": "850a88468245cf563a29ad50187e2d624d7c3c53ae18bf5b773dc514a3d2f971",
     "trees.mixed/0": "46b9e3f776de730c0c0eaf543e5e979f906fb24f23387f8b4b025cde683e2c64",
-    "depths.mixed/0": "39a8ba180cb918b17efeb8d9d1bbb7fcb04b98ee3035608c6333b34fc93e7854",
     "hat.mixed/0": "5c576928ba01c00bcb3ab26202866344763e9404d422b23fde52e661d4c19a2b",
     "offspring.mixed/0": "3c1066b06c018760abc0400953689c8a5e95f7405de54ce018205fb33952923f",
     "mb.mixed/0": "8ed8ea3d8680ea60e7d0506ecfdb33c08eb88998a70aef96f741259d9ba997da",
@@ -1008,7 +1030,7 @@ PINNED_DIGESTS = {
 # The hat, offspring and mb digests were pinned with 100 depths drawn between
 # the trees and them, by a spine descent that took this many 32-bit words of
 # each arm's stream.  Skipping as many words keeps those draws where they
-# were pinned; the depths, now drawn by the size chain, come last.
+# were pinned.
 DESCENT_WORDS = {"binary/0": 5482, "geometric/0": 5282, "geometric/0,2": 4577, "mixed/0": 5223}
 # the three criterion-7 arms, on float tables
 FLOAT_DIGEST_ARMS = {
@@ -1050,8 +1072,6 @@ def test_seeded_exact_output_is_pinned():
         got[f"offspring.{name}"] = _sha(draw_offspring(dist, s) for _ in range(300))
         fam = family_from_tables(SamplerTables(dist, marks, 9))
         got[f"mb.{name}"] = _sha(sample_markov_branching(fam, 9, s) for _ in range(40))
-        tab = SamplerTables(dist, marks, 61)
-        got[f"depths.{name}"] = _sha(sample_marked_depth(tab, s) for _ in range(100))
     s = RandomStream(62)
     got["offspring.geometric-1/3"] = _sha(draw_offspring(geometric_dist(Fraction(1, 3)), s) for _ in range(300))
     changed = _changed(got, PINNED_DIGESTS)
