@@ -13,7 +13,6 @@ import json
 import math
 import os
 import sys
-import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -41,62 +40,68 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(f"{self.prog}: {message}")
 
 
-@dataclass
-class RunConfig:
-    """Flags shared by the table- and sampling-oriented subcommands."""
+@dataclass(frozen=True)
+class Option:
+    """One option of `exact`, `sample` and `root-partition`, which each take
+    exactly their own: a flag, or the same key in a --config file."""
 
-    command: str
-    dist: dict | None = None
-    degree_set: str = "0"
-    n: int | None = None
-    max_n: int | None = None
-    count: int = 1
-    seed: int | None = None
-    cache_dir: str | None = None
-    out_format: str = "text"
-
-
-# the fields a config file may set and their JSON types; _dist checks dist
-CONFIG_FIELDS = dict(dist=object, degree_set=str, n=int, max_n=int, count=int, seed=int, cache_dir=str, out_format=str)
-
-# the --format choices per command; `sample` prints one format and takes none
-OUT_FORMATS = {"exact": ("text", "json", "csv"), "root-partition": ("text", "json", "csv")}
+    flag: str
+    key: str  # the config-file key and the Namespace attribute
+    json_type: type  # in a config file; object for any JSON value, which _dist checks
+    commands: tuple[str, ...]
+    help: str
+    default: object = None
+    choices: tuple[str, ...] | None = None
 
 
-def _load_config(args: argparse.Namespace) -> RunConfig:
-    """Merge an optional config file with flags; explicit flags win."""
-    base: dict = {}
-    if getattr(args, "config", None):
+TABLE_COMMANDS = ("exact", "sample", "root-partition")
+
+OPTIONS = (
+    Option("--dist", "dist", object, TABLE_COMMANDS, 'offspring law as JSON, e.g. {"family":"binary"}'),
+    Option("--set", "degree_set", str, TABLE_COMMANDS, 'degree set: "0", "0,2", "all", "geq:k", "not:..."', "0"),
+    Option("--max-n", "max_n", int, ("exact",), "largest marked count"),
+    Option("--n", "n", int, ("sample", "root-partition"), "marked count; the largest, for root-partition"),
+    Option("--count", "count", int, ("sample",), "number of trees", 1),
+    Option("--seed", "seed", int, ("sample",), "seed of the random stream"),
+    Option("--cache-dir", "cache_dir", str, ("exact",), "directory that keeps each table as a JSON file"),
+    Option("--format", "out_format", str, ("exact", "root-partition"), "print as", "text", ("text", "json", "csv")),
+)
+
+
+def _json_flag(text: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise argparse.ArgumentTypeError(f"not valid JSON: {exc}") from exc
+
+
+def _load_config(args: argparse.Namespace) -> None:
+    """Fill in each option of the command that no flag set, from the
+    --config file or else from its default: explicit flags win.  The file
+    holds a JSON object whose keys are options of the command."""
+    given: dict = {}
+    if args.config:
         try:
-            base = json.loads(Path(args.config).read_text())
+            given = json.loads(Path(args.config).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config file: {exc}") from exc
-        if not isinstance(base, dict):
-            raise ConfigError(f"config file must hold a JSON object, got {type(base).__name__}")
-    fields = {k: v for k, v in base.items() if k in CONFIG_FIELDS and v is not None}
-    for name, val in fields.items():
-        if not isinstance(val, CONFIG_FIELDS[name]):
-            raise ConfigError(f"config field {name!r} must be of type {CONFIG_FIELDS[name].__name__}, got {val!r}")
-    if "out_format" in fields and fields["out_format"] not in OUT_FORMATS.get(args.command, ()):
-        raise ConfigError(f"config field 'out_format' {fields['out_format']!r} is not a --format choice of {args.command}")
-    cfg = RunConfig(command=args.command, **fields)
-    if getattr(args, "dist", None):
-        try:
-            cfg.dist = json.loads(args.dist)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"--dist is not valid JSON: {exc}") from exc
-    if getattr(args, "degree_set", None):
-        cfg.degree_set = args.degree_set
-    for name in ("n", "max_n", "count", "seed", "cache_dir"):
-        val = getattr(args, name, None)
-        if val is not None:
-            setattr(cfg, name, val)
-    if getattr(args, "out_format", None):
-        cfg.out_format = args.out_format
-    return cfg
+        if not isinstance(given, dict):
+            raise ConfigError(f"config file must hold a JSON object, got {type(given).__name__}")
+    options = {opt.key: opt for opt in OPTIONS if args.command in opt.commands}
+    unknown = sorted(set(given) - set(options))
+    if unknown:
+        raise ConfigError(f"config fields {unknown} are not options of {args.command}: it takes {list(options)}")
+    for key, opt in options.items():
+        val = given.get(key)
+        if val is not None and (isinstance(val, bool) or not isinstance(val, opt.json_type)):
+            raise ConfigError(f"config field {key!r} must be of type {opt.json_type.__name__}, got {val!r}")
+        if val is not None and opt.choices and val not in opt.choices:
+            raise ConfigError(f"config field {key!r} {val!r} is not a {opt.flag} choice of {args.command}")
+        if getattr(args, key) is None:
+            setattr(args, key, opt.default if val is None else val)
 
 
-def _require(cfg: RunConfig, *fields: str) -> None:
+def _require(cfg: argparse.Namespace, *fields: str) -> None:
     """Each field must be set; the sizes and --count must also be at least 1."""
     for f in fields:
         val = getattr(cfg, f)
@@ -106,7 +111,7 @@ def _require(cfg: RunConfig, *fields: str) -> None:
             raise ConfigError(f"--{f.replace('_', '-')} must be at least 1, got {val}")
 
 
-def _dist(cfg: RunConfig) -> OffspringDist:
+def _dist(cfg: argparse.Namespace) -> OffspringDist:
     if cfg.dist is None:
         raise ConfigError("missing required option --dist")
     try:
@@ -127,7 +132,7 @@ def _marks(text: str) -> DegreeSet:
     return marks
 
 
-def cmd_exact(cfg: RunConfig) -> int:
+def cmd_exact(cfg: argparse.Namespace) -> int:
     _require(cfg, "max_n")
     dist = _dist(cfg)
     marks = _marks(cfg.degree_set)
@@ -158,7 +163,7 @@ def cmd_exact(cfg: RunConfig) -> int:
     return 0
 
 
-def _emit_exact(cfg: RunConfig, values: list[str]) -> None:
+def _emit_exact(cfg: argparse.Namespace, values: list[str]) -> None:
     if cfg.out_format == "json":
         print(json.dumps(values))
     elif cfg.out_format == "csv":
@@ -170,7 +175,7 @@ def _emit_exact(cfg: RunConfig, values: list[str]) -> None:
             print(f"P(count = {i}) = {v}")
 
 
-def cmd_sample(cfg: RunConfig) -> int:
+def cmd_sample(cfg: argparse.Namespace) -> int:
     _require(cfg, "seed", "n", "count")
     dist = _dist(cfg)
     marks = _marks(cfg.degree_set)
@@ -194,7 +199,7 @@ def cmd_sample(cfg: RunConfig) -> int:
 
 
 def cmd_transform(args: argparse.Namespace) -> int:
-    marks = _marks(args.degree_set or "0")
+    marks = _marks(args.degree_set)
     lines = [ln.strip() for ln in sys.stdin if ln.strip()]
     for line in lines:
         try:
@@ -208,7 +213,7 @@ def cmd_transform(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_root_partition(cfg: RunConfig) -> int:
+def cmd_root_partition(cfg: argparse.Namespace) -> int:
     _require(cfg, "n")
     dist = _dist(cfg)
     marks = _marks(cfg.degree_set)
@@ -257,6 +262,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
     unknown = [s for s in names if s not in SUITES]
     if unknown:
         raise ConfigError(f"unknown suite(s): {', '.join(unknown)}; pick from {', '.join(SUITES)} or 'all'")
+    for flag, value, reader in (
+        ("--dist", args.dist, "otter-dwass"),
+        ("--sets", args.sets, "otter-dwass"),
+        ("--max-n", args.max_n, "otter-dwass"),
+        ("--report-out", args.report_out, "universality"),
+        ("--csv-out", args.csv_out, "universality"),
+    ):
+        if value is not None and reader not in names:
+            raise ConfigError(f"{flag} is read only by the {reader} suite, which is not selected")
     if args.max_n is not None and args.max_n < 1:
         raise ConfigError(f"--max-n must be at least 1, got {args.max_n}")
     for flag, path in (("--report-out", args.report_out), ("--csv-out", args.csv_out)):
@@ -267,7 +281,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise ConfigError("--seed is required for stochastic suites")
     # the first-passage flags are checked before any suite prints
     otter_dwass: dict = {}
-    if args.dist:
+    if args.dist is not None:
         otter_dwass["dists"] = [_named_family(args.dist)]
     if args.sets:
         for spec in args.sets:
@@ -278,7 +292,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
     all_ok = True
     results = []
     for name in names:
-        t0 = time.time()
         result = SUITES[name](args.seed, **(otter_dwass if name == "otter-dwass" else {}))
         results.append(result)
         all_ok = all_ok and result.ok()
@@ -287,17 +300,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 status = "PASS" if check.passed else "FAIL"
                 detail = json.dumps(check.detail, default=str, sort_keys=True) if check.detail else ""
                 print(f"[{status}] {name}: {check.name} {detail}")
-            print(f"# suite {name}: {'ok' if result.ok() else 'FAILED'} ({time.time() - t0:.1f}s)", file=sys.stderr)
+            print(f"# suite {name}: {'ok' if result.ok() else 'FAILED'} ({result.elapsed:.1f}s)", file=sys.stderr)
     if args.out_format == "json":
         print(json.dumps([r.to_dict() for r in results], sort_keys=True, default=str, indent=2))
-    if args.report_out:
-        for r in results:
-            if r.report is not None:
-                Path(args.report_out).write_text(r.report.to_json())
-    if args.csv_out:
-        for r in results:
-            if r.report is not None:
-                Path(args.csv_out).write_text(r.report.samples_csv())
+    for r in results:
+        if r.report is not None and args.report_out:
+            Path(args.report_out).write_text(r.report.to_json())
+        if r.report is not None and args.csv_out:
+            Path(args.csv_out).write_text(r.report.samples_csv())
     return 0 if all_ok else 1
 
 
@@ -345,43 +355,38 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--dist", help='offspring law as JSON, e.g. {"family":"binary"}')
-        p.add_argument("--set", dest="degree_set", help='degree set: "0", "0,2", "all", "geq:k", "not:..."')
-        p.add_argument("--seed", type=int)
-        p.add_argument("--config", help="JSON config file; explicit flags win")
-
-    p = sub.add_parser("exact", help="exact marked-count tables")
-    common(p)
-    p.add_argument("--format", dest="out_format", choices=OUT_FORMATS["exact"])
-    p.add_argument("--max-n", dest="max_n", type=int)
-    p.add_argument("--cache-dir", dest="cache_dir")
-
-    p = sub.add_parser("sample", help="sample conditioned trees")
-    common(p)
-    p.add_argument("--n", type=int)
-    p.add_argument("--count", type=int)
+    for command, run, text in (
+        ("exact", cmd_exact, "exact marked-count tables"),
+        ("sample", cmd_sample, "sample conditioned trees"),
+        ("root-partition", cmd_root_partition, "exact root-split statistics"),
+    ):
+        p = sub.add_parser(command, help=text)
+        p.set_defaults(run=run)
+        for opt in OPTIONS:
+            if command in opt.commands:
+                kind = _json_flag if opt.json_type is object else opt.json_type
+                text = f"{opt.help} (config key {opt.key})"
+                p.add_argument(opt.flag, dest=opt.key, type=kind, choices=opt.choices, help=text)
+        p.add_argument("--config", help="JSON file: an object of the options above by config key; flags win")
 
     p = sub.add_parser("transform", help="apply a transform to stdin lines")
+    p.set_defaults(run=cmd_transform)
     p.add_argument("kind", choices=("hat", "check"))
-    p.add_argument("--set", dest="degree_set")
-
-    p = sub.add_parser("root-partition", help="exact root-split statistics")
-    common(p)
-    p.add_argument("--format", dest="out_format", choices=OUT_FORMATS["root-partition"])
-    p.add_argument("--n", type=int)
+    p.add_argument("--set", dest="degree_set", default="0")
 
     p = sub.add_parser("verify", help="run named acceptance suites")
+    p.set_defaults(run=cmd_verify)
     p.add_argument("suites", nargs="+", help=f"any of: {', '.join(SUITES)}, or 'all'")
     p.add_argument("--seed", type=int)
-    p.add_argument("--dist", help="restrict the first-passage suite to one named family")
-    p.add_argument("--sets", nargs="+", help="degree-set specs for the first-passage suite")
-    p.add_argument("--max-n", dest="max_n", type=int)
+    p.add_argument("--dist", help="otter-dwass only: restrict it to one named family")
+    p.add_argument("--sets", nargs="+", help="otter-dwass only: its degree-set specs")
+    p.add_argument("--max-n", dest="max_n", type=int, help="otter-dwass only: its largest size")
     p.add_argument("--format", dest="out_format", choices=("text", "json"))
-    p.add_argument("--report-out", dest="report_out")
-    p.add_argument("--csv-out", dest="csv_out", help="raw sample CSV for report-backed suites")
+    p.add_argument("--report-out", dest="report_out", help="universality only: write its report as JSON")
+    p.add_argument("--csv-out", dest="csv_out", help="universality only: write its raw samples as CSV")
 
     p = sub.add_parser("report", help="render a stored experiment report")
+    p.set_defaults(run=cmd_report)
     p.add_argument("path")
     p.add_argument("--csv", action="store_true")
 
@@ -391,19 +396,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        if args.command == "exact":
-            return cmd_exact(_load_config(args))
-        if args.command == "sample":
-            return cmd_sample(_load_config(args))
-        if args.command == "transform":
-            return cmd_transform(args)
-        if args.command == "root-partition":
-            return cmd_root_partition(_load_config(args))
-        if args.command == "verify":
-            return cmd_verify(args)
-        if args.command == "report":
-            return cmd_report(args)
-        raise ConfigError(f"unknown command {args.command!r}")
+        if args.command in TABLE_COMMANDS:
+            _load_config(args)
+        return args.run(args)
     except ConfigError as exc:
         print(json.dumps({"error": "config", "message": str(exc)}), file=sys.stderr)
         return 2

@@ -35,9 +35,8 @@ MAX_ENUM_VERTICES = 16
 
 @dataclass(frozen=True)
 class WalkPmf:
-    """P(S_k = m) over a window of values, for steps distributed like the law minus 1."""
+    """P(S_k = m) over a window of values, for k steps distributed like the law minus 1."""
 
-    steps: int
     lo: int
     hi: int
     probs: dict[int, Fraction]
@@ -102,7 +101,7 @@ def walk_pmf(dist: OffspringDist, k: int, lo: int, hi: int) -> WalkPmf:
     for cur, scale, base in _walk(dist, k, top):
         pass
     probs = {m: Fraction(cur[m + k], scale * base ** (m + k)) for m in range(max(lo, -k), hi + 1) if cur[m + k]}
-    return WalkPmf(k, lo, hi, probs)
+    return WalkPmf(lo, hi, probs)
 
 
 def progeny_pmf(dist: OffspringDist, max_n: int) -> list[Fraction]:

@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import subprocess
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gwtrees.cli import main
+from gwtrees.cli import OPTIONS, build_parser, main
 from gwtrees.degree_sets import DegreeSet
 from gwtrees.trees import count_marked, parse_tree
 
@@ -23,7 +24,7 @@ def run_cli(args, stdin=""):
 
 def test_exact_binary_leaves_json():
     proc = run_cli(
-        ["exact", "--dist", '{"family":"binary"}', "--set", "0", "--max-n", "30", "--format", "json", "--seed", "1"]
+        ["exact", "--dist", '{"family":"binary"}', "--set", "0", "--max-n", "30", "--format", "json"]
     )
     assert proc.returncode == 0
     values = json.loads(proc.stdout)
@@ -42,8 +43,6 @@ def test_exact_cache_roundtrip(tmp_path):
         "12",
         "--format",
         "json",
-        "--seed",
-        "1",
         "--cache-dir",
         str(tmp_path),
     ]
@@ -67,8 +66,9 @@ def test_exact_cache_dir_that_cannot_be_written_is_a_json_error(tmp_path, under)
 
 @pytest.mark.parametrize("flag", ["--report-out", "--csv-out"])
 def test_verify_output_into_a_missing_directory_fails_before_any_suite(tmp_path, flag):
-    # checked with the other flags, so checkmap neither runs nor prints
-    code, out, err = _main(["verify", "checkmap", flag, str(tmp_path / "missing" / "out")])
+    # checked with the other flags, before the missing --seed and before
+    # universality runs or prints
+    code, out, err = _main(["verify", "universality", flag, str(tmp_path / "missing" / "out")])
     _assert_json_error(code, out, err)
     assert flag in json.loads(err)["message"]
 
@@ -166,7 +166,7 @@ def test_sample_subcritical_float_sizes():
 
 
 def test_bad_distribution_spec():
-    proc = run_cli(["exact", "--dist", '{"family":"cauchy"}', "--set", "0", "--max-n", "4", "--seed", "1"])
+    proc = run_cli(["exact", "--dist", '{"family":"cauchy"}', "--set", "0", "--max-n", "4"])
     assert proc.returncode == 2
 
 
@@ -297,7 +297,7 @@ def test_verify_first_passage_with_flags():
 
 def test_config_file_merges_and_flags_win(tmp_path):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"dist": {"family": "binary"}, "degree_set": "0", "max_n": 3, "seed": 1}))
+    cfg.write_text(json.dumps({"dist": {"family": "binary"}, "degree_set": "0", "max_n": 3}))
     proc = run_cli(["exact", "--config", str(cfg), "--format", "json"])
     assert proc.returncode == 0
     assert json.loads(proc.stdout) == ["1/2", "1/8", "1/16"]
@@ -307,7 +307,7 @@ def test_config_file_merges_and_flags_win(tmp_path):
 
 def test_root_partition_subcommand():
     proc = run_cli(
-        ["root-partition", "--dist", '{"family":"binary"}', "--set", "0", "--n", "6", "--format", "json", "--seed", "1"]
+        ["root-partition", "--dist", '{"family":"binary"}', "--set", "0", "--n", "6", "--format", "json"]
     )
     assert proc.returncode == 0
     rows = json.loads(proc.stdout)
@@ -328,7 +328,7 @@ def test_root_partition_csv_rows_match_json():
 
 
 def test_main_entrypoint_inprocess(capsys):
-    code = main(["exact", "--dist", '{"family":"binary"}', "--set", "all", "--max-n", "3", "--format", "json", "--seed", "1"])
+    code = main(["exact", "--dist", '{"family":"binary"}', "--set", "all", "--max-n", "3", "--format", "json"])
     assert code == 0
     out = capsys.readouterr().out
     assert json.loads(out) == ["1/2", "0", "1/8"]
@@ -438,6 +438,65 @@ def test_non_integer_option_is_a_json_error(argv):
 
 def test_unknown_option_is_a_json_error():
     _assert_json_error(*_main(["exact", "--dist", BINARY, "--max-n", "3", "--frobnicate"]))
+
+
+# each table command's flags, as its parser must take them
+TABLE_FLAGS = {
+    "exact": {"--dist", "--set", "--max-n", "--cache-dir", "--format"},
+    "sample": {"--dist", "--set", "--n", "--count", "--seed"},
+    "root-partition": {"--dist", "--set", "--n", "--format"},
+}
+TABLE_ARGV = {
+    "exact": ["exact", "--dist", BINARY, "--max-n", "3"],
+    "sample": ["sample", "--dist", BINARY, "--n", "3", "--seed", "1"],
+    "root-partition": ["root-partition", "--dist", BINARY, "--n", "3"],
+}
+
+
+@pytest.mark.parametrize("command", list(TABLE_FLAGS))
+def test_table_command_takes_exactly_its_options(tmp_path, command):
+    (parser,) = [a.choices[command] for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    flags = {s for action in parser._actions for s in action.option_strings} - {"-h", "--help"}
+    assert flags == TABLE_FLAGS[command] | {"--config"}
+    assert TABLE_FLAGS[command] == {opt.flag for opt in OPTIONS if command in opt.commands}
+    argv = TABLE_ARGV[command]
+    assert _main(argv)[0] == 0
+    _assert_json_error(*_main([*argv, "--set="]))
+    # a flag or config key of another command, or an unknown key, is refused
+    values = dict(dist={"family": "binary"}, degree_set="0", n=3, max_n=3, count=1, seed=1, out_format="json")
+    values.update(cache_dir=str(tmp_path / "cache"), foo=1)
+    cfg = tmp_path / "cfg.json"
+    for opt in OPTIONS:
+        if command not in opt.commands:
+            _assert_json_error(*_main([*argv, opt.flag, "1"]))
+    for key in sorted(set(values) - {opt.key for opt in OPTIONS if command in opt.commands}):
+        cfg.write_text(json.dumps({key: values[key]}))
+        code, out, err = _main([*argv, "--config", str(cfg)])
+        _assert_json_error(code, out, err)
+        assert key in json.loads(err)["message"]
+    # an empty set, and a JSON boolean where a number is due (bool is an int)
+    for bad in ({"degree_set": ""}, {"n" if command != "exact" else "max_n": True}):
+        cfg.write_text(json.dumps(bad))
+        _assert_json_error(*_main([*argv, "--config", str(cfg)]))
+    assert not (tmp_path / "cache").exists()
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--max-n", "3"), ("--dist", BINARY), ("--sets", "0,2"), ("--report-out", "r.json"), ("--csv-out", "s.csv")],
+)
+def test_verify_refuses_a_flag_of_a_suite_not_selected(tmp_path, flag, value):
+    # each is read by one suite only, so checkmap would run and ignore it
+    if flag.endswith("-out"):
+        value = str(tmp_path / value)
+    code, out, err = _main(["verify", "checkmap", flag, value])
+    _assert_json_error(code, out, err)
+    assert flag in json.loads(err)["message"]
+    assert not list(tmp_path.iterdir())
+
+
+def test_transform_refuses_an_empty_set():
+    _assert_json_error(*_main(["transform", "hat", "--set="]))
 
 
 def _argv(command, **flags):

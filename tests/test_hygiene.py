@@ -1,5 +1,6 @@
 """Every name a module imports is read somewhere in that module, and every
-function, class and method defined under src/ is read by a module there.
+function, class, method and field defined under src/ is read by a module
+there.
 
 No linter is configured for this repository, so these scans stand in for
 one.  The first parses each module under src/ and tests/ with the
@@ -7,8 +8,8 @@ standard library's ast and lists the names an import binds that no
 expression in the module reads; a name listed in the module's __all__
 counts as read, and `from __future__` imports are skipped.  The second
 lists the module-level functions and classes under src/, and their
-methods, that no module under src/ reads, and checks them against a short
-list of names kept on purpose.
+methods and fields, that no module under src/ reads, and checks them
+against a short list of names kept on purpose.
 """
 
 import ast
@@ -59,7 +60,8 @@ def test_no_unused_imports():
 
 
 # ---------------------------------------------------------------------------
-# module-level functions, classes and methods that no module under src/ reads
+# module-level functions and classes, and their methods and fields, that no
+# module under src/ reads
 
 PACKAGE = ROOT / "src" / "gwtrees"
 
@@ -75,6 +77,8 @@ KEPT_UNREAD = {
     "offspring.from_probs": "public constructor of a finite law",
     "cli._Parser.error": "argparse hook, called by ArgumentParser on a usage error",
     "samplers.SamplerTables.stats": "cache sizes for observability, read by tests (ROADMAP item 7)",
+    "offspring.InvalidDistribution.code": "public error code of an invalid law, which tests read",
+    "samplers._BlockLaw.theta": "the tilt that sets the block proposal's acceptance rate, which a test checks",
     # bound by benchmarks/ until its refresh (ROADMAP item 1); deleted after it
     "samplers.SamplerTables.tau": "bound by the benchmark",
     "exact.leaf_pmf_fixed_point": "bound by the benchmark",
@@ -202,16 +206,39 @@ class _Reads(ast.NodeVisitor):
                 self.attrs.add(node.attr)
         self.visit(node.value)
 
+    def visit_Call(self, node):
+        # getattr with a constant name reads that attribute
+        if getattr(node.func, "id", None) == "getattr" and len(node.args) > 1:
+            name = node.args[1]
+            if isinstance(name, ast.Constant) and isinstance(name.value, str):
+                self.attrs.add(name.value)
+        self.generic_visit(node)
+
     def visit_Assign(self, node):
         # a name listed in __all__ is exported, not read
         if not any(getattr(t, "id", None) == "__all__" for t in node.targets):
             self.generic_visit(node)
 
 
+def _fields(cls: ast.ClassDef) -> set[str]:
+    """The annotated fields of a class and the attributes its __init__ sets
+    on self."""
+    names = {sub.target.id for sub in cls.body if isinstance(sub, ast.AnnAssign) and isinstance(sub.target, ast.Name)}
+    for sub in cls.body:
+        if isinstance(sub, ast.FunctionDef) and sub.name == "__init__" and sub.args.args:
+            this = sub.args.args[0].arg
+            for node in ast.walk(sub):
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                    if getattr(node.value, "id", None) == this:
+                        names.add(node.attr)
+    return names
+
+
 def unread_names(sources: dict[str, str]) -> list[str]:
-    """The module-level functions and classes, and their classes' methods,
-    that no module of `sources` (module name -> source) reads.  Dunder
-    methods, which Python calls itself, are left out."""
+    """The module-level functions and classes, and their classes' methods
+    and fields, that no module of `sources` (module name -> source) reads.
+    Dunder methods, which Python calls itself, are left out.  A field is
+    read like a method: by an attribute load or a getattr of its name."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
     defined: dict[str, str] = {}  # qualified name -> its last part
     classes: set[str] = set()
@@ -224,6 +251,8 @@ def unread_names(sources: dict[str, str]) -> list[str]:
                 for sub in stmt.body:
                     if isinstance(sub, _FUNCTIONS) and not (sub.name.startswith("__") and sub.name.endswith("__")):
                         defined[f"{module}.{stmt.name}.{sub.name}"] = sub.name
+                for name in _fields(stmt):
+                    defined[f"{module}.{stmt.name}.{name}"] = name
     qualified: set[str] = set()
     attrs: set[str] = set()
     for module, tree in trees.items():
@@ -272,6 +301,35 @@ def test_scan_resolves_reads_per_module():
     # the local tau hides nothing from a method read as an attribute, and
     # reading Arm.depths or a comprehension's `depths` is no read of a.depths
     assert unread_names(sources) == ["a.Table.tau", "a.depths", "b.Arm", "b.run"]
+
+
+def test_scan_lists_unread_fields():
+    sources = {
+        "a": (
+            "from dataclasses import dataclass\n"
+            "@dataclass\n"
+            "class Law:\n"
+            "    values: list\n"
+            "    theta: float\n"
+            "    steps: int = 0\n"
+            "class Stream:\n"
+            "    def __init__(self, seed):\n"
+            "        self.seed = seed\n"
+            "        self.calls = 0\n"
+            "        self.depth: int = 0\n"
+            "    def draw(self):\n"
+            "        self.calls += 1\n"
+            "        return self.seed\n"
+        ),
+        "b": (
+            "from .a import Law, Stream\n"
+            "def run(law: Law, stream: Stream):\n"
+            "    stream.calls = 1\n"
+            "    return law.values, getattr(law, 'theta'), stream.draw(), run\n"
+        ),
+    }
+    # a store, or an augmented assignment, is no read
+    assert unread_names(sources) == ["a.Law.steps", "a.Stream.calls", "a.Stream.depth"]
 
 
 def test_every_unread_name_is_kept_on_purpose():
