@@ -277,8 +277,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
         if path and not Path(path).parent.is_dir():
             raise ConfigError(f"{flag}: directory {str(Path(path).parent)!r} does not exist")
     needs_seed = {"hat-law", "mb-equivalence", "universality"}
-    if needs_seed & set(names) and args.seed is None:
+    stochastic = needs_seed & set(names)
+    if stochastic and args.seed is None:
         raise ConfigError("--seed is required for stochastic suites")
+    if not stochastic and args.seed is not None:
+        raise ConfigError(f"--seed is read only by the {', '.join(sorted(needs_seed))} suites, none of which is selected")
     # the first-passage flags are checked before any suite prints
     otter_dwass: dict = {}
     if args.dist is not None:
@@ -377,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run named acceptance suites")
     p.set_defaults(run=cmd_verify)
     p.add_argument("suites", nargs="+", help=f"any of: {', '.join(SUITES)}, or 'all'")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, help="hat-law, mb-equivalence and universality only: seed of their streams")
     p.add_argument("--dist", help="otter-dwass only: restrict it to one named family")
     p.add_argument("--sets", nargs="+", help="otter-dwass only: its degree-set specs")
     p.add_argument("--max-n", dest="max_n", type=int, help="otter-dwass only: its largest size")

@@ -4,20 +4,21 @@ Markov branching families.
 Offspring laws and branching families hold exact rationals, so plain trees
 and Markov branching trees are drawn by exact inversion;
 SamplerTables(exact=) is the one switch between exact and float work.
-Exact-mode conditioned sampling works by recursive decomposition: draw the
-root degree from its conditional law, then the child subtree sizes one at a
-time from their sequential conditionals, and recurse.  This needs the
-marked-count table up to the target size and iterated convolutions of it, but
-is unbiased at every size, unlike rejection with a vertex cap (kept here only
-as a cross-validation oracle for small sizes).  Float mode uses the cycle
-lemma on blocks instead (SamplerTables.draw_block_values): the depth-first
-degrees cut into n runs that each end at a marked degree, whose collapsed
-values are i.i.d. given their sum and whose interiors are independent given
-their values.  The values are drawn by an exact rejection that proposes the
-counts of all but the two likeliest values and lets the sum fix those two,
-a few proposals per tree whatever n.  The depth of a uniform marked vertex
-needs neither: it is drawn, on float tables only, as a Markov chain on the
-sizes of the subtrees along the vertex's path (sample_marked_depth).
+Conditioned trees are drawn by the cycle lemma on blocks in both modes: the
+depth-first degrees cut into n runs that each end at a marked degree, whose
+collapsed values are i.i.d. given their sum and whose interiors are
+independent given their values.  Exact tables draw the values one at a time
+from their sequential conditionals, on the integer convolution powers of the
+collapsed law (SamplerTables._draw_values), and each interior step by exact
+inversion; a draw with one possible outcome takes no bits.  Float tables draw
+the values by an exact rejection that proposes the counts of all but the two
+likeliest values and lets the sum fix those two, a few proposals per tree
+whatever n (SamplerTables.draw_block_values).  Both are unbiased at every
+size, unlike rejection with a vertex cap (kept here only as a
+cross-validation oracle for small sizes), and so are the recursive root-degree
+and split draws kept as oracles.  The depth of a uniform marked vertex needs
+no tree: it is drawn, on float tables only, as a Markov chain on the sizes of
+the subtrees along the vertex's path (sample_marked_depth).
 """
 
 from __future__ import annotations
@@ -25,11 +26,9 @@ from __future__ import annotations
 import itertools
 from array import array
 from bisect import bisect_right
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
-from math import comb, exp, gcd, lcm, lgamma, log
+from math import comb, exp, gcd, lgamma, log
 
 import numpy as np
 
@@ -37,16 +36,18 @@ from .degree_sets import DegreeSet, require_zero
 from .exact import (
     FLOAT_TABLE_ATOL,
     FLOAT_TABLE_RTOL,
+    _walk,
     marked_count_pmf,
     marked_count_pmf_float,
     marked_count_support,
 )
-from .offspring import OffspringDist, collapsed_coeffs_float, float_pmf, validate
+from .offspring import OffspringDist, collapsed_coeffs_float, collapsed_offspring, float_pmf, validate
 from .partitions import Partition, block_count, iota
 from .streams import (
     RandomStream,
     common_denominator,
     draw_geometric,
+    draw_weights,
     draw_weights_int,
 )
 from .trees import OrderedTree, count_marked, decode
@@ -103,19 +104,37 @@ def sample_hat_offspring(dist: OffspringDist, marks: DegreeSet, stream: RandomSt
 
 
 @dataclass(eq=False)
-class _DegreeCdf:
-    """Exact root-degree CDF at one size, built only as far as draws reach.
+class _BlockRows:
+    """Integer state of exact trees by blocks with n marked vertices.
 
-    cum[i] / den is the weight of degrees[0..i] and total / den the size's
-    probability.  A weight whose denominator does not divide den rescales
-    the list in place, which leaves every ratio, and so every draw, as it was.
+    rows[j][e] / (dens[j] * base^e) is zeta^{*j}[e], the j-th convolution
+    power of the collapsed law zeta at e, for j = 0..n and e = 0..n-1: row 0
+    is the point mass at 0 and rows 1..n are the states of exact._walk on
+    zeta.  xi[u] / xi_den is the law's mass at degree u = 0..n, for the steps
+    inside a block; `interiors` is False when the set covers the law's
+    support and every block is one vertex.
     """
 
-    degrees: list[int]
-    cum: list[int]
-    den: int
-    total: int
-    todo: Iterator[int]
+    rows: list[list[int]]
+    dens: list[int]
+    base: int
+    xi: list[int]
+    xi_den: int
+    interiors: bool
+
+
+def _block_rows(dist: OffspringDist, marks: DegreeSet, n: int) -> _BlockRows:
+    """The block rows of `dist` and `marks` at n marked vertices.
+
+    n values summing to n - 1 are all below n, so every row stops at n - 1.
+    """
+    zeta = collapsed_offspring(dist, marks, n - 1)
+    rows, dens, base = [[1] + [0] * (n - 1)], [1], 1
+    for row, den, base in _walk(zeta, n, n - 1):
+        rows.append(row)
+        dens.append(den)
+    xi, xi_den = common_denominator(dist.coeffs(n))
+    return _BlockRows(rows, dens, base, xi, xi_den, not marks.covers_support(dist))
 
 
 @dataclass(eq=False)
@@ -259,16 +278,18 @@ class SamplerTables:
     """Marked-count law and its convolution powers for one (law, set, size).
 
     Exact mode keeps each power as integer numerators over one denominator
-    per row, caches root-degree and split CDFs as integer lists and draws
-    them with exact dyadic inversion; float mode keeps each power once, as a
-    numpy vector, and float CDFs as arrays of doubles that end at exactly
-    1.0, each drawn by one bisect of a uniform.  Float trees need no power
-    and no root-degree or split CDF: they are drawn from the block law and
-    its per-value interior CDFs, built on the first tree draw.  Depths are
-    drawn on float tables only: the size chain of sample_marked_depth is
-    built on its first call, so tree sampling never pays for it, and depth
-    draws never build the block law.  `stats()` reports the sizes of the
-    caches.
+    per row; float mode keeps each power once, as a numpy vector.  Trees are
+    drawn by blocks in both modes, on state built on the first tree draw.
+    Exact trees keep the integer convolution powers of the collapsed law
+    (_BlockRows), one CDF of the next block value per (values left, their
+    sum) and one interior CDF per remaining value, as integer lists drawn by
+    exact dyadic inversion; the value CDFs grow only as far as draws reach.
+    Float trees keep the block law and its per-value interior CDFs, arrays
+    of doubles that end at exactly 1.0, each drawn by one bisect of a
+    uniform.  Depths are drawn on float tables only: the size chain of
+    sample_marked_depth is built on its first call, so tree sampling never
+    pays for it, and depth draws never build the block law.  `stats()`
+    reports the sizes of the caches.
     """
 
     def __init__(self, dist: OffspringDist, marks: DegreeSet, n: int, exact: bool = True):
@@ -298,11 +319,13 @@ class SamplerTables:
                 )
         if not self._admissible[n]:
             raise ValueError(f"marked count {n} has probability zero")
-        self._split_cum: dict[tuple[int, int], list[int]] = {}
-        self._degree_cum: dict[int, _DegreeCdf] = {}
-        # float trees: the block law and the interior CDFs, built on the first tree
+        # exact trees: the block rows and the value CDFs, built on the first tree
+        self._rows: _BlockRows | None = None
+        self._value_cum: dict[int, tuple] = {}
+        # float trees: the block law, built on the first tree
         self._blocks: _BlockLaw | None = None
-        self._interior_cum: dict[int, array] = {}
+        # interior CDFs of either mode's trees, per remaining block value
+        self._interior_cum: dict[int, array | list[int]] = {}
         # the size chain of sample_marked_depth, built on its first call
         self._chain: tuple | None = None
         self._chain_cum: dict[int, array] = {}
@@ -311,7 +334,6 @@ class SamplerTables:
             # row p of _tau: numerators of the p-th convolution power, and
             # their denominator, both divided by their gcd
             self._tau: list = [([1] + [0] * n, 1), common_denominator(self.count)]
-            self._pmf_q = [(q.numerator, q.denominator) for q in map(Fraction, dist.coeffs(n + 1))]
         else:
             self._tau = [np.zeros(n + 1), np.array(self.count)]
             self._tau[0][0] = 1.0
@@ -353,100 +375,142 @@ class SamplerTables:
     def stats(self) -> dict[str, int]:
         """Sizes of the caches, read from them on demand.
 
-        `powers` counts the convolution powers held (tau_0 and tau_1
-        included), `*_cdfs` the cached CDFs (root-degree, split, size-chain
-        and block-interior) and `*_entries` their entries; `cache_bytes`
-        counts 8 bytes per power and CDF entry, which is what float mode's
-        doubles take and a lower bound for exact mode's integers.  Nothing on
-        the draw path counts.
+        `powers` counts the convolution powers of the marked-count law held
+        (tau_0 and tau_1 included) and `rows` the block rows of exact trees,
+        n + 1 of n entries once a tree is drawn; `*_cdfs` count the cached
+        CDFs (block-value, size-chain and block-interior) and `*_entries`
+        their entries; `cache_bytes` counts 8 bytes per power, row and CDF
+        entry, which is what float mode's doubles take and a lower bound for
+        exact mode's integers.  Nothing on the draw path counts.
         """
         cdfs = {
-            "degree": [e.cum for e in self._degree_cum.values()],
-            "split": self._split_cum.values(),
+            "value": [cum for cum, _total, _extend in self._value_cum.values()],
             "chain": self._chain_cum.values(),
             "interior": self._interior_cum.values(),
         }
-        stats = {"powers": len(self._tau)}
+        stats = {"powers": len(self._tau), "rows": 0 if self._rows is None else len(self._rows.rows)}
         for kind, cums in cdfs.items():
             stats[f"{kind}_cdfs"] = len(cums)
             stats[f"{kind}_entries"] = sum(map(len, cums))
-        entries = stats["powers"] * (self.n + 1) + sum(stats[f"{k}_entries"] for k in cdfs)
-        stats["cache_bytes"] = 8 * entries
+        entries = stats["powers"] * (self.n + 1) + stats["rows"] * self.n
+        stats["cache_bytes"] = 8 * (entries + sum(stats[f"{k}_entries"] for k in cdfs))
         return stats
 
     # -- draws ---------------------------------------------------------------
 
     def draw_root_degree(self, s: int, stream: RandomStream) -> int:
-        """Root degree conditional on the subtree's marked count being s.
+        """Root degree conditional on the subtree's marked count being s:
+        degree p has weight xi_p * tau_p(s - [p marked]).
 
-        The weight of degree p is xi_p * tau_p(s - [p marked]); its CDF, over
-        one denominator, grows only as far as draws reach.  Exact tables
-        only: float trees are drawn by blocks.
+        An uncached oracle of the recursive route, for tests: trees are drawn
+        by blocks.  Exact tables only.
         """
         if not self.exact:
             raise ValueError("root-degree draws need exact tables")
-        entry = self._degree_cum.get(s)
-        if entry is None:
-            size = self.count[s]
-            entry = _DegreeCdf([], [], size.denominator, size.numerator, self.dist.support_iter(s))
-            self._degree_cum[s] = entry
-        i = draw_weights_int(entry.cum, entry.total, stream, partial(self._grow_degrees, s, entry))
-        return entry.degrees[i]
-
-    def _grow_degrees(self, s: int, entry: _DegreeCdf) -> int | None:
-        """Append the next positive root-degree weight at size s to its CDF.
-
-        Returns the total over the CDF's denominator, or None once every
-        degree is in; the complete CDF must then end exactly at the total.
-        """
-        for p in entry.todo:
-            x, x_den = self._pmf_q[p]
-            nums, den = self._power(p)
-            w = x * nums[s - 1 if self.marked_degree[p] else s]
-            if not w:
-                continue
-            den *= x_den
-            common = lcm(entry.den, den)
-            if common != entry.den:
-                # in place: the draw in progress holds this list
-                scale = common // entry.den
-                entry.cum[:] = [c * scale for c in entry.cum]
-                entry.total *= scale
-                entry.den = common
-            entry.degrees.append(p)
-            entry.cum.append((entry.cum[-1] if entry.cum else 0) + w * (common // den))
-            return entry.total
-        if not entry.cum or entry.cum[-1] != entry.total:
-            raise AssertionError(f"root-degree weights at size {s} do not sum to its probability")
-        return None
-
-    def _draw_first_part(self, k: int, r: int, stream: RandomStream) -> int:
-        """First of k sizes summing to r, from its sequential conditional."""
-        key = (k, r)
-        cum = self._split_cum.get(key)
-        if cum is None:
-            # weights count[m] * tau(k-1)[r-m] over one denominator; their
-            # sum is tau(k)[r], so the list's last entry is the total
-            count = self._tau[1][0]
-            prev = self._power(k - 1)[0]
-            cum = list(itertools.accumulate(count[m] * prev[r - m] for m in range(1, r - k + 2)))
-            self._split_cum[key] = cum
-        return 1 + draw_weights_int(cum, cum[-1], stream)
+        degrees = list(self.dist.support_iter(s))
+        weights = [self.dist.pmf(p) * self.tau(p)[s - 1 if self.marked_degree[p] else s] for p in degrees]
+        return degrees[draw_weights(weights, self.count[s], stream)]
 
     def draw_split_sizes(self, p: int, target: int, stream: RandomStream) -> list[int]:
-        """Sizes of p subtrees with total marked count `target`, drawn one at
-        a time from their sequential conditionals.  Exact tables only."""
+        """Marked counts of p subtrees with total `target`, drawn one at a
+        time: with k subtrees left that hold r, the next holds m with weight
+        count[m] * tau_{k-1}(r - m).  An uncached oracle, like
+        draw_root_degree.  Exact tables only."""
         if not self.exact:
             raise ValueError("split draws need exact tables")
         sizes: list[int] = []
         r = target
         for k in range(p, 1, -1):
-            m = self._draw_first_part(k, r, stream)
+            rest = self.tau(k - 1)
+            m = 1 + draw_weights([self.count[j] * rest[r - j] for j in range(1, r - k + 2)], self.tau(k)[r], stream)
             sizes.append(m)
             r -= m
-        if p >= 1:
-            sizes.append(r)
-        return sizes
+        return sizes + [r] if p else sizes
+
+    def _draw_values(self, stream: RandomStream) -> list[int]:
+        """Collapsed values of the n blocks of an exact tree, before their
+        rotation: n i.i.d. values of zeta given that they sum to n - 1.
+
+        They are drawn one at a time, each from its conditional given the
+        values before it (_value_cdf), by exact inversion.  Once the values
+        left sum to 0 they are all 0, and the last value is what is left, so
+        neither takes bits.  The block rows are built on the first call.
+        """
+        if self._rows is None:
+            self._rows = _block_rows(self.dist, self.marks, self.n)
+        n = self.n
+        cdfs = self._value_cum
+        values: list[int] = []
+        r = n - 1
+        for k in range(n, 1, -1):
+            if not r:
+                break
+            cum, total, extend = cdfs.get(k * n + r) or self._value_cdf(k, r)
+            c = draw_weights_int(cum, total, stream, extend)
+            values.append(c)
+            r -= c
+        values.append(r)
+        values += [0] * (n - len(values))
+        return values
+
+    def _value_cdf(self, k: int, r: int) -> tuple:
+        """(cum, total, extend): the CDF of the next block value when k >= 2
+        values are left that sum to r, built as far as draws reach and cached.
+
+        Value c has weight rows[1][c] * rows[k-1][r-c], which is zeta_c
+        zeta^{*(k-1)}[r-c] times dens[1] dens[k-1] base^r, a factor that does
+        not depend on c; so the weights sum to the integer total
+        rows[k][r] dens[1] dens[k-1] / dens[k].  cum[c] is the weight of the
+        values 0..c; each call of `extend` appends the next value's, and
+        once every value is in, the CDF must end exactly at the total.
+        """
+        blocks = self._rows
+        rows, dens = blocks.rows, blocks.dens
+        total, rem = divmod(rows[k][r] * dens[1] * dens[k - 1], dens[k])
+        if rem:
+            raise AssertionError(f"block value weights at {k} values summing to {r} have no integer total")
+        first, rest = rows[1], rows[k - 1]
+        cum: list[int] = []
+        todo = iter(range(r + 1))
+
+        def extend() -> int | None:
+            for c in todo:
+                cum.append((cum[-1] if cum else 0) + first[c] * rest[r - c])
+                return total
+            if cum[-1] != total:
+                raise AssertionError(f"block value weights at {k} values summing to {r} do not sum to their total")
+            return None
+
+        entry = (cum, total, extend)
+        self._value_cum[k * self.n + r] = entry
+        return entry
+
+    def _interior_steps(self, r: int) -> list[int]:
+        """Exact CDF of one step inside a block whose remaining value is r,
+        built on the first visit to r and cached: the exact twin of
+        _interior_cdf.
+
+        Entry 0 closes the block with marked degree r, with weight
+        xi_r [r in A]; entry u >= 1 is an unmarked degree u, with weight
+        xi_u * zeta_{r-u+1}, after which r - u + 1 remains.  Times
+        xi_den dens[1] base^r they are the integers xi[r] dens[1] base^r and
+        xi[u] rows[1][r-u+1] base^(u-1), which must sum to exactly
+        xi_den * rows[1][r], zeta_r times the same factor.  The CDF is cut at
+        the last positive weight, so its last entry is the total; a step
+        with one positive weight is kept as [its index] instead, and is
+        taken without a draw.
+        """
+        blocks = self._rows
+        first, base, xi = blocks.rows[1], blocks.base, blocks.xi
+        weights = [xi[r] * blocks.dens[1] * base**r if self.marked_degree[r] else 0]
+        weights += [0 if self.marked_degree[u] else xi[u] * first[r - u + 1] * base ** (u - 1) for u in range(1, r + 2)]
+        cum = list(itertools.accumulate(weights))
+        if cum[-1] != blocks.xi_den * first[r]:
+            raise AssertionError(f"block weights at value {r} do not sum to zeta[{r}]")
+        positive = [u for u, w in enumerate(weights) if w]
+        steps = positive if len(positive) == 1 else cum[: positive[-1] + 1]
+        self._interior_cum[r] = steps
+        return steps
 
     def block_law(self) -> _BlockLaw:
         """The block law of float trees, built on the first call and cached.
@@ -562,14 +626,16 @@ def _unit_cdf(weights: np.ndarray, want: float, tol: float, what: str, name: str
 
 
 def sample_conditioned(tables: SamplerTables, stream: RandomStream) -> OrderedTree:
-    """A tree conditioned to have exactly the tables' marked count.
+    """A tree conditioned to have exactly the tables' marked count, drawn by
+    blocks.
 
-    Exact tables draw it by recursive decomposition; float tables by blocks
-    (SamplerTables.draw_block_values), with a numpy Generator seeded from
-    128 bits of the stream per tree.
+    Exact tables draw every value and step from the stream by exact
+    inversion (_exact_block_degrees); float tables draw the values by
+    SamplerTables.draw_block_values, with a numpy Generator seeded from 128
+    bits of the stream per tree.
     """
     if tables.exact:
-        degrees = _recursive_degrees(tables, stream)
+        degrees = _exact_block_degrees(tables, stream)
     else:
         gen = np.random.default_rng(stream.getrandbits(128))
         degrees = _block_degrees(tables, tables.draw_block_values(gen), gen)
@@ -579,18 +645,40 @@ def sample_conditioned(tables: SamplerTables, stream: RandomStream) -> OrderedTr
     return t
 
 
-def _recursive_degrees(tables: SamplerTables, stream: RandomStream) -> list[int]:
-    """Depth-first degrees of an exactly conditioned tree: each vertex draws
-    its degree given its subtree's marked count, then its children's counts."""
-    marked_degree = tables.marked_degree
+def _exact_block_degrees(tables: SamplerTables, stream: RandomStream) -> list[int]:
+    """Depth-first degrees of an exactly conditioned tree.
+
+    The values of SamplerTables._draw_values are rotated to start just after
+    the first minimum of the walk of (c - 1), the one rotation that the cycle
+    lemma leaves a tree (see draw_block_values).  A block of value r is then
+    a run of unmarked degrees closed by a marked one, drawn step by step from
+    SamplerTables._interior_steps by draw_weights_int; a step with one
+    positive weight takes no bits, so binary/{0} trees draw their values
+    only.  When the set covers the law's support every block is one vertex
+    of degree r.
+    """
+    values = tables._draw_values(stream)
+    walk = low = start = 0
+    for i, c in enumerate(values, 1):
+        walk += c - 1
+        if walk < low:
+            low, start = walk, i
+    values = values[start:] + values[:start]
+    if not tables._rows.interiors:
+        return values
+    cdfs = tables._interior_cum
+    build = tables._interior_steps
     degrees: list[int] = []
-    stack = [tables.n]  # marked counts of the subtrees still to draw
-    while stack:
-        s = stack.pop()
-        p = tables.draw_root_degree(s, stream)
-        degrees.append(p)
-        sizes = tables.draw_split_sizes(p, s - 1 if marked_degree[p] else s, stream)
-        stack.extend(reversed(sizes))
+    append = degrees.append
+    for r in values:
+        while True:
+            steps = cdfs.get(r) or build(r)
+            u = steps[0] if len(steps) == 1 else draw_weights_int(steps, steps[-1], stream)
+            if not u:
+                append(r)
+                break
+            append(u)
+            r += 1 - u
     return degrees
 
 
@@ -939,25 +1027,29 @@ def sample_markov_branching(q: QFamily, n: int, stream: RandomStream) -> Ordered
 
     Size one is a stalk of geometric length ending in a leaf; larger sizes
     draw a split partition, attach recursively sampled subtrees to a branch
-    vertex, and put a geometric stalk above it.  The degrees are appended in
-    depth-first order, from a stack of the subtree sizes still to draw.
+    vertex, and put a geometric stalk above it.  A stalk whose success
+    probability is 1 (a law with no mass at degree one) is empty and takes
+    no draw.  The degrees are appended in depth-first order, from a stack of
+    the subtree sizes still to draw.
     """
     marks = q.marks
     stalks = 1 not in marks
     q1 = q.q1_empty
+    leaf_stalks = stalks and q1 != 1
     degrees: list[int] = []
     stack = [n]
     while stack:
         s = stack.pop()
         if s == 1:
-            length = draw_geometric(q1.numerator, q1.denominator, stream) if stalks else 0
+            length = draw_geometric(q1.numerator, q1.denominator, stream) if leaf_stalks else 0
             degrees += [1] * length + [0]
             continue
         lam = q.draw_conditioned(s, stream)
         below = 1
         if stalks:
             rest = q.split_mass(s)
-            below += draw_geometric(rest.numerator, rest.denominator, stream)
+            if rest != 1:
+                below += draw_geometric(rest.numerator, rest.denominator, stream)
         degrees += [1] * (below - 1) + [len(lam)]
         stack.extend(reversed(lam))
     t = OrderedTree.from_degrees(degrees)

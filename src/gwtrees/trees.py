@@ -274,15 +274,20 @@ def canonical_key(t: OrderedTree) -> str:
     is its children's keys, sorted, between one pair of parentheses.  One
     reverse pass over the degrees keeps the keys of the subtrees read so far
     on a stack; a vertex of degree d pops d of them.  Leaves and single
-    children need no sort.
+    children need no sort, and two children are joined in order.
     """
     keys: list[str] = []
     push = keys.append
+    pop = keys.pop
     for d in reversed(t.degrees):
         if not d:
             push("()")
         elif d == 1:
             keys[-1] = "(" + keys[-1] + ")"
+        elif d == 2:
+            a = pop()
+            b = keys[-1]
+            keys[-1] = "(" + a + b + ")" if a <= b else "(" + b + a + ")"
         else:
             sub = keys[-d:]
             del keys[-d:]

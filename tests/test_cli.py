@@ -289,7 +289,7 @@ def test_verify_checkmap_passes():
 
 def test_verify_first_passage_with_flags():
     proc = run_cli(
-        ["verify", "otter-dwass", "--dist", '{"family":"binary"}', "--sets", "0", "0,2", "all", "--max-n", "8", "--seed", "1"]
+        ["verify", "otter-dwass", "--dist", '{"family":"binary"}', "--sets", "0", "0,2", "all", "--max-n", "8"]
     )
     assert proc.returncode == 0
     assert "[FAIL]" not in proc.stdout
@@ -493,6 +493,14 @@ def test_verify_refuses_a_flag_of_a_suite_not_selected(tmp_path, flag, value):
     _assert_json_error(code, out, err)
     assert flag in json.loads(err)["message"]
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("suites", [["checkmap"], ["otter-dwass", "follower", "root-limit"]], ids=["checkmap", "deterministic"])
+def test_verify_refuses_a_seed_no_selected_suite_reads(suites):
+    # only hat-law, mb-equivalence and universality read --seed
+    code, out, err = _main(["verify", *suites, "--seed", "5"])
+    _assert_json_error(code, out, err)
+    assert "--seed" in json.loads(err)["message"]
 
 
 def test_transform_refuses_an_empty_set():

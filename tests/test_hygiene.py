@@ -79,13 +79,15 @@ KEPT_UNREAD = {
     "samplers.SamplerTables.stats": "cache sizes for observability, read by tests (ROADMAP item 7)",
     "offspring.InvalidDistribution.code": "public error code of an invalid law, which tests read",
     "samplers._BlockLaw.theta": "the tilt that sets the block proposal's acceptance rate, which a test checks",
-    # bound by benchmarks/ until its refresh (ROADMAP item 1); deleted after it
-    "samplers.SamplerTables.tau": "bound by the benchmark",
+    # bound by benchmarks/ until its refresh (ROADMAP item 1); deleted after
+    # it.  The two oracles read SamplerTables.tau and streams.draw_weights,
+    # which go with them
+    "samplers.SamplerTables.draw_root_degree": "bound by the benchmark",
+    "samplers.SamplerTables.draw_split_sizes": "bound by the benchmark",
     "exact.leaf_pmf_fixed_point": "bound by the benchmark",
     "partitions.partitions_into": "bound by the benchmark",
     "partitions.distinct_arrangements": "bound by the benchmark",
     "streams.draw_cdf": "bound by the benchmark",
-    "streams.draw_weights": "bound by the benchmark",
     "streams.RandomStream.randbelow": "bound by the benchmark",
     "scaling.root_limit_statistic": "bound by the benchmark",
 }

@@ -41,7 +41,7 @@ from gwtrees.streams import (
     draw_weights,
     draw_weights_int,
 )
-from gwtrees.trees import canonical_key, count_marked, leaf_augment, parse_tree, single_vertex
+from gwtrees.trees import OrderedTree, canonical_key, count_marked, leaf_augment, parse_tree, single_vertex
 
 A0 = DegreeSet.of(0)
 ALL = DegreeSet.all_degrees()
@@ -146,7 +146,7 @@ def test_rejection_sampler_agrees():
         assert p > 0.001
 
 
-FLOAT_SHAPE_CASES = {
+SHAPE_CASES = {
     # law/set: (law, set, n, vertex cap of the enumeration)
     "binary/0": (binary_dist(), "0", 4, 7),
     "geometric/0": (geometric_dist(), "0", 3, 11),
@@ -157,24 +157,106 @@ FLOAT_SHAPE_CASES = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(FLOAT_SHAPE_CASES))
-def test_float_trees_match_enumerated_shape_laws(case):
-    # float trees (blocks, tilt, multinomial rows, rotation, interiors)
-    # against the brute-force law of unordered shapes; shapes beyond the
-    # vertex cap fall in the chi-square's "other" cell.  mixed/0 at n = 4 is
-    # inadmissible: its block values are even and cannot sum to 3
-    dist, spec, n, cap = FLOAT_SHAPE_CASES[case]
+def _shape_law_p(case: str, exact: bool, seed: int) -> float:
+    """p-value of 4000 trees of one SHAPE_CASES case against the brute-force
+    law of unordered shapes; shapes beyond the vertex cap fall in the
+    chi-square's "other" cell."""
+    dist, spec, n, cap = SHAPE_CASES[case]
     marks = DegreeSet.parse(spec)
     total, shapes = enumerate_mass(dist, marks, n, cap)
     size = marked_count_pmf(dist, marks, n)[n]
     assert total / size > Fraction(99, 100)
     expected = {k: float(w / size) for k, w in shapes.items()}
-    tab = SamplerTables(dist, marks, n, exact=False)
-    s = stream(131)
+    tab = SamplerTables(dist, marks, n, exact=exact)
+    s = stream(seed)
     m = 4000
     observed = Counter(canonical_key(sample_conditioned(tab, s)) for _ in range(m))
     _stat, _df, p = chi_square_test(observed, expected, m)
-    assert p > 0.001, case
+    return p
+
+
+@pytest.mark.parametrize("case", sorted(SHAPE_CASES))
+def test_float_trees_match_enumerated_shape_laws(case):
+    # float trees (blocks, tilt, multinomial rows, rotation, interiors).
+    # mixed/0 at n = 4 is inadmissible: its block values are even and
+    # cannot sum to 3
+    assert _shape_law_p(case, exact=False, seed=131) > 0.001, case
+
+
+@pytest.mark.parametrize("case", sorted(SHAPE_CASES))
+def test_exact_trees_match_enumerated_shape_laws(case):
+    # exact trees (sequential values, rotation, exact interiors)
+    assert _shape_law_p(case, exact=True, seed=173) > 0.001, case
+
+
+def _value_sequence_law(dist, marks, n) -> dict:
+    """Law of n i.i.d. collapsed values given that they sum to n - 1, as
+    ordered tuples, enumerated in exact arithmetic."""
+    zeta = collapsed_offspring(dist, marks, n - 1).coeffs(n - 1)
+    weights = {}
+
+    def walk(prefix, rest, w):
+        if len(prefix) == n:
+            if not rest:
+                weights[tuple(prefix)] = w
+            return
+        for c in range(rest + 1):
+            if zeta[c]:
+                walk(prefix + [c], rest - c, w * zeta[c])
+
+    walk([], n - 1, Fraction(1))
+    total = sum(weights.values())
+    return {k: w / total for k, w in weights.items()}
+
+
+@pytest.mark.parametrize(
+    "dist, spec, n",
+    [(geometric_dist(), "all", 5), (geometric_dist(), "0", 5), (geometric_dist(), "0,2", 5), (binary_dist(), "0", 5), (MIXED, "0", 7)],
+)
+def test_sequential_exact_values_match_the_conditional_law(dist, spec, n):
+    # the values drawn one at a time from their sequential conditionals,
+    # before the rotation, against the law of n i.i.d. collapsed values
+    # given their sum n - 1, as a law of ordered tuples
+    marks = DegreeSet.parse(spec)
+    expected = _value_sequence_law(dist, marks, n)
+    assert len(expected) >= 10
+    tab = SamplerTables(dist, marks, n)
+    s = stream(179)
+    m = 20000
+    observed = Counter(tuple(tab._draw_values(s)) for _ in range(m))
+    assert set(observed) <= set(expected)
+    _stat, _df, p = chi_square_test(observed, {k: float(v) for k, v in expected.items()}, m)
+    assert p > 0.001, spec
+
+
+class _CountingStream(RandomStream):
+    """A RandomStream that counts its 64-bit draws: one per exact inversion."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.draws = 0
+
+    def getrandbits(self, k):
+        self.draws += k == 64
+        return super().getrandbits(k)
+
+
+def test_binary_exact_trees_draw_only_their_values():
+    # on binary/{0} every interior step has one possible degree, so a tree
+    # takes the bits of its block values and no more, at most n - 1 draws;
+    # on geometric/{0} the interiors draw too
+    n = 40
+    for dist, certain in ((binary_dist(), True), (geometric_dist(), False)):
+        tab = SamplerTables(dist, A0, n)
+        values, trees = _CountingStream(71), _CountingStream(71)
+        for _ in range(30):
+            before = values.draws
+            tab._draw_values(values)
+            assert values.draws - before <= n - 1
+            assert count_marked(sample_conditioned(tab, trees), A0) == n
+        assert (values.draws == trees.draws) == certain
+        assert (values.getrandbits(64) == trees.getrandbits(64)) == certain
+        assert all(len(steps) == 1 for steps in tab._interior_cum.values()) == certain
 
 
 def test_float_root_degree_matches_exact_law_at_n_200():
@@ -572,19 +654,50 @@ def test_closed_form_geometric_matches_lazy_weights(p):
     assert a.getrandbits(64) == b.getrandbits(64)
 
 
-def test_extending_a_degree_cdf_keeps_its_total():
-    # degree CDFs grow one weight at a time and rescale to a common
-    # denominator; growing one completely must land exactly on count[s]
+def test_extending_a_degree_cdf_keeps_its_total(monkeypatch):
+    # the root-degree oracle weighs degree p by xi_p tau_p(s - [p marked]);
+    # its weights must sum exactly to count[s], the total it draws against
     mixed = from_probs([Fraction(7, 12), Fraction(1, 6), Fraction(0), Fraction(1, 4)])
+    seen = []
+
+    def recording(weights, total, s):
+        seen.append((list(weights), total))
+        return draw_weights(seen[-1][0], total, s)
+
+    monkeypatch.setattr(samplers, "draw_weights", recording)
     for dist, marks, n in [(mixed, A0, 21), (geometric_dist(), DegreeSet.of(0, 2), 20)]:
         tab = SamplerTables(dist, marks, n)
         for s in range(1, n + 1):
             if tab.admissible(s):
+                seen.clear()
                 tab.draw_root_degree(s, stream(s))
-                entry = tab._degree_cum[s]
-                while tab._grow_degrees(s, entry) is not None:
+                [(weights, total)] = seen
+                assert total == tab.count[s] == sum(weights)
+
+
+def test_completed_value_cdfs_end_at_their_total():
+    # a block-value CDF grown to its end lands exactly on its integer total,
+    # and total / (dens[1] dens[k-1] base^r) is zeta^{*k}[r], from Fractions
+    mixed = from_probs([Fraction(7, 12), Fraction(1, 6), Fraction(0), Fraction(1, 4)])
+    for dist, marks, n in [(mixed, A0, 13), (geometric_dist(), DegreeSet.of(0, 2), 12), (binary_dist(), A0, 12)]:
+        tab = SamplerTables(dist, marks, n)
+        tab._draw_values(stream(3))
+        rows = tab._rows
+        zeta = collapsed_offspring(dist, marks, n - 1).coeffs(n - 1)
+        power = [Fraction(1)] + [Fraction(0)] * (n - 1)
+        powers = [power]
+        for _ in range(n):
+            power = [sum((power[i] * zeta[e - i] for i in range(e + 1)), Fraction(0)) for e in range(n)]
+            powers.append(power)
+        for k in range(2, n + 1):
+            for r in range(n):
+                if not powers[k][r]:
+                    continue
+                cum, total, extend = tab._value_cdf(k, r)
+                while extend() is not None:
                     pass
-                assert Fraction(entry.cum[-1], entry.den) == tab.count[s]
+                assert cum[-1] == total
+                assert Fraction(total, rows.dens[1] * rows.dens[k - 1] * rows.base**r) == powers[k][r]
 
 
 def test_exact_tau_rows_are_convolution_powers():
@@ -597,20 +710,20 @@ def test_exact_tau_rows_are_convolution_powers():
 
 
 def test_root_degree_cdf_builds_only_the_powers_it_reaches():
-    # a complete root-degree CDF at the top size would need every power up
-    # to n; draws that stop early leave the higher powers unbuilt
+    # exact trees are drawn by blocks, on the powers of the collapsed law:
+    # they build no power of the marked-count law beyond tau_1
     tab = SamplerTables(geometric_dist(), A0, 120)
     s = stream(89)
     for _ in range(20):
         sample_conditioned(tab, s)
-    assert len(tab._tau) < 40
+    assert len(tab._tau) == 2
 
 
 @pytest.mark.parametrize("spec", ["all", "0", "0,2"])
 def test_float_trees_build_no_degree_or_split_cdfs(spec):
-    # float trees are drawn by blocks: no convolution power beyond tau_1, no
-    # root-degree or split CDF, and at most one interior CDF of r + 2
-    # entries per block value r, none when every degree is marked
+    # float trees are drawn by the block law: no convolution power beyond
+    # tau_1, no exact block row or value CDF, and at most one interior CDF
+    # of r + 2 entries per block value r, none when every degree is marked
     n = 2000
     tab = SamplerTables(geometric_dist(), DegreeSet.parse(spec), n, exact=False)
     s = stream(97)
@@ -618,7 +731,7 @@ def test_float_trees_build_no_degree_or_split_cdfs(spec):
         assert count_marked(sample_conditioned(tab, s), tab.marks) == n
     stats = tab.stats()
     assert stats["powers"] == 2
-    assert stats["degree_cdfs"] == stats["split_cdfs"] == stats["chain_cdfs"] == 0
+    assert stats["rows"] == stats["value_cdfs"] == stats["chain_cdfs"] == 0
     assert stats["interior_entries"] == sum(map(len, tab._interior_cum.values()))
     assert stats["interior_entries"] <= sum(r + 2 for r in tab._interior_cum)
     assert (stats["interior_cdfs"] == 0) == (spec == "all")
@@ -856,34 +969,38 @@ def test_float_table_below_its_absolute_error_is_a_value_error():
 
 
 def test_stats_follow_the_caches():
-    tab = SamplerTables(geometric_dist(), A0, 60)
+    n = 60
+    tab = SamplerTables(geometric_dist(), A0, n)
     empty = tab.stats()
-    assert empty["powers"] == 2 and empty["degree_cdfs"] == empty["split_cdfs"] == 0
+    assert empty["powers"] == 2 and empty["rows"] == empty["value_cdfs"] == empty["interior_cdfs"] == 0
+    assert empty["cache_bytes"] == 8 * 2 * (n + 1)
     s = stream(5)
     for _ in range(5):
         sample_conditioned(tab, s)
     stats = tab.stats()
-    assert stats["powers"] == len(tab._tau)
-    assert stats["degree_cdfs"] == len(tab._degree_cum) > 0
-    assert stats["degree_entries"] == sum(len(e.cum) for e in tab._degree_cum.values())
-    assert stats["split_entries"] == sum(map(len, tab._split_cum.values())) > 0
-    assert stats["chain_cdfs"] == stats["chain_entries"] == stats["interior_cdfs"] == 0
-    assert stats["cache_bytes"] > empty["cache_bytes"]
+    assert stats["powers"] == len(tab._tau) == 2
+    assert stats["rows"] == len(tab._rows.rows) == n + 1
+    assert stats["value_cdfs"] == len(tab._value_cum) > 0
+    assert stats["value_entries"] == sum(len(cum) for cum, _total, _extend in tab._value_cum.values())
+    assert stats["interior_cdfs"] == len(tab._interior_cum) > 0
+    assert stats["interior_entries"] == sum(map(len, tab._interior_cum.values()))
+    assert stats["chain_cdfs"] == stats["chain_entries"] == 0
     assert tab.stats() == stats  # reading them changes nothing
-    assert stats["cache_bytes"] == 8 * (stats["powers"] * 61 + stats["degree_entries"] + stats["split_entries"])
-    float_tab = SamplerTables(geometric_dist(), A0, 60, exact=False)
+    entries = stats["powers"] * (n + 1) + stats["rows"] * n + stats["value_entries"] + stats["interior_entries"]
+    assert stats["cache_bytes"] == 8 * entries
+    float_tab = SamplerTables(geometric_dist(), A0, n, exact=False)
     for _ in range(5):
         sample_conditioned(float_tab, s)
     stats = float_tab.stats()
     assert stats["interior_cdfs"] == len(float_tab._interior_cum) > 0
-    assert stats["chain_cdfs"] == stats["chain_entries"] == 0
-    assert stats["cache_bytes"] == 8 * (stats["powers"] * 61 + stats["interior_entries"])
+    assert stats["rows"] == stats["value_cdfs"] == stats["chain_cdfs"] == stats["chain_entries"] == 0
+    assert stats["cache_bytes"] == 8 * (stats["powers"] * (n + 1) + stats["interior_entries"])
     for _ in range(5):
         sample_marked_depth(float_tab, s)
     stats = float_tab.stats()
     assert stats["chain_cdfs"] == len(float_tab._chain_cum) > 0
     assert stats["chain_entries"] == sum(map(len, float_tab._chain_cum.values()))
-    assert stats["cache_bytes"] == 8 * (stats["powers"] * 61 + stats["interior_entries"] + stats["chain_entries"])
+    assert stats["cache_bytes"] == 8 * (stats["powers"] * (n + 1) + stats["interior_entries"] + stats["chain_entries"])
 
 
 @pytest.mark.parametrize(
@@ -918,7 +1035,7 @@ def test_float_depths_build_only_chain_cdfs():
     for _ in range(400):
         sample_marked_depth(tab, s)
     stats = tab.stats()
-    assert stats["split_cdfs"] == stats["degree_cdfs"] == 0
+    assert stats["rows"] == stats["value_cdfs"] == stats["interior_cdfs"] == 0
     assert stats["powers"] == 2
     assert 0 < stats["chain_entries"] <= (n + 1) * (n + 2) // 2
 
@@ -1003,30 +1120,41 @@ DIGEST_ARMS = {
 # SHA-256 of seeded exact-mode output as drawn by the Fraction loops above;
 # the integer draws must reproduce it byte for byte.  A changed digest is a
 # changed stream: it is pinned again only with a new draw route, once
-# independent checks of the law hold for it.  The finite-law offspring and
-# hat entries and every mb entry come from draw_weights_int, the one exact
-# inversion, matched draw for draw against _fraction_draw_weights above.
-# Depths are drawn on float tables only, so their digests are in
-# FLOAT_PINNED_DIGESTS.
+# independent checks of the law hold for it.  The trees entries are drawn by
+# the recursive route on the oracle methods (_recursive_tree), as exact trees
+# were drawn before they were drawn by blocks, so every later draw of an arm
+# stays where it was pinned; the blocks entries pin sample_conditioned on a
+# stream of their own.  The finite-law offspring and hat entries and every mb
+# entry come from draw_weights_int, the one exact inversion, matched draw for
+# draw against _fraction_draw_weights above.  mb.binary/0 was pinned again
+# when stalks of success probability 1 stopped taking a draw
+# (test_markov_branching_skips_only_the_certain_stalk_draws).  Depths are
+# drawn on float tables only, so their digests are in FLOAT_PINNED_DIGESTS.
 PINNED_DIGESTS = {
     "trees.binary/0": "a7cdee6a70c26ec468df8dc72f0cc041da2310ef17df978dfdf9e91bda81b789",
     "hat.binary/0": "c92e3d9111fb7de3b1a2e92f1eb37e14a631d64db88a1b69ea2305de6cc3f507",
     "offspring.binary/0": "38c1d2c2a32bd12db99120d2cca531559c26627a3c4542f834fe6fe95dcfe46c",
-    "mb.binary/0": "edd9c8f362a729f8f96bc352c8fd30c6d780fd39f5d103cb933ac02783cc9002",
+    "mb.binary/0": "726c4898d24a79cdf0ea20e8c6836d9b078b38c6bab51a1bb7c6bf6e36b55e68",
+    "blocks.binary/0": "47c9c16b9d0e603d997405228d9220fde24475dcd8960d3d7bb4c3b56671ea53",
     "trees.geometric/0": "58ea315139e6717142bb1c049296daadad05163fd8cd38b35824933badb23d5a",
     "hat.geometric/0": "9b7c8a68fb5db1f8030ac76c7b20d04246e2fc762a898da1cc9e127e5aafb318",
     "offspring.geometric/0": "f6e27d2103de127898e1899aafca5c56c546122e21d7cce8eb222d4f42dacb09",
     "mb.geometric/0": "ae0187a588bb3f2e96534fbec0cef2d216b5ba853a5bdcfd652746baa4163006",
+    "blocks.geometric/0": "48834a953d89f19c64221a29b3258d26ab4c0a2db1c7404f450848b1976796fc",
     "trees.geometric/0,2": "26f9229b1fdf31340380d07dbab71fef4c36711591aef9dbb288d061c8a981cb",
     "hat.geometric/0,2": "1571f0daf177db28961c4e275d2665ba6104953c20d5b77a29735ff2701f1798",
     "offspring.geometric/0,2": "9f9ad6d5d19ebdda100ad62d2f67c69dc39fa71e110237381ab982de1f41ae99",
     "mb.geometric/0,2": "850a88468245cf563a29ad50187e2d624d7c3c53ae18bf5b773dc514a3d2f971",
+    "blocks.geometric/0,2": "500cf41c2560b99d385b5e25ae125a02aaf95d040f64cf50ebe81a0c2791051c",
     "trees.mixed/0": "46b9e3f776de730c0c0eaf543e5e979f906fb24f23387f8b4b025cde683e2c64",
     "hat.mixed/0": "5c576928ba01c00bcb3ab26202866344763e9404d422b23fde52e661d4c19a2b",
     "offspring.mixed/0": "3c1066b06c018760abc0400953689c8a5e95f7405de54ce018205fb33952923f",
     "mb.mixed/0": "8ed8ea3d8680ea60e7d0506ecfdb33c08eb88998a70aef96f741259d9ba997da",
+    "blocks.mixed/0": "3dfa4cfc6b319a5f5b5e25fc32e1700c4436bf6d02c784ea30100e687959bdd4",
     "offspring.geometric-1/3": "f6124ed0ed37003781b4c8c1da9fc2c7bd33449ef19b3c5bf7990989980e5a4b",
 }
+# mb.binary/0 as pinned while every stalk took a draw, certain ones included
+MB_BINARY_WITH_CERTAIN_STALK_DRAWS = "edd9c8f362a729f8f96bc352c8fd30c6d780fd39f5d103cb933ac02783cc9002"
 # The hat, offspring and mb digests were pinned with 100 depths drawn between
 # the trees and them, by a spine descent that took this many 32-bit words of
 # each arm's stream.  Skipping as many words keeps those draws where they
@@ -1061,21 +1189,86 @@ def _changed(got: dict, pinned: dict) -> str:
     return "".join(f'\n    "{k}": "{got[k]}",' for k in sorted(pinned) if got[k] != pinned[k])
 
 
+def _recursive_tree(tab: SamplerTables, s) -> OrderedTree:
+    """A conditioned tree by the recursive route, on the oracle methods: each
+    vertex draws its degree given its subtree's marked count, then its
+    children's counts, depth first."""
+    degrees = []
+    stack = [tab.n]  # marked counts of the subtrees still to draw
+    while stack:
+        size = stack.pop()
+        p = tab.draw_root_degree(size, s)
+        degrees.append(p)
+        stack.extend(reversed(tab.draw_split_sizes(p, size - 1 if tab.marked_degree[p] else size, s)))
+    return OrderedTree.from_degrees(degrees)
+
+
+def _stalk_draws_kept(q: QFamily, n: int, s, certain) -> OrderedTree:
+    """sample_markov_branching as it was while every stalk took a draw:
+    stalks of success probability 1 draw their length, always 0, from
+    `certain`, the others from `s`."""
+
+    def stalk(p) -> int:
+        return draw_geometric(p.numerator, p.denominator, certain if p == 1 else s)
+
+    stalks = 1 not in q.marks
+    degrees = []
+    stack = [n]
+    while stack:
+        size = stack.pop()
+        if size == 1:
+            degrees += [1] * (stalk(q.q1_empty) if stalks else 0) + [0]
+            continue
+        lam = q.draw_conditioned(size, s)
+        degrees += [1] * (stalk(q.split_mass(size)) if stalks else 0) + [len(lam)]
+        stack.extend(reversed(lam))
+    return OrderedTree.from_degrees(degrees)
+
+
+def _pinned_exact_draws(name: str, mb=sample_markov_branching) -> dict:
+    """The seeded exact-mode digests of one arm, its Markov branching trees
+    drawn by `mb`."""
+    dist, marks = DIGEST_ARMS[name]
+    got = {}
+    s = RandomStream(61).split(name)
+    got[f"trees.{name}"] = _sha(_recursive_tree(SamplerTables(dist, marks, 25), s) for _ in range(20))
+    for _ in range(DESCENT_WORDS[name]):
+        s.getrandbits(32)
+    got[f"hat.{name}"] = _sha(sample_hat_offspring(dist, marks, s) for _ in range(200))
+    got[f"offspring.{name}"] = _sha(draw_offspring(dist, s) for _ in range(300))
+    fam = family_from_tables(SamplerTables(dist, marks, 9))
+    got[f"mb.{name}"] = _sha(mb(fam, 9, s) for _ in range(40))
+    tab = SamplerTables(dist, marks, 25)
+    s = RandomStream(61).split(name, "blocks")
+    got[f"blocks.{name}"] = _sha(sample_conditioned(tab, s) for _ in range(20))
+    return got
+
+
 def test_seeded_exact_output_is_pinned():
     got = {}
-    for name, (dist, marks) in DIGEST_ARMS.items():
-        s = RandomStream(61).split(name)
-        got[f"trees.{name}"] = _sha(sample_conditioned(SamplerTables(dist, marks, 25), s) for _ in range(20))
-        for _ in range(DESCENT_WORDS[name]):
-            s.getrandbits(32)
-        got[f"hat.{name}"] = _sha(sample_hat_offspring(dist, marks, s) for _ in range(200))
-        got[f"offspring.{name}"] = _sha(draw_offspring(dist, s) for _ in range(300))
-        fam = family_from_tables(SamplerTables(dist, marks, 9))
-        got[f"mb.{name}"] = _sha(sample_markov_branching(fam, 9, s) for _ in range(40))
+    for name in DIGEST_ARMS:
+        got.update(_pinned_exact_draws(name))
     s = RandomStream(62)
     got["offspring.geometric-1/3"] = _sha(draw_offspring(geometric_dist(Fraction(1, 3)), s) for _ in range(300))
     changed = _changed(got, PINNED_DIGESTS)
     assert not changed, f"seeded exact output changed:{changed}"
+
+
+def test_markov_branching_skips_only_the_certain_stalk_draws():
+    # with its certain stalk draws on the stream, _stalk_draws_kept is the
+    # sampler that pinned mb.binary/0 before; with them on another stream it
+    # draws what sample_markov_branching draws, tree for tree, and leaves the
+    # stream where it does
+    kept = _pinned_exact_draws("binary/0", mb=lambda q, n, s: _stalk_draws_kept(q, n, s, s))
+    assert kept["mb.binary/0"] == MB_BINARY_WITH_CERTAIN_STALK_DRAWS
+    for name, (dist, marks) in DIGEST_ARMS.items():
+        fam = family_from_tables(SamplerTables(dist, marks, 9))
+        a, b, certain = RandomStream(67).split(name), RandomStream(67).split(name), RandomStream(0)
+        for _ in range(40):
+            assert sample_markov_branching(fam, 9, a) == _stalk_draws_kept(fam, 9, b, certain)
+        assert a.getrandbits(64) == b.getrandbits(64)
+        # only binary has no mass at degree one, and so certain stalks
+        assert (certain.getrandbits(64) != RandomStream(0).getrandbits(64)) == (name == "binary/0")
 
 
 def test_seeded_float_output_is_pinned():
