@@ -138,7 +138,8 @@ def cmd_exact(cfg: argparse.Namespace) -> int:
     marks = _marks(cfg.degree_set)
     cache_file = None
     if cfg.cache_dir:
-        tag = f"exact-{json.dumps(cfg.dist, sort_keys=True)}-{marks.spec()}-{cfg.max_n}"
+        # named by the law, not by its spelling
+        tag = f"exact-{json.dumps(dist.to_json(), sort_keys=True)}-{marks.spec()}-{cfg.max_n}"
         safe = "".join(c if c.isalnum() or c in ".,-" else "_" for c in tag)
         cache_file = Path(cfg.cache_dir) / f"{safe}.json"
         try:
@@ -151,7 +152,7 @@ def cmd_exact(cfg: argparse.Namespace) -> int:
     table = marked_count_pmf(dist, marks, cfg.max_n)
     values = [format_rational(v) for v in table[1:]]
     if cache_file is not None:
-        payload = {"dist": cfg.dist, "set": marks.spec(), "max_n": cfg.max_n, "values": values}
+        payload = {"dist": dist.to_json(), "set": marks.spec(), "max_n": cfg.max_n, "values": values}
         tmp = cache_file.with_name(f"{cache_file.name}.{os.getpid()}.tmp")  # written, then renamed: never partial
         try:
             cache_file.parent.mkdir(parents=True, exist_ok=True)
@@ -245,8 +246,8 @@ def _named_family(spec_text: str) -> str:
     from .offspring import binary_dist, geometric_dist
 
     try:
-        dist = OffspringDist.from_json(spec_text)
-    except ValueError as exc:
+        dist = OffspringDist.from_json(json.loads(spec_text))
+    except ValueError as exc:  # bad JSON too: JSONDecodeError is a ValueError
         raise ConfigError(f"bad distribution spec: {exc}") from exc
     if dist == binary_dist():
         return "binary"

@@ -1,13 +1,17 @@
 """Exact probabilities for marked-count laws.
 
 Three independent routes live here:
-  * first-passage formulas for left-continuous random walks (the total
-    progeny of a branching law equals (1/n) P(S_n = -1));
+  * first-passage formulas for left-continuous random walks: p independent
+    trees of a branching law have n vertices in all with probability
+    (p/n) P(S_n = -p), the generalised Otter-Dwass formula, which at p = 1
+    is the total-progeny law;
   * coefficient extraction from the marked-count functional equation
     F = sum_k xi_k z^[k in A] F^k, solved one coefficient per step;
   * brute-force enumeration of depth-first queues with their product weights.
 
-The first is the exact engine behind `marked_count_pmf`.  Every law and set
+The first is the one exact engine: `marked_count_pmf` and `forest_leaf_pmf`
+read its walk states here, and exact sampler tables read every convolution
+power of the marked-count law off the same states.  Every law and set
 handled here has a collapsed law with a rational generating function N/M of
 small integer polynomials, so one walk step multiplies the state's series by
 N and divides it by M: O(n) integer operations per step and O(n^2) for a
@@ -20,7 +24,6 @@ tables.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
@@ -31,20 +34,6 @@ from .offspring import OffspringDist, collapsed_coeffs_float, collapsed_offsprin
 from .trees import canonical_key, decode
 
 MAX_ENUM_VERTICES = 16
-
-
-@dataclass(frozen=True)
-class WalkPmf:
-    """P(S_k = m) over a window of values, for k steps distributed like the law minus 1."""
-
-    lo: int
-    hi: int
-    probs: dict[int, Fraction]
-
-    def prob(self, m: int) -> Fraction:
-        if not (self.lo <= m <= self.hi):
-            raise ValueError(f"{m} outside window [{self.lo},{self.hi}]")
-        return self.probs.get(m, Fraction(0))
 
 
 def _walk(dist: OffspringDist, k: int, top: int) -> Iterator[tuple[list[int], int, int]]:
@@ -90,18 +79,6 @@ def _walk(dist: OffspringDist, k: int, top: int) -> Iterator[tuple[list[int], in
             scale //= g
         cur = nxt
         yield cur, scale, base
-
-
-def walk_pmf(dist: OffspringDist, k: int, lo: int, hi: int) -> WalkPmf:
-    """Exact pmf of the k-step walk on the window [lo, hi]."""
-    if k < 0:
-        raise ValueError("step count must be non-negative")
-    top = hi + k
-    cur, scale, base = ([1] + [0] * top if top >= 0 else []), 1, 1
-    for cur, scale, base in _walk(dist, k, top):
-        pass
-    probs = {m: Fraction(cur[m + k], scale * base ** (m + k)) for m in range(max(lo, -k), hi + 1) if cur[m + k]}
-    return WalkPmf(lo, hi, probs)
 
 
 def progeny_pmf(dist: OffspringDist, max_n: int) -> list[Fraction]:
@@ -174,14 +151,19 @@ def marked_count_pmf(dist: OffspringDist, marks: DegreeSet, max_n: int) -> list[
 def forest_leaf_pmf(dist: OffspringDist, n_trees: int, k: int) -> Fraction:
     """P(a forest of n independent trees has exactly k leaves).
 
-    Equals (n/k) P(S_k = -n) for the walk with collapsed-law steps; zero
-    whenever k < n since every tree contributes a leaf.
+    Equals (n/k) P(S_k = -n) = (n/k) zeta^{*k}[k - n] for the walk whose
+    steps are the collapsed law zeta minus 1, read from the k-th state of
+    _walk; zero whenever k < n since every tree contributes a leaf.
     """
     if k < 1 or n_trees < 1:
         raise ValueError("need at least one tree and one leaf")
+    if k < n_trees:
+        return Fraction(0)
     zeta = collapsed_offspring(dist, DegreeSet.of(0), k)
-    w = walk_pmf(zeta, k, -n_trees, -n_trees)
-    return Fraction(n_trees, k) * w.prob(-n_trees)
+    e = k - n_trees
+    for cur, scale, base in _walk(zeta, k, e):
+        pass
+    return Fraction(n_trees * cur[e], k * scale * base**e)
 
 
 def marked_count_support(dist: OffspringDist, marks: DegreeSet, max_n: int) -> list[bool]:

@@ -158,11 +158,8 @@ class OffspringDist:
 
     @staticmethod
     def from_json(spec) -> OffspringDist:
-        """Accept {"family":"binary"}, {"family":"geometric","p":"1/2"} or {"probs":[...]}."""
-        if isinstance(spec, str):
-            import json
-
-            spec = json.loads(spec)
+        """Accept {"family":"binary"}, {"family":"geometric","p":"1/2"} or
+        {"probs":[...]}, as a parsed JSON object: one spelling per law."""
         if not isinstance(spec, dict):
             raise ValueError(f"distribution spec must be a JSON object: {spec!r}")
         if "probs" in spec:

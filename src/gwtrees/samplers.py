@@ -16,7 +16,9 @@ likeliest values and lets the sum fix those two, a few proposals per tree
 whatever n (SamplerTables.draw_block_values).  Both are unbiased at every
 size, unlike rejection with a vertex cap (kept here only as a
 cross-validation oracle for small sizes), and so are the recursive root-degree
-and split draws kept as oracles.  The depth of a uniform marked vertex needs
+and split draws kept as oracles, which read the convolution powers of the
+marked-count law off the same integer rows by the generalised Otter-Dwass
+formula (SamplerTables.tau).  The depth of a uniform marked vertex needs
 no tree: it is drawn, on float tables only, as a Markov chain on the sizes of
 the subtrees along the vertex's path (sample_marked_depth).
 """
@@ -28,7 +30,7 @@ from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, exp, gcd, lgamma, log
+from math import comb, exp, lgamma, log
 
 import numpy as np
 
@@ -105,7 +107,8 @@ def sample_hat_offspring(dist: OffspringDist, marks: DegreeSet, stream: RandomSt
 
 @dataclass(eq=False)
 class _BlockRows:
-    """Integer state of exact trees by blocks with n marked vertices.
+    """Integer state of exact trees by blocks, and of tau, with n marked
+    vertices.
 
     rows[j][e] / (dens[j] * base^e) is zeta^{*j}[e], the j-th convolution
     power of the collapsed law zeta at e, for j = 0..n and e = 0..n-1: row 0
@@ -275,15 +278,16 @@ def _two_cell(values: np.ndarray, probs: np.ndarray, n: int) -> _TwoCell:
 
 
 class SamplerTables:
-    """Marked-count law and its convolution powers for one (law, set, size).
+    """Marked-count law for one (law, set, size), and the state its trees
+    and depths are drawn from.
 
-    Exact mode keeps each power as integer numerators over one denominator
-    per row; float mode keeps each power once, as a numpy vector.  Trees are
-    drawn by blocks in both modes, on state built on the first tree draw.
-    Exact trees keep the integer convolution powers of the collapsed law
-    (_BlockRows), one CDF of the next block value per (values left, their
-    sum) and one interior CDF per remaining value, as integer lists drawn by
-    exact dyadic inversion; the value CDFs grow only as far as draws reach.
+    Trees are drawn by blocks in both modes, on state built on the first
+    tree draw.  Exact trees keep the integer convolution powers of the
+    collapsed law (_BlockRows, the one exact source of convolution powers:
+    tau reads those of the marked-count law from them), one CDF of the next
+    block value per (values left, their sum) and one interior CDF per
+    remaining value, as integer lists drawn by exact dyadic inversion; the
+    value CDFs grow only as far as draws reach.
     Float trees keep the block law and its per-value interior CDFs, arrays
     of doubles that end at exactly 1.0, each drawn by one bisect of a
     uniform.  Depths are drawn on float tables only: the size chain of
@@ -304,6 +308,8 @@ class SamplerTables:
         if exact:
             self.count = marked_count_pmf(dist, marks, n)
             self._admissible = [bool(c > 0) for c in self.count]
+            # count[j] == ints[j] / int_den, for split_measure's integer sums
+            self._count_ints = common_denominator(self.count)
         else:
             self.count = marked_count_pmf_float(dist, marks, n)
             # the FFT returns structural zeros as noise around 1e-17; the
@@ -330,69 +336,60 @@ class SamplerTables:
         self._chain: tuple | None = None
         self._chain_cum: dict[int, array] = {}
         self.marked_degree = [k in marks for k in range(n + 2)]
-        if exact:
-            # row p of _tau: numerators of the p-th convolution power, and
-            # their denominator, both divided by their gcd
-            self._tau: list = [([1] + [0] * n, 1), common_denominator(self.count)]
-        else:
-            self._tau = [np.zeros(n + 1), np.array(self.count)]
-            self._tau[0][0] = 1.0
+        if not exact:
             self._pmf_f = float_pmf(dist, n + 1)
 
     def admissible(self, m: int) -> bool:
         return 1 <= m <= self.n and self._admissible[m]
 
-    def _power(self, p: int):
-        """Row p of the convolution powers, built on first use."""
-        tau = self._tau
-        while len(tau) <= p:
-            if self.exact:
-                last, den = tau[-1]
-                count, count_den = tau[1]
-                n = self.n
-                nxt = [0] * (n + 1)
-                for i, ai in enumerate(last):
-                    if ai:
-                        for j in range(1, n - i + 1):
-                            cj = count[j]
-                            if cj:
-                                nxt[i + j] += ai * cj
-                den *= count_den
-                g = gcd(den, *nxt)
-                tau.append(([c // g for c in nxt], den // g))
-            else:
-                tau.append(np.convolve(tau[-1], self.count)[: self.n + 1])
-        return tau[p]
+    def block_rows(self) -> _BlockRows:
+        """The block rows of exact trees and tau, built on the first call and
+        cached.  Exact tables only."""
+        if not self.exact:
+            raise ValueError("block rows need exact tables")
+        if self._rows is None:
+            self._rows = _block_rows(self.dist, self.marks, self.n)
+        return self._rows
 
-    def tau(self, p: int):
-        """P(sum of p independent marked counts = s), s = 0..n."""
-        row = self._power(p)
-        if self.exact:
-            nums, den = row
-            return [Fraction(c, den) for c in nums]
-        return row
+    def tau(self, p: int) -> list[Fraction]:
+        """P(sum of p independent marked counts = s), s = 0..n.  Exact
+        tables only.
+
+        p independent marked counts are the sizes of p independent trees of
+        the collapsed law zeta, so by the generalised Otter-Dwass formula
+        they sum to s with probability (p / s) zeta^{*s}[s - p], read from
+        the block rows: p rows[s][s-p] / (s dens[s] base^(s-p)).  tau_0 is
+        the point mass at 0, and tau_p(s) = 0 for s < p.
+        """
+        blocks = self.block_rows()
+        n = self.n
+        if not p:
+            return [Fraction(1)] + [Fraction(0)] * n
+        rows, dens, base = blocks.rows, blocks.dens, blocks.base
+        return [Fraction(0)] * min(p, n + 1) + [
+            Fraction(p * rows[s][s - p], s * dens[s] * base ** (s - p)) for s in range(p, n + 1)
+        ]
 
     def stats(self) -> dict[str, int]:
         """Sizes of the caches, read from them on demand.
 
-        `powers` counts the convolution powers of the marked-count law held
-        (tau_0 and tau_1 included) and `rows` the block rows of exact trees,
-        n + 1 of n entries once a tree is drawn; `*_cdfs` count the cached
-        CDFs (block-value, size-chain and block-interior) and `*_entries`
-        their entries; `cache_bytes` counts 8 bytes per power, row and CDF
-        entry, which is what float mode's doubles take and a lower bound for
-        exact mode's integers.  Nothing on the draw path counts.
+        `rows` counts the block rows of exact tables, n + 1 of n entries once
+        a tree or tau is drawn on them; `*_cdfs` count the cached CDFs
+        (block-value, size-chain and block-interior) and `*_entries` their
+        entries; `cache_bytes` counts 8 bytes per row and CDF entry, which
+        is what float mode's doubles take and a lower bound for exact mode's
+        integers.  Nothing on the draw path counts.
         """
         cdfs = {
             "value": [cum for cum, _total, _extend in self._value_cum.values()],
             "chain": self._chain_cum.values(),
             "interior": self._interior_cum.values(),
         }
-        stats = {"powers": len(self._tau), "rows": 0 if self._rows is None else len(self._rows.rows)}
+        stats = {"rows": 0 if self._rows is None else len(self._rows.rows)}
         for kind, cums in cdfs.items():
             stats[f"{kind}_cdfs"] = len(cums)
             stats[f"{kind}_entries"] = sum(map(len, cums))
-        entries = stats["powers"] * (self.n + 1) + stats["rows"] * self.n
+        entries = stats["rows"] * self.n
         stats["cache_bytes"] = 8 * (entries + sum(stats[f"{k}_entries"] for k in cdfs))
         return stats
 
@@ -436,8 +433,7 @@ class SamplerTables:
         left sum to 0 they are all 0, and the last value is what is left, so
         neither takes bits.  The block rows are built on the first call.
         """
-        if self._rows is None:
-            self._rows = _block_rows(self.dist, self.marks, self.n)
+        self.block_rows()
         n = self.n
         cdfs = self._value_cum
         values: list[int] = []
@@ -729,7 +725,9 @@ def marked_vertex_series(tables: SamplerTables) -> tuple:
 
     G is found by series division, G = 1 - Phi_z / F'.  Phi_z comes from
     the rows F^j of the marked degrees of a finite set, or as
-    (F - sum_{j not in A} xi_j F^j) / z for a cofinite one.  F' is known to
+    (F - sum_{j not in A} xi_j F^j) / z for a cofinite one; F^j is
+    SamplerTables.tau(j) on exact tables and the j-th power of the float
+    count, by repeated np.convolve, on float tables.  F' is known to
     z^(n-1) only, so G has entries 0..n-1; W and Phi_A have 0..n.  Exact
     tables give numpy arrays of Fractions, float tables of doubles, with G
     clipped at zero against rounding.
@@ -740,13 +738,19 @@ def marked_vertex_series(tables: SamplerTables) -> tuple:
         count = np.array(tables.count, dtype=object)
 
         def row(p: int) -> np.ndarray:
-            nums, den = tables._power(p)
-            return np.array([Fraction(c, den) for c in nums], dtype=object)
+            return np.array(tables.tau(p), dtype=object)
 
         xi = tables.dist.pmf
     else:
         count = tables.count
-        row = tables._power
+        powers = [np.zeros(n + 1), count]
+        powers[0][0] = 1.0
+
+        def row(p: int) -> np.ndarray:
+            while len(powers) <= p:
+                powers.append(np.convolve(powers[-1], count)[: n + 1])
+            return powers[p]
+
         xi = tables._pmf_f.__getitem__
     zero = count[0]  # no tree has no marked vertex
     # the marked part of Phi over z, to z^(n-1); F^j starts at z^j
@@ -930,7 +934,7 @@ def split_measure(tables: SamplerTables, m: int) -> dict[Partition, Fraction]:
     count = tables.count
     nums = [c.numerator for c in count]
     dens = [c.denominator for c in count]
-    ints, int_den = tables._tau[1]  # count[j] == ints[j] / int_den; zero marks an inadmissible part
+    ints, int_den = tables._count_ints  # zero marks an inadmissible part
     z = count[m]
     xis: dict[int, Fraction] = {}
     buckets: dict[int, dict[Partition, Fraction]] = {}  # per degree, in support order

@@ -53,6 +53,36 @@ def test_exact_cache_roundtrip(tmp_path):
     assert second.stdout == first.stdout
 
 
+def test_exact_cache_file_is_named_by_the_law(tmp_path):
+    # three spellings of geometric(1/2) share one file and one output
+    outs = []
+    for spec in ('{"family":"geometric"}', '{"family":"geometric","p":"1/2"}', '{"family":"geometric","p":0.5}'):
+        code, out, err = _main(["exact", "--dist", spec, "--max-n", "6", "--cache-dir", str(tmp_path)])
+        assert (code, err) == (0, "")
+        outs.append(out)
+    assert outs[0] == outs[1] == outs[2]
+    (cache_file,) = tmp_path.iterdir()
+    assert json.loads(cache_file.read_text())["dist"] == {"family": "geometric", "p": "1/2"}
+
+
+@pytest.mark.parametrize("command", ["exact", "sample", "root-partition"])
+def test_dist_as_a_json_string_is_refused(tmp_path, command):
+    # JSON text holding the law's object is a second spelling of the law,
+    # refused as a flag and as a config value
+    argv = [command, "--set", "0", "--max-n" if command == "exact" else "--n", "3"]
+    if command == "sample":
+        argv += ["--seed", "1"]
+    text = json.dumps(BINARY)
+    code, out, err = _main([*argv, "--dist", text])
+    _assert_json_error(code, out, err)
+    assert "JSON object" in json.loads(err)["message"]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"dist": BINARY}))
+    _assert_json_error(*_main([*argv, "--config", str(cfg)]))
+    cfg.write_text(json.dumps({"dist": json.loads(BINARY)}))
+    assert _main([*argv, "--config", str(cfg)])[0] == 0
+
+
 @pytest.mark.parametrize("under", [False, True], ids=["is-a-file", "under-a-file"])
 def test_exact_cache_dir_that_cannot_be_written_is_a_json_error(tmp_path, under):
     blocker = tmp_path / "file"
@@ -262,8 +292,14 @@ def test_sample_rejects_nonpositive_count():
 
 @pytest.mark.parametrize(
     "flags",
-    [["--dist", "{"], ["--dist", "[1]"], ["--sets", "x"], ["--sets", "0", "1"]],
-    ids=["dist-not-json", "dist-not-object", "set-not-parsed", "set-without-zero"],
+    [
+        ["--dist", "{"],
+        ["--dist", "[1]"],
+        ["--dist", '"{\\"family\\":\\"binary\\"}"'],
+        ["--sets", "x"],
+        ["--sets", "0", "1"],
+    ],
+    ids=["dist-not-json", "dist-not-object", "dist-json-string", "set-not-parsed", "set-without-zero"],
 )
 def test_verify_rejects_bad_first_passage_flags(flags):
     # checked before any suite runs, so checkmap prints nothing either

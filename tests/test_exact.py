@@ -8,6 +8,7 @@ from gwtrees.degree_sets import DegreeSet
 from gwtrees.exact import (
     FLOAT_TABLE_ATOL,
     FLOAT_TABLE_RTOL,
+    _walk,
     enumerate_mass,
     forest_leaf_pmf,
     leaf_pmf_fixed_point,
@@ -16,7 +17,6 @@ from gwtrees.exact import (
     marked_count_pmf_float,
     marked_count_support,
     progeny_pmf,
-    walk_pmf,
 )
 from gwtrees.offspring import binary_dist, collapsed_offspring, from_probs, geometric_dist
 
@@ -57,26 +57,29 @@ def _reference_progeny(dist, max_n):
     return [Fraction(0)] + [st.get(-1, Fraction(0)) / n for n, st in enumerate(states, start=1)]
 
 
-def _reference_window(dist, k, lo, hi):
-    states = _fraction_walk(dist, k, hi + k)
-    last = states[-1] if states else {0: Fraction(1)}
-    return {m: p for m, p in last.items() if lo <= m <= hi}
+def _integer_states(dist, k, top):
+    """The states of the integer walk after steps 1..k, as _fraction_walk
+    gives them: coefficient e of state j is the walk at e - j."""
+    return [
+        {e - j: Fraction(c, scale * base**e) for e, c in enumerate(cur) if c}
+        for j, (cur, scale, base) in enumerate(_walk(dist, k, top), start=1)
+    ]
 
 
-def test_walk_pmf_examples():
-    zeta = geometric_dist()
-    assert walk_pmf(zeta, 1, -1, -1).prob(-1) == Fraction(1, 2)
-    assert walk_pmf(zeta, 2, -1, -1).prob(-1) == Fraction(1, 4)
-    assert walk_pmf(zeta, 2, -3, -3).prob(-3) == 0
-    assert walk_pmf(binary_dist(), 0, 0, 0).prob(0) == 1
+def test_walk_examples():
+    states = _integer_states(geometric_dist(), 2, 2)
+    assert states[0][-1] == Fraction(1, 2)
+    assert states[1][-1] == Fraction(1, 4)
+    assert -3 not in states[1]
+    assert _integer_states(binary_dist(), 0, 0) == []
 
 
-def test_walk_pmf_rejects_short_prefix():
-    # a truncated coefficient prefix cannot cover steps reaching the window
+def test_walk_rejects_short_prefix():
+    # a truncated coefficient prefix cannot cover the steps the table reaches
     zeta = collapsed_offspring(binary_dist(), A0, 3)
     assert zeta.truncated
-    with pytest.raises(ValueError):
-        walk_pmf(zeta, 10, 5, 5)
+    with pytest.raises(ValueError, match="prefix too short"):
+        progeny_pmf(zeta, 10)
 
 
 def test_progeny_pmf_examples():
@@ -119,8 +122,8 @@ def test_integer_walk_matches_fraction_walk(dist):
     for marks in (*SETS, *WIDE_SETS):
         zeta = collapsed_offspring(dist, marks, 40)
         assert progeny_pmf(zeta, 40) == _reference_progeny(zeta, 40)
-        for k, lo, hi in ((40, -40, 0), (20, -5, 10), (1, -1, 0), (0, 0, 0)):
-            assert walk_pmf(zeta, k, lo, hi).probs == _reference_window(zeta, k, lo, hi)
+        for k, top in ((40, 40), (20, 30), (1, 1), (0, 0)):
+            assert _integer_states(zeta, k, top) == _fraction_walk(zeta, k, top)
     assert progeny_pmf(dist, 40) == _reference_progeny(dist, 40)
 
 
@@ -193,7 +196,7 @@ def test_support_parity_of_binary_total_progeny():
 def test_integer_walk_degenerate_law():
     one = from_probs([1])
     assert progeny_pmf(one, 12) == _reference_progeny(one, 12) == [0, 1] + [0] * 11
-    assert walk_pmf(one, 5, -6, 0).probs == _reference_window(one, 5, -6, 0) == {-5: 1}
+    assert _integer_states(one, 5, 5) == _fraction_walk(one, 5, 5) == [{-j: 1} for j in range(1, 6)]
 
 
 def test_integer_walk_rejects_float_laws():
@@ -220,6 +223,19 @@ def test_forest_leaf_examples():
     table = marked_count_pmf(binary_dist(), A0, 6)
     for k in range(1, 7):
         assert forest_leaf_pmf(binary_dist(), 1, k) == table[k]
+
+
+def test_forest_leaf_pmf_is_a_convolution_power_of_the_leaf_law():
+    # one tree of this critical law has an odd number of leaves, so no
+    # table is built at an even size, but two trees have an even number
+    dist = from_probs([Fraction(2, 3), 0, 0, Fraction(1, 3)])
+    top = 21
+    table = marked_count_pmf(dist, A0, top)
+    assert forest_leaf_pmf(dist, 2, 4) == Fraction(32, 243)
+    power = [Fraction(1)] + [Fraction(0)] * top
+    for p in range(1, 6):
+        power = [sum((power[i] * table[k - i] for i in range(k + 1)), Fraction(0)) for k in range(top + 1)]
+        assert [forest_leaf_pmf(dist, p, k) for k in range(1, top + 1)] == power[1:], p
 
 
 def test_enumeration_examples():

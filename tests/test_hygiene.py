@@ -68,7 +68,7 @@ PACKAGE = ROOT / "src" / "gwtrees"
 # Names that stay although no module under src/ reads them, each with its
 # reason.  A name leaves this list when it is deleted or gains a reader.
 KEPT_UNREAD = {
-    "exact.forest_leaf_pmf": "the paper's forest formula, an oracle for tests",
+    "exact.forest_leaf_pmf": "the paper's forest formula on one walk state, as tau reads the block rows; an oracle for tests",
     "partitions.partitions_of": "enumeration oracle for tests",
     "samplers.sample_conditioned_rejection": "rejection oracle for the conditioned sampler",
     "trees.root_partition": "oracle for the root-split law",
@@ -80,8 +80,8 @@ KEPT_UNREAD = {
     "offspring.InvalidDistribution.code": "public error code of an invalid law, which tests read",
     "samplers._BlockLaw.theta": "the tilt that sets the block proposal's acceptance rate, which a test checks",
     # bound by benchmarks/ until its refresh (ROADMAP item 1); deleted after
-    # it.  The two oracles read SamplerTables.tau and streams.draw_weights,
-    # which go with them
+    # it.  The two oracles read streams.draw_weights, which goes with them;
+    # SamplerTables.tau stays, read by marked_vertex_series on exact tables
     "samplers.SamplerTables.draw_root_degree": "bound by the benchmark",
     "samplers.SamplerTables.draw_split_sizes": "bound by the benchmark",
     "exact.leaf_pmf_fixed_point": "bound by the benchmark",

@@ -214,7 +214,10 @@ def test_collapsed_partial_variance_converges():
 
 def test_json_specs():
     assert OffspringDist.from_json({"family": "binary"}) == binary_dist()
-    assert OffspringDist.from_json('{"family":"geometric","p":"1/2"}') == geometric_dist()
+    assert OffspringDist.from_json({"family": "geometric", "p": "1/2"}) == geometric_dist()
+    # a law has one spelling: JSON text that holds the object is refused
+    with pytest.raises(ValueError, match="JSON object"):
+        OffspringDist.from_json('{"family":"geometric","p":"1/2"}')
     d = OffspringDist.from_json({"probs": ["1/2", "0", "1/2"]})
     assert d == binary_dist()
     assert OffspringDist.from_json(binary_dist().to_json()) == binary_dist()

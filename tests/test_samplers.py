@@ -12,7 +12,7 @@ import pytest
 
 from gwtrees import samplers
 from gwtrees.degree_sets import DegreeSet
-from gwtrees.exact import FLOAT_TABLE_ATOL, FLOAT_TABLE_RTOL, enumerate_mass, marked_count_pmf
+from gwtrees.exact import FLOAT_TABLE_ATOL, FLOAT_TABLE_RTOL, enumerate_mass, marked_count_fixed_point, marked_count_pmf
 from gwtrees.offspring import binary_dist, collapsed_offspring, from_probs, geometric_dist
 from gwtrees.partitions import block_count, distinct_arrangements, partitions_into
 from gwtrees.samplers import (
@@ -700,37 +700,45 @@ def test_completed_value_cdfs_end_at_their_total():
                 assert Fraction(total, rows.dens[1] * rows.dens[k - 1] * rows.base**r) == powers[k][r]
 
 
-def test_exact_tau_rows_are_convolution_powers():
-    mixed = from_probs([Fraction(7, 12), Fraction(1, 6), Fraction(0), Fraction(1, 4)])
-    tab = SamplerTables(mixed, A0, 15)
-    row = [Fraction(1)] + [Fraction(0)] * 15
-    for p in range(6):
-        assert tab.tau(p) == row
-        row = [sum((row[i] * tab.count[s - i] for i in range(s + 1)), Fraction(0)) for s in range(16)]
+TAU_CASES = {
+    "binary-0": (binary_dist(), "0"),
+    "geometric-0": (geometric_dist(), "0"),
+    "geometric-0,2": (geometric_dist(), "0,2"),
+    "mixed-0": (MIXED, "0"),
+    "geometric-2/3-not:1,3": (geometric_dist(Fraction(2, 3)), "not:1,3"),
+    "geometric-3/5-0": (geometric_dist(Fraction(3, 5)), "0"),
+    "binary-all": (binary_dist(), "all"),
+    "geometric-all": (geometric_dist(), "all"),
+}
 
 
-def test_root_degree_cdf_builds_only_the_powers_it_reaches():
-    # exact trees are drawn by blocks, on the powers of the collapsed law:
-    # they build no power of the marked-count law beyond tau_1
-    tab = SamplerTables(geometric_dist(), A0, 120)
-    s = stream(89)
-    for _ in range(20):
-        sample_conditioned(tab, s)
-    assert len(tab._tau) == 2
+@pytest.mark.parametrize("case", TAU_CASES)
+def test_exact_tau_rows_are_convolution_powers(case):
+    # tau reads the block rows by the generalised Otter-Dwass formula; the
+    # powers it must equal come from the functional equation, which builds
+    # neither the walk nor the collapsed law
+    dist, spec = TAU_CASES[case]
+    marks = DegreeSet.parse(spec)
+    n = 25
+    tab = SamplerTables(dist, marks, n)
+    count = marked_count_fixed_point(dist, marks, n)
+    row = [Fraction(1)] + [Fraction(0)] * n
+    for p in range(n + 2):
+        assert tab.tau(p) == row, p
+        row = [sum((row[i] * count[s - i] for i in range(s + 1)), Fraction(0)) for s in range(n + 1)]
 
 
 @pytest.mark.parametrize("spec", ["all", "0", "0,2"])
 def test_float_trees_build_no_degree_or_split_cdfs(spec):
-    # float trees are drawn by the block law: no convolution power beyond
-    # tau_1, no exact block row or value CDF, and at most one interior CDF
-    # of r + 2 entries per block value r, none when every degree is marked
+    # float trees are drawn by the block law: no exact block row or value
+    # CDF, and at most one interior CDF of r + 2 entries per block value r,
+    # none when every degree is marked
     n = 2000
     tab = SamplerTables(geometric_dist(), DegreeSet.parse(spec), n, exact=False)
     s = stream(97)
     for _ in range(20):
         assert count_marked(sample_conditioned(tab, s), tab.marks) == n
     stats = tab.stats()
-    assert stats["powers"] == 2
     assert stats["rows"] == stats["value_cdfs"] == stats["chain_cdfs"] == 0
     assert stats["interior_entries"] == sum(map(len, tab._interior_cum.values()))
     assert stats["interior_entries"] <= sum(r + 2 for r in tab._interior_cum)
@@ -972,13 +980,11 @@ def test_stats_follow_the_caches():
     n = 60
     tab = SamplerTables(geometric_dist(), A0, n)
     empty = tab.stats()
-    assert empty["powers"] == 2 and empty["rows"] == empty["value_cdfs"] == empty["interior_cdfs"] == 0
-    assert empty["cache_bytes"] == 8 * 2 * (n + 1)
+    assert empty["rows"] == empty["value_cdfs"] == empty["interior_cdfs"] == empty["cache_bytes"] == 0
     s = stream(5)
     for _ in range(5):
         sample_conditioned(tab, s)
     stats = tab.stats()
-    assert stats["powers"] == len(tab._tau) == 2
     assert stats["rows"] == len(tab._rows.rows) == n + 1
     assert stats["value_cdfs"] == len(tab._value_cum) > 0
     assert stats["value_entries"] == sum(len(cum) for cum, _total, _extend in tab._value_cum.values())
@@ -986,21 +992,28 @@ def test_stats_follow_the_caches():
     assert stats["interior_entries"] == sum(map(len, tab._interior_cum.values()))
     assert stats["chain_cdfs"] == stats["chain_entries"] == 0
     assert tab.stats() == stats  # reading them changes nothing
-    entries = stats["powers"] * (n + 1) + stats["rows"] * n + stats["value_entries"] + stats["interior_entries"]
+    entries = stats["rows"] * n + stats["value_entries"] + stats["interior_entries"]
     assert stats["cache_bytes"] == 8 * entries
+    # tau builds the block rows that trees then draw on, and nothing else
+    shared = SamplerTables(geometric_dist(), A0, n)
+    shared.tau(3)
+    rows = shared._rows
+    assert shared.stats() == {**empty, "rows": n + 1, "cache_bytes": 8 * (n + 1) * n}
+    sample_conditioned(shared, s)
+    assert shared._rows is rows
     float_tab = SamplerTables(geometric_dist(), A0, n, exact=False)
     for _ in range(5):
         sample_conditioned(float_tab, s)
     stats = float_tab.stats()
     assert stats["interior_cdfs"] == len(float_tab._interior_cum) > 0
     assert stats["rows"] == stats["value_cdfs"] == stats["chain_cdfs"] == stats["chain_entries"] == 0
-    assert stats["cache_bytes"] == 8 * (stats["powers"] * (n + 1) + stats["interior_entries"])
+    assert stats["cache_bytes"] == 8 * stats["interior_entries"]
     for _ in range(5):
         sample_marked_depth(float_tab, s)
     stats = float_tab.stats()
     assert stats["chain_cdfs"] == len(float_tab._chain_cum) > 0
     assert stats["chain_entries"] == sum(map(len, float_tab._chain_cum.values()))
-    assert stats["cache_bytes"] == 8 * (stats["powers"] * (n + 1) + stats["interior_entries"] + stats["chain_entries"])
+    assert stats["cache_bytes"] == 8 * (stats["interior_entries"] + stats["chain_entries"])
 
 
 @pytest.mark.parametrize(
@@ -1012,8 +1025,12 @@ def test_stats_follow_the_caches():
         (True, lambda tab: tab.block_law()),
         (True, lambda tab: tab.draw_block_values(np.random.default_rng(1))),
         (True, lambda tab: sample_marked_depth(tab, stream())),
+        (False, lambda tab: tab.tau(1)),
     ],
-    ids=["draw_root_degree", "draw_split_sizes", "split_measure", "block_law", "draw_block_values", "sample_marked_depth"],
+    ids=[
+        "draw_root_degree", "draw_split_sizes", "split_measure", "block_law", "draw_block_values",
+        "sample_marked_depth", "tau",
+    ],
 )
 def test_draws_of_the_other_mode_are_value_errors(exact, draw):
     # each mode-only entry point fails one way on tables of the other mode,
@@ -1036,7 +1053,6 @@ def test_float_depths_build_only_chain_cdfs():
         sample_marked_depth(tab, s)
     stats = tab.stats()
     assert stats["rows"] == stats["value_cdfs"] == stats["interior_cdfs"] == 0
-    assert stats["powers"] == 2
     assert 0 < stats["chain_entries"] <= (n + 1) * (n + 2) // 2
 
 
