@@ -16,9 +16,10 @@ handled here has a collapsed law with a rational generating function N/M of
 small integer polynomials, so one walk step multiplies the state's series by
 N and divides it by M: O(n) integer operations per step and O(n^2) for a
 table, with one gcd pass per step instead of one per Fraction operation.
-The other two are oracles for the suites and tests.  A float backend based
-on FFT powering covers the truncation orders needed for large-size sampling
-tables.
+The other two are oracles for the suites and tests.  The float table for
+large-size sampling evaluates the same formula on the FFT spectrum of the
+collapsed law, powered by blocks of sizes: one matrix-vector product per
+block.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from math import gcd
 import numpy as np
 
 from .degree_sets import DegreeSet, require_zero
-from .offspring import OffspringDist, collapsed_coeffs_float, collapsed_offspring
+from .offspring import OffspringDist, collapsed_coeffs_float, collapsed_offspring, degree_masks, sums_closure
 from .trees import canonical_key, decode
 
 MAX_ENUM_VERTICES = 16
@@ -174,27 +175,19 @@ def marked_count_support(dist: OffspringDist, marks: DegreeSet, max_n: int) -> l
     set of sums of elements of G, 0 included.  A tree of n vertices exists
     iff n - 1 is a sum of nonzero values of zeta (the rest are zeros, which
     exist because xi_0 > 0 and 0 is marked).  Those sums are the sums of the
-    generators d in supp xi & A and d - 1 for d in supp xi - A, so one bitset
-    of the reachable values n - 1 < max_n, closed under each generator by
-    doubling shifts, decides every size.
+    generators d in supp xi & A and d - 1 for d in supp xi - A, which
+    offspring.sums_closure collects for every n - 1 < max_n at once.
     """
     require_zero(marks)
     if not dist.pmf(0) > 0:
         return [False] * (max_n + 1)
-    full = (1 << max_n) - 1
-    reach = 1  # bit v: v is a sum of generators
-    for d in dist.support_iter(max_n):
-        g = d if d in marks else d - 1
-        if reach == full:
-            break
-        if g < 1 or reach >> g & 1 or not dist.pmf(d) > 0:
-            continue
-        step = g
-        # after the shifts by g, 2g, ..., 2^(k-1) g, reach adds up to 2^k - 1 copies of g
-        while step < max_n:
-            reach |= (reach << step) & full
-            step *= 2
-    return [False] + [bool(reach >> v & 1) for v in range(max_n)]
+    supp, marked = degree_masks(dist, marks, max_n)
+    degrees = np.flatnonzero(supp)
+    # d or d - 1 for increasing d: a non-decreasing list of generators
+    gens = degrees - ~marked[degrees]
+    start = np.zeros(max_n, dtype=bool)
+    start[:1] = True
+    return [False] + sums_closure(start, gens).tolist()
 
 
 # Relative error of marked_count_pmf_float against the exact tables, which
@@ -205,29 +198,46 @@ FLOAT_TABLE_RTOL = 1e-12
 FLOAT_TABLE_ATOL = 1e-15
 
 
-def marked_count_pmf_float(dist: OffspringDist, marks: DegreeSet, max_n: int) -> np.ndarray:
-    """Float marked-count law via FFT powering; entry n is (1/n)[z^{n-1}] zeta(z)^n.
+# spectrum powers per matrix-vector product in marked_count_pmf_float
+BLOCK = 8
 
-    The collapsed coefficients zeta are real, so their spectrum is
-    conjugate symmetric, and the powering runs on the m/2 + 1 bins of its
-    real FFT: half the work of the full spectrum.
+
+def marked_count_pmf_float(dist: OffspringDist, marks: DegreeSet, max_n: int) -> np.ndarray:
+    """Float marked-count law by blocked spectral powering; entry n is
+    (1/n)[z^{n-1}] zeta(z)^n, the generalised Otter-Dwass formula on the
+    collapsed law zeta.
+
+    With f the FFT of zeta's coefficients on m points and g = f times the
+    twiddles exp(2 pi i k / m), entry n is the mean over the bins of
+    f g^(n-1), over n.  The coefficients are real, so the spectrum is
+    conjugate symmetric, and the mean runs on the m/2 + 1 bins of the real
+    FFT.  The powers go by blocks of B = BLOCK sizes: with P[r] = g^r for
+    r < B and h_j = weight f g^(jB), block j's entries are the real parts
+    of P @ h_j, and h advances by g^B.  That is ceil(max_n / B)
+    matrix-vector products, and about n/B + B roundings per power where
+    sequential powering takes n - 1.
     """
     require_zero(marks)
     m = 1 << max(8, (2 * max_n + 2).bit_length())
     coeffs = collapsed_coeffs_float(dist, marks, m - 1)
     f = np.fft.rfft(coeffs, m)
-    bins = np.arange(m // 2 + 1)
-    twiddle = np.exp(2j * np.pi * bins / m)
+    g = f * np.exp(2j * np.pi * np.arange(f.size) / m)
+    powers = np.empty((BLOCK, f.size), dtype=complex)
+    powers[0] = 1.0
+    for r in range(1, BLOCK):
+        np.multiply(powers[r - 1], g, out=powers[r])
+    step = powers[-1] * g
     # the mean over all m bins, as h[m - k] = conj(h[k]): bins 0 and m/2
     # once, the others twice
-    weight = np.full(bins.size, 2.0 / m)
-    weight[0] = weight[-1] = 1.0 / m
-    g = f * twiddle
+    h = f * (2.0 / m)
+    h[0] /= 2
+    h[-1] /= 2
     out = np.zeros(max_n + 1)
-    h = f.copy()  # h = f * g^(n-1) after the n-th update
-    for n in range(1, max_n + 1):
-        out[n] = np.dot(weight, h.real) / n
-        h *= g
+    for start in range(1, max_n + 1, BLOCK):
+        k = min(BLOCK, max_n + 1 - start)
+        out[start : start + k] = (powers[:k] @ h).real
+        h *= step
+    out[1:] /= np.arange(1, max_n + 1)
     np.clip(out, 0.0, None, out=out)
     return out
 

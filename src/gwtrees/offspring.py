@@ -297,23 +297,85 @@ def collapsed_offspring(dist: OffspringDist, marks: DegreeSet, order: int) -> Of
     return OffspringDist("finite", probs, truncated=True, rational=(num, den))
 
 
+def degree_masks(dist: OffspringDist, marks: DegreeSet, top: int) -> tuple[np.ndarray, np.ndarray]:
+    """Two bool arrays over the degrees 0..top: positive mass, and marked."""
+    if dist.family == "geometric":
+        supp = np.ones(top + 1, dtype=bool)
+    else:
+        supp = np.zeros(top + 1, dtype=bool)
+        head = [p != 0 for p in dist.probs[: top + 1]]
+        supp[: len(head)] = head
+    marked = np.full(top + 1, marks.cofinite)
+    marked[[k for k in marks.members if k <= top]] = not marks.cofinite
+    return supp, marked
+
+
+def sums_closure(start: np.ndarray, gens: np.ndarray) -> np.ndarray:
+    """start + <gens> inside the index range of the bool array `start`.
+
+    <G> is the set of sums of elements of G, 0 included; `gens` must be
+    non-decreasing.  Each generator closes the set by doubling shifts, so
+    that after the shifts by g, 2g, ..., 2^(k-1) g it holds up to 2^k - 1
+    copies of g.  A generator that is already a sum of earlier ones adds
+    nothing, and once every value from the current generator on is a sum,
+    so is every later generator: the scan stops there.
+    """
+    size = start.size
+    reach = np.zeros(size, dtype=bool)  # <generators so far>
+    reach[:1] = True
+    out = start.copy()
+    for g in gens.tolist():
+        if g >= size:
+            break
+        if reach[g]:
+            continue
+        step = g
+        while step < size:
+            reach[step:] |= reach[:-step]
+            out[step:] |= out[:-step]
+            step *= 2
+        unreached = np.flatnonzero(~reach)
+        if not unreached.size or unreached[-1] < g:
+            break
+    return out
+
+
 def collapsed_coeffs_float(dist: OffspringDist, marks: DegreeSet, order: int) -> np.ndarray:
-    """Float collapsed offspring coefficients by the recurrence
-    (1 - u) * out = a, with each step a dot product, from the law's float
-    masses (float_pmf); on a set covering the support, the masses themselves."""
+    """Float collapsed offspring coefficients to `order`; on a set covering
+    the support, the law's own float masses (float_pmf), bit for bit.
+
+    Otherwise the integer pair N/M of _collapsed_generating_function gives
+    them by the deg(M)-term recurrence
+
+        out[e] = (N[e] - sum_(i>=1) M[i] out[e-i]) / M[0]
+
+    on the floats of N and M, exact while their integers stay below 2^53.
+    The recurrence leaves values around 1e-18 where the exact coefficient
+    is 0, which a float floor could not tell from small true masses; the
+    support rule supp zeta = supp a + <supp u> sets them to 0.0, as
+    zeta = a (1 + u + u^2 + ...) is a sum of non-negative terms (supp u
+    holds d - 1 for the unmarked d).
+    """
     require_zero(marks)
     if marks.covers_support(dist):
         return float_pmf(dist, order)
-    xs = float_pmf(dist, order + 1)
-    in_marks = np.array([k in marks for k in range(order + 2)])
-    marked = np.where(in_marks[: order + 1], xs[: order + 1], 0.0)
-    unmarked = np.where(~in_marks[1 : order + 2], xs[1 : order + 2], 0.0)
-    # out = marked / (1 - unmarked): (1-u) * out = a gives the recurrence
-    out = np.zeros(order + 1)
-    inv = 1.0 / (1.0 - unmarked[0])
-    out[0] = marked[0] * inv
-    for m in range(1, order + 1):
-        out[m] = (marked[m] + np.dot(unmarked[1 : m + 1], out[m - 1 :: -1])) * inv
+    num, den = _collapsed_generating_function(dist, marks)
+    # a common power of two keeps the largest coefficient inside float range
+    unit = 1 << max(0, max(abs(x) for x in num + den).bit_length() - 1000)
+    head = den[0] / unit
+    div = [(i, x / unit) for i, x in enumerate(den) if i and x]
+    out = [x / unit for x in num[: order + 1]]
+    out += [0.0] * (order + 1 - len(out))
+    for e in range(order + 1):
+        v = out[e]
+        for i, x in div:
+            if i > e:
+                break
+            v -= x * out[e - i]
+        out[e] = v / head
+    out = np.array(out)
+    supp, marked = degree_masks(dist, marks, order + 1)
+    out[~sums_closure(supp[:-1] & marked[:-1], np.flatnonzero(supp & ~marked) - 1)] = 0.0
     return np.clip(out, 0.0, None)
 
 

@@ -159,6 +159,34 @@ def test_float_table_certified_to_n_1000(name, spec):
             assert abs(approx[n] - float(exact[n])) <= FLOAT_TABLE_RTOL * float(exact[n]), n
 
 
+@pytest.mark.parametrize("name,spec", [("binary", "0"), ("geometric", "all")])
+def test_float_table_certified_to_n_4000(name, spec):
+    # a larger FFT than at n = 1000, and 500 blocks of powers: the closed
+    # form C_(n-1) / 2^(2n-1) stands in for the exact table
+    dist = binary_dist() if name == "binary" else geometric_dist()
+    approx = marked_count_pmf_float(dist, DegreeSet.parse(spec), 4000)
+    catalan = 1  # C_(n-1)
+    for n in range(1, 4001):
+        want = catalan / 2 ** (2 * n - 1)
+        assert abs(approx[n] - want) <= FLOAT_TABLE_RTOL * want, n
+        catalan = catalan * 2 * (2 * n - 1) // (n + 1)
+
+
+@pytest.mark.parametrize("max_n", [1, 2, 7, 8, 9, 17])
+def test_float_table_at_block_edges(max_n):
+    # sizes that end inside a block of powers, on its last entry, or one past it
+    for name, spec in (("binary", "0"), ("binary", "all"), ("geometric", "0"), ("geometric", "0,2")):
+        dist = binary_dist() if name == "binary" else geometric_dist()
+        exact = marked_count_pmf(dist, DegreeSet.parse(spec), max_n)
+        approx = marked_count_pmf_float(dist, DegreeSet.parse(spec), max_n)
+        assert approx.shape == (max_n + 1,) and approx[0] == 0.0
+        for n in range(1, max_n + 1):
+            if exact[n] == 0:
+                assert abs(approx[n]) <= 1e-15, (name, spec, n)
+            else:
+                assert abs(approx[n] - float(exact[n])) <= FLOAT_TABLE_RTOL * float(exact[n]), (name, spec, n)
+
+
 @pytest.mark.parametrize("p", [Fraction(11, 20), Fraction(3, 5), Fraction(2, 3)])
 @pytest.mark.parametrize("spec", ["0", "all"])
 def test_float_table_absolute_error_on_subcritical_laws(p, spec):

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -96,7 +97,7 @@ def _reference_collapsed(dist, marks, order):
     return _series_mul(marked, _series_reciprocal(one_minus_u))
 
 
-@pytest.mark.parametrize(
+COLLAPSE_LAWS = pytest.mark.parametrize(
     "dist",
     [
         binary_dist(),
@@ -107,8 +108,12 @@ def _reference_collapsed(dist, marks, order):
     ],
     ids=["binary", "geometric", "geometric-2/3", "mixed", "coprime"],
 )
+COLLAPSE_SPECS = ("0", "0,1", "0,2", "0,3", "not:1,3", "all")
+
+
+@COLLAPSE_LAWS
 def test_collapsed_offspring_matches_fraction_series(dist):
-    for spec in ("0", "0,1", "0,2", "0,3", "not:1,3", "all"):
+    for spec in COLLAPSE_SPECS:
         marks = DegreeSet.parse(spec)
         zeta = collapsed_offspring(dist, marks, 40)
         if marks.covers_support(dist):
@@ -122,6 +127,24 @@ def test_collapsed_offspring_matches_fraction_series(dist):
         assert list(zeta.probs) == want, spec
         floats = collapsed_coeffs_float(dist, marks, 40)
         assert all(abs(x - float(w)) <= 1e-12 * float(w) for x, w in zip(floats, want)), spec
+
+
+@COLLAPSE_LAWS
+def test_collapsed_coeffs_float_match_the_exact_law_to_order_1000(dist):
+    # 0.0 exactly where the exact mass is 0 (the support rule, not a floor);
+    # elsewhere 1e-12 relative, in absolute terms below the smallest normal
+    # float, where subcritical masses lose their relative precision
+    for spec in COLLAPSE_SPECS:
+        marks = DegreeSet.parse(spec)
+        if marks.covers_support(dist):
+            continue
+        exact = collapsed_offspring(dist, marks, 1000).probs
+        floats = collapsed_coeffs_float(dist, marks, 1000)
+        for e, (x, w) in enumerate(zip(floats.tolist(), exact)):
+            if w == 0:
+                assert x == 0.0, (spec, e)
+            else:
+                assert abs(x - float(w)) <= 1e-12 * max(float(w), sys.float_info.min), (spec, e)
 
 
 def _series_quotient(num, den, order):
