@@ -198,14 +198,29 @@ FLOAT_TABLE_RTOL = 1e-12
 FLOAT_TABLE_ATOL = 1e-15
 
 
-# spectrum powers per matrix-vector product in marked_count_pmf_float
+# spectrum powers per matrix-vector product in spectral_count
 BLOCK = 8
+
+
+def fft_points(max_n: int) -> int:
+    """FFT size m of the float table to max_n: the least power of two above
+    2 max_n + 2, and at least 256."""
+    return 1 << max(8, (2 * max_n + 2).bit_length())
 
 
 def marked_count_pmf_float(dist: OffspringDist, marks: DegreeSet, max_n: int) -> np.ndarray:
     """Float marked-count law by blocked spectral powering; entry n is
     (1/n)[z^{n-1}] zeta(z)^n, the generalised Otter-Dwass formula on the
-    collapsed law zeta.
+    collapsed law zeta, whose float coefficients are taken to fft_points(max_n)
+    - 1 (see spectral_count)."""
+    require_zero(marks)
+    return spectral_count(collapsed_coeffs_float(dist, marks, fft_points(max_n) - 1), max_n)
+
+
+def spectral_count(coeffs: np.ndarray, max_n: int) -> np.ndarray:
+    """Entries 0..max_n of the marked-count law from the float collapsed
+    coefficients `coeffs` of zeta on m = coeffs.size = fft_points(max_n)
+    points.
 
     With f the FFT of zeta's coefficients on m points and g = f times the
     twiddles exp(2 pi i k / m), entry n is the mean over the bins of
@@ -217,9 +232,7 @@ def marked_count_pmf_float(dist: OffspringDist, marks: DegreeSet, max_n: int) ->
     matrix-vector products, and about n/B + B roundings per power where
     sequential powering takes n - 1.
     """
-    require_zero(marks)
-    m = 1 << max(8, (2 * max_n + 2).bit_length())
-    coeffs = collapsed_coeffs_float(dist, marks, m - 1)
+    m = coeffs.size
     f = np.fft.rfft(coeffs, m)
     g = f * np.exp(2j * np.pi * np.arange(f.size) / m)
     powers = np.empty((BLOCK, f.size), dtype=complex)

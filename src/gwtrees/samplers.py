@@ -39,9 +39,10 @@ from .exact import (
     FLOAT_TABLE_ATOL,
     FLOAT_TABLE_RTOL,
     _walk,
+    fft_points,
     marked_count_pmf,
-    marked_count_pmf_float,
     marked_count_support,
+    spectral_count,
 )
 from .offspring import OffspringDist, collapsed_coeffs_float, collapsed_offspring, float_pmf, validate
 from .partitions import Partition, block_count, iota
@@ -194,9 +195,10 @@ def _log_binomial(log_fact, m, k, log_q: tuple[float, float]):
     return log_fact[m] - log_fact[k] - log_fact[m - k] + k * log_q[0] + (m - k) * log_q[1]
 
 
-def _block_law(dist: OffspringDist, marks: DegreeSet, n: int, pmf: list[float]) -> _BlockLaw:
-    """The block law of `dist` and `marks` at n marked vertices; `pmf` holds
-    the law's float masses at 0..n.
+def _block_law(dist: OffspringDist, marks: DegreeSet, hat: np.ndarray, pmf: list[float]) -> _BlockLaw:
+    """The block law of `dist` and `marks` at n = hat.size marked vertices;
+    `hat` holds the float collapsed law at 0..n-1 and `pmf` the law's float
+    masses at 0..n.
 
     n values summing to n - 1 are all below n, so the collapsed law is cut
     at n - 1; this leaves the law of the values given their sum as it was.
@@ -204,7 +206,7 @@ def _block_law(dist: OffspringDist, marks: DegreeSet, n: int, pmf: list[float]) 
     unchanged, so theta only sets the acceptance rate of the proposal (see
     _two_cell).  log theta is found by bisection; the mean grows with it.
     """
-    hat = collapsed_coeffs_float(dist, marks, n - 1)
+    n = hat.size
     values = np.flatnonzero(hat)
     log_hat = np.log(hat[values])
     target = (n - 1) / n
@@ -278,8 +280,8 @@ def _two_cell(values: np.ndarray, probs: np.ndarray, n: int) -> _TwoCell:
 
 
 class SamplerTables:
-    """Marked-count law for one (law, set, size), and the state its trees
-    and depths are drawn from.
+    """Marked-count law for one (law, set, size), and the state its trees,
+    depths and root splits are drawn from.
 
     Trees are drawn by blocks in both modes, on state built on the first
     tree draw.  Exact trees keep the integer convolution powers of the
@@ -290,10 +292,14 @@ class SamplerTables:
     value CDFs grow only as far as draws reach.
     Float trees keep the block law and its per-value interior CDFs, arrays
     of doubles that end at exactly 1.0, each drawn by one bisect of a
-    uniform.  Depths are drawn on float tables only: the size chain of
-    sample_marked_depth is built on its first call, so tree sampling never
-    pays for it, and depth draws never build the block law.  `stats()`
-    reports the sizes of the caches.
+    uniform; the block law reads the float collapsed law that the table
+    was built from, cut at n - 1.  Depths are drawn on float tables only:
+    the size chain of sample_marked_depth is built on its first call, so
+    tree sampling never pays for it, and depth draws never build the block
+    law.  Root splits (split_measure) are exact only, and weigh parts by the
+    Lagrange integers of the count table (lagrange_ints), built on the
+    first split; tables that only draw trees never build them.  `stats()`
+    reports the sizes of the tree and depth caches.
     """
 
     def __init__(self, dist: OffspringDist, marks: DegreeSet, n: int, exact: bool = True):
@@ -308,10 +314,12 @@ class SamplerTables:
         if exact:
             self.count = marked_count_pmf(dist, marks, n)
             self._admissible = [bool(c > 0) for c in self.count]
-            # count[j] == ints[j] / int_den, for split_measure's integer sums
-            self._count_ints = common_denominator(self.count)
         else:
-            self.count = marked_count_pmf_float(dist, marks, n)
+            # one run of the collapsed coefficients serves the table and,
+            # cut at n - 1, the block law
+            coeffs = collapsed_coeffs_float(dist, marks, fft_points(n) - 1)
+            self.count = spectral_count(coeffs, n)
+            self._hat = coeffs[:n]
             # the FFT returns structural zeros as noise around 1e-17; the
             # integer support decides which sizes are zero
             self._admissible = marked_count_support(dist, marks, n)
@@ -325,6 +333,8 @@ class SamplerTables:
                 )
         if not self._admissible[n]:
             raise ValueError(f"marked count {n} has probability zero")
+        # split_measure's Lagrange integers (t, D, E), built on its first call
+        self._lagrange: tuple[list[int], int, int] | None = None
         # exact trees: the block rows and the value CDFs, built on the first tree
         self._rows: _BlockRows | None = None
         self._value_cum: dict[int, tuple] = {}
@@ -350,6 +360,34 @@ class SamplerTables:
         if self._rows is None:
             self._rows = _block_rows(self.dist, self.marks, self.n)
         return self._rows
+
+    def lagrange_ints(self) -> tuple[list[int], int, int]:
+        """(t, D, E) with count[j] == t[j] / (D^j E^(j-1)) for j = 1..n,
+        built from the count table on the first call and cached.  Exact
+        tables only.
+
+        D and E are the denominator and base of the first exact._walk state
+        of the collapsed law zeta, so psi(y) = D zeta(E y) has the integer
+        coefficients of that state, and t_j = (1/j)[y^(j-1)] psi(y)^j is an
+        integer by Lagrange inversion over the integers.  The state must run
+        to order n - 1: the gcd of a shorter one can divide out a factor
+        that a later coefficient keeps.  A count entry with no integer t_j
+        raises AssertionError; t[0] is 0.
+        """
+        if not self.exact:
+            raise ValueError("Lagrange integers need exact tables")
+        if self._lagrange is None:
+            zeta = collapsed_offspring(self.dist, self.marks, self.n - 1)
+            _state, d, e = next(_walk(zeta, 1, self.n - 1))
+            t, scale = [0], d
+            for j, c in enumerate(self.count[1:], start=1):
+                v, r = divmod(c.numerator * scale, c.denominator)
+                if r:
+                    raise AssertionError(f"split weights: count[{j}] = {c} is not an integer over D^{j} E^{j - 1}")
+                t.append(v)
+                scale *= d * e
+            self._lagrange = (t, d, e)
+        return self._lagrange
 
     def tau(self, p: int) -> list[Fraction]:
         """P(sum of p independent marked counts = s), s = 0..n.  Exact
@@ -514,7 +552,7 @@ class SamplerTables:
         if self.exact:
             raise ValueError("block draws need float tables")
         if self._blocks is None:
-            self._blocks = _block_law(self.dist, self.marks, self.n, self._pmf_f)
+            self._blocks = _block_law(self.dist, self.marks, self._hat, self._pmf_f)
         return self._blocks
 
     def draw_block_values(self, gen: np.random.Generator) -> np.ndarray:
@@ -919,24 +957,26 @@ def split_measure(tables: SamplerTables, m: int) -> dict[Partition, Fraction]:
     order, and the buckets are joined in support order.  No prefix outgrows
     the largest wanted degree or lets its completion fall below the
     smallest; a part that leaves nothing, or room for one more part, ends
-    its partition without another call.  A prefix carries its arrangement
-    count, updated from the run of equal parts that ends it, the products of
-    its parts' reduced numerators and denominators, which give each atom's
-    Fraction once the degree's probability is applied, and the product of
-    its parts' integer numerators over the count table's common
-    denominator, which gives the exact sum-to-one check with one integer
-    sum and one Fraction per degree.
+    its partition without another call.
+
+    The parts are weighed by the Lagrange integers of the count table
+    (SamplerTables.lagrange_ints), count[j] = t_j / (D^j E^(j-1)), so p
+    parts summing to the target s have count product
+    prod t_(lambda_i) E^p / (D E)^s.  A prefix carries its arrangement
+    count, updated from the run of equal parts that ends it, and the
+    product of its parts' t; an atom's integer v is the two multiplied, and
+    its weight is v K_p, with K_p = xi_p E^p / ((D E)^s count[m]) one
+    reduced Fraction per degree.  The same v, summed per degree, give the
+    exact sum-to-one check with one Fraction per degree.
     """
     if not tables.exact:
         raise ValueError("split_measure needs exact tables")
     if not tables.admissible(m):
         raise ValueError(f"size {m} has probability zero")
     count = tables.count
-    nums = [c.numerator for c in count]
-    dens = [c.denominator for c in count]
-    ints, int_den = tables._count_ints  # zero marks an inadmissible part
+    ints, d, e = tables.lagrange_ints()  # zero marks an inadmissible part
     z = count[m]
-    xis: dict[int, Fraction] = {}
+    consts: dict[int, Fraction] = {}  # K_p per degree p >= 2
     buckets: dict[int, dict[Partition, Fraction]] = {}  # per degree, in support order
     by_target: dict[int, list[int]] = {}  # target size -> the degrees p >= 2 that split it
     mass = Fraction(0)
@@ -948,16 +988,16 @@ def split_measure(tables: SamplerTables, m: int) -> dict[Partition, Fraction]:
         buckets[p] = {}
         if p >= 2:
             if target >= p:
-                xis[p] = xi
+                consts[p] = Fraction(xi.numerator * e**p * z.denominator, xi.denominator * (d * e) ** target * z.numerator)
                 by_target.setdefault(target, []).append(p)
         elif (ints[target] if p == 1 else target == 0):
             # the single part (target,), or () at size 1
-            w = xi * count[target] if p == 1 else xi
-            buckets[p][(target,) * p] = w / z
+            w = (xi * count[target] if p == 1 else xi) / z
+            buckets[p][(target,) * p] = w
             mass += w
-    sums = [0] * (m + 1)  # per degree: arrangements times integer numerators, summed
+    sums = [0] * (m + 1)  # per degree: the atoms' integers v, summed
 
-    def walk(prefix, i, rest, prev, run, arr, num, den, prod) -> None:
+    def walk(prefix, i, rest, prev, run, arr, prod) -> None:
         """Add the wanted atoms below prefix, whose i parts end in `run`
         copies of prev and leave rest >= 1 to place."""
         # the next part leaves room for `low` parts in all, and at most
@@ -972,45 +1012,41 @@ def split_measure(tables: SamplerTables, m: int) -> dict[Partition, Fraction]:
             if not last:
                 # first closes the partition
                 if want[i + 1]:
-                    bucket, xn, xd = want[i + 1]
-                    bucket[prefix + (first,)] = Fraction(a * num * nums[first] * xn, den * dens[first] * xd)
-                    sums[i + 1] += a * prod * c
+                    bucket, kn, kd = want[i + 1]
+                    v = a * prod * c
+                    bucket[prefix + (first,)] = Fraction(v * kn, kd)
+                    sums[i + 1] += v
             elif last == 1 or i + 2 == top:
                 # exactly one part is left, and it is last <= first
                 c_last = ints[last]
                 if c_last and want[i + 2]:
-                    bucket, xn, xd = want[i + 2]
+                    bucket, kn, kd = want[i + 2]
                     a = a * (i + 2) // (r + 1 if last == first else 1)
-                    bucket[prefix + (first, last)] = Fraction(
-                        a * num * nums[first] * nums[last] * xn, den * dens[first] * dens[last] * xd
-                    )
-                    sums[i + 2] += a * prod * c * c_last
+                    v = a * prod * c * c_last
+                    bucket[prefix + (first, last)] = Fraction(v * kn, kd)
+                    sums[i + 2] += v
             else:
-                walk(
-                    prefix + (first,), i + 1, last, first, r, a,
-                    num * nums[first], den * dens[first], prod * c,
-                )
+                walk(prefix + (first,), i + 1, last, first, r, a, prod * c)
         p = i + rest
         if p <= top and want[p] and ints[1]:
-            bucket, xn, xd = want[p]
-            a = arr * comb(p, rest)
-            bucket[prefix + (1,) * rest] = Fraction(a * num * nums[1] ** rest * xn, den * dens[1] ** rest * xd)
-            sums[p] += a * prod * ints[1] ** rest
+            bucket, kn, kd = want[p]
+            v = arr * comb(p, rest) * prod * ints[1] ** rest
+            bucket[prefix + (1,) * rest] = Fraction(v * kn, kd)
+            sums[p] += v
 
     for target, degrees in by_target.items():
         top, low = degrees[-1], degrees[0]
         want = [None] * (top + 1)
         for p in degrees:
-            xi = xis[p]
-            want[p] = (buckets[p], xi.numerator * z.denominator, xi.denominator * z.numerator)
-        walk((), 0, target, target, 0, 1, 1, 1, 1)
+            want[p] = (buckets[p], consts[p].numerator, consts[p].denominator)
+        walk((), 0, target, target, 0, 1, 1)
     # walk reaches itself through its closure; breaking that cycle frees the
     # closure, and the atoms it holds, as soon as the caller drops them
     del walk
-    for p, xi in xis.items():
-        mass += Fraction(xi.numerator * sums[p], xi.denominator * int_den**p)
-    if mass != z:
-        raise AssertionError(f"split weights at {m} sum to {mass / z}")
+    for p, k in consts.items():
+        mass += k * sums[p]
+    if mass != 1:
+        raise AssertionError(f"split weights at {m} sum to {mass}")
     atoms: dict[Partition, Fraction] = {}
     for bucket in buckets.values():
         atoms.update(bucket)

@@ -357,6 +357,64 @@ def test_split_measure_matches_partition_enumeration(law):
                 assert got == list(_reference_split_measure(tables, m).items()), (spec, m)
 
 
+def test_split_measure_matches_partition_enumeration_on_the_benchmark_sweep():
+    # the law and set of the benchmark's root-split sweep, to a larger size
+    tables = SamplerTables(geometric_dist(), ALL, 28)
+    for m in range(1, 29):
+        got = list(split_measure(tables, m).items())
+        assert got == list(_reference_split_measure(tables, m).items()), m
+
+
+LAGRANGE_LAWS = {**SPLIT_LAWS, "geometric-2/3": geometric_dist(Fraction(2, 3)), "geometric-3/5": geometric_dist(Fraction(3, 5))}
+
+
+@pytest.mark.parametrize("law", sorted(LAGRANGE_LAWS))
+def test_lagrange_ints_scale_the_count_table(law):
+    # count[j] = t_j / (D^j E^(j-1)) with integer t_j, (D, E) from the first
+    # walk state of the collapsed law to order n - 1
+    dist = LAGRANGE_LAWS[law]
+    for spec in ("0", "0,1", "0,2", "all", "not:1,3", "0,3"):
+        marks = DegreeSet.parse(spec)
+        table = marked_count_pmf(dist, marks, 24)
+        tables = SamplerTables(dist, marks, max(m for m in range(25) if table[m]))
+        n = tables.n
+        t, d, e = tables.lagrange_ints()
+        _state, want_d, want_e = next(samplers._walk(collapsed_offspring(dist, marks, n - 1), 1, n - 1))
+        assert (d, e) == (want_d, want_e)
+        assert len(t) == n + 1 and t[0] == 0
+        for j in range(1, n + 1):
+            assert type(t[j]) is int and tables.count[j] == Fraction(t[j], d**j * e ** (j - 1)), (spec, j)
+        assert tables.lagrange_ints() is tables.lagrange_ints()
+        if (law, spec) in (("geometric", "0,3"), ("geometric-3/5", "not:1,3")):
+            assert e == {"geometric": 24, "geometric-3/5": 2375}[law]
+
+
+def test_lagrange_ints_need_the_whole_first_state():
+    # the gcd of the first state cut at order 0 leaves D = 2 on coprime/all,
+    # where the state to order n - 1 has D = 30: then t_2 = 2/5
+    dist = SPLIT_LAWS["coprime"]
+    tables = SamplerTables(dist, ALL, 24)
+    t, d, e = tables.lagrange_ints()
+    _state, short_d, short_e = next(samplers._walk(collapsed_offspring(dist, ALL, 0), 1, 0))
+    assert (d, e, short_d, short_e) == (30, 1, 2, 1)
+    assert tables.count[2] * short_d**2 * short_e == Fraction(2, 5)
+    assert t[2] == tables.count[2] * d**2 * e
+
+
+def test_split_measure_rejects_a_count_table_perturbed_in_lagrange_form(monkeypatch):
+    # count[3] + 1/(D^3 E^2) keeps t_3 an integer, so only the sum-to-one
+    # check can see it
+    tables = SamplerTables(geometric_dist(), A0, 8)
+    t, d, e = tables.lagrange_ints()
+    table = list(tables.count)
+    table[3] += Fraction(1, d**3 * e**2)
+    monkeypatch.setattr(samplers, "marked_count_pmf", lambda *args: list(table))
+    perturbed = SamplerTables(geometric_dist(), A0, 8)
+    assert perturbed.lagrange_ints()[0][3] == t[3] + 1
+    with pytest.raises(AssertionError, match="split weights at 8 sum to"):
+        split_measure(perturbed, 8)
+
+
 @pytest.mark.parametrize("entry, m", [(3, 8), (8, 8), (1, 2)])
 def test_split_measure_rejects_a_perturbed_count_table(monkeypatch, entry, m):
     # one count entry off by a factor 1001/1000, in a part (3, 1) or in the
@@ -991,6 +1049,7 @@ def test_stats_follow_the_caches():
     assert stats["interior_cdfs"] == len(tab._interior_cum) > 0
     assert stats["interior_entries"] == sum(map(len, tab._interior_cum.values()))
     assert stats["chain_cdfs"] == stats["chain_entries"] == 0
+    assert tab._lagrange is None  # trees never build split_measure's integers
     assert tab.stats() == stats  # reading them changes nothing
     entries = stats["rows"] * n + stats["value_entries"] + stats["interior_entries"]
     assert stats["cache_bytes"] == 8 * entries
@@ -1026,10 +1085,11 @@ def test_stats_follow_the_caches():
         (True, lambda tab: tab.draw_block_values(np.random.default_rng(1))),
         (True, lambda tab: sample_marked_depth(tab, stream())),
         (False, lambda tab: tab.tau(1)),
+        (False, lambda tab: tab.lagrange_ints()),
     ],
     ids=[
         "draw_root_degree", "draw_split_sizes", "split_measure", "block_law", "draw_block_values",
-        "sample_marked_depth", "tau",
+        "sample_marked_depth", "tau", "lagrange_ints",
     ],
 )
 def test_draws_of_the_other_mode_are_value_errors(exact, draw):
@@ -1040,7 +1100,7 @@ def test_draws_of_the_other_mode_are_value_errors(exact, draw):
     with pytest.raises(ValueError, match="need"):
         draw(tab)
     assert tab.stats() == before
-    assert tab._chain is None and tab._blocks is None
+    assert tab._chain is None and tab._blocks is None and tab._lagrange is None
 
 
 def test_float_depths_build_only_chain_cdfs():
