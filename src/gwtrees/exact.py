@@ -9,9 +9,9 @@ Three independent routes live here:
     F = sum_k xi_k z^[k in A] F^k, solved one coefficient per step;
   * brute-force enumeration of depth-first queues with their product weights.
 
-The first is the one exact engine: `marked_count_pmf` and `forest_leaf_pmf`
-read its walk states here, and exact sampler tables read every convolution
-power of the marked-count law off the same states.  Every law and set
+The first is the one exact engine, with one reader, `progeny_pmf`, for
+`marked_count_pmf`, `forest_leaf_pmf` and the count and every convolution
+power of exact sampler tables, off their one walk.  Every law and set
 handled here has a collapsed law with a rational generating function N/M of
 small integer polynomials, so one walk step multiplies the state's series by
 N and divides it by M: O(n) integer operations per step and O(n^2) for a
@@ -24,7 +24,7 @@ block.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from math import gcd
 
@@ -82,11 +82,15 @@ def _walk(dist: OffspringDist, k: int, top: int) -> Iterator[tuple[list[int], in
         yield cur, scale, base
 
 
-def progeny_pmf(dist: OffspringDist, max_n: int) -> list[Fraction]:
-    """Total-progeny law: entry n is (1/n) P(S_n = -1); entry 0 is unused (zero)."""
-    out = [Fraction(0)]
-    for n, (cur, scale, base) in enumerate(_walk(dist, max_n, max_n - 1), start=1):
-        out.append(Fraction(cur[n - 1], scale * base ** (n - 1) * n))
+def progeny_pmf(states: Iterable[tuple[list[int], int, int]], p: int) -> list[Fraction]:
+    """Total-progeny law of p independent trees, off the walk states of
+    steps 1, 2, ... as _walk yields them: by the generalised Otter-Dwass
+    formula, entry s >= p is (p/s) zeta^{*s}[s - p] = p c_s[s - p] /
+    (s D_s E^(s - p)), so state s must run to order s - p.  The other
+    entries are 0, but entry 0 is 1 when p = 0 (no tree)."""
+    out = [Fraction(int(not p))]
+    for s, (cur, scale, base) in enumerate(states, start=1):
+        out.append(Fraction(p * cur[s - p], s * scale * base ** (s - p)) if 0 < p <= s else Fraction(0))
     return out
 
 
@@ -146,25 +150,19 @@ def marked_count_pmf(dist: OffspringDist, marks: DegreeSet, max_n: int) -> list[
     in the otter-dwass suite and the tests.
     """
     require_zero(marks)
-    return progeny_pmf(collapsed_offspring(dist, marks, max_n), max_n)
+    return progeny_pmf(_walk(collapsed_offspring(dist, marks, max_n), max_n, max_n - 1), 1)
 
 
 def forest_leaf_pmf(dist: OffspringDist, n_trees: int, k: int) -> Fraction:
     """P(a forest of n independent trees has exactly k leaves).
 
-    Equals (n/k) P(S_k = -n) = (n/k) zeta^{*k}[k - n] for the walk whose
-    steps are the collapsed law zeta minus 1, read from the k-th state of
-    _walk; zero whenever k < n since every tree contributes a leaf.
+    Entry k of progeny_pmf with p = n on the walk of the collapsed law
+    zeta; zero whenever k < n since every tree contributes a leaf.
     """
     if k < 1 or n_trees < 1:
         raise ValueError("need at least one tree and one leaf")
-    if k < n_trees:
-        return Fraction(0)
     zeta = collapsed_offspring(dist, DegreeSet.of(0), k)
-    e = k - n_trees
-    for cur, scale, base in _walk(zeta, k, e):
-        pass
-    return Fraction(n_trees * cur[e], k * scale * base**e)
+    return progeny_pmf(_walk(zeta, k, k - n_trees), n_trees)[k]
 
 
 def marked_count_support(dist: OffspringDist, marks: DegreeSet, max_n: int) -> list[bool]:

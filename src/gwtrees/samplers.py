@@ -40,8 +40,8 @@ from .exact import (
     FLOAT_TABLE_RTOL,
     _walk,
     fft_points,
-    marked_count_pmf,
     marked_count_support,
+    progeny_pmf,
     spectral_count,
 )
 from .offspring import OffspringDist, collapsed_coeffs_float, collapsed_offspring, float_pmf, validate
@@ -108,8 +108,8 @@ def sample_hat_offspring(dist: OffspringDist, marks: DegreeSet, stream: RandomSt
 
 @dataclass(eq=False)
 class _BlockRows:
-    """Integer state of exact trees by blocks, and of tau, with n marked
-    vertices.
+    """Integer state of an exact table with n marked vertices: its count,
+    tau, Lagrange integers and trees by blocks.
 
     rows[j][e] / (dens[j] * base^e) is zeta^{*j}[e], the j-th convolution
     power of the collapsed law zeta at e, for j = 0..n and e = 0..n-1: row 0
@@ -283,23 +283,23 @@ class SamplerTables:
     """Marked-count law for one (law, set, size), and the state its trees,
     depths and root splits are drawn from.
 
-    Trees are drawn by blocks in both modes, on state built on the first
-    tree draw.  Exact trees keep the integer convolution powers of the
-    collapsed law (_BlockRows, the one exact source of convolution powers:
-    tau reads those of the marked-count law from them), one CDF of the next
-    block value per (values left, their sum) and one interior CDF per
-    remaining value, as integer lists drawn by exact dyadic inversion; the
-    value CDFs grow only as far as draws reach.
-    Float trees keep the block law and its per-value interior CDFs, arrays
-    of doubles that end at exactly 1.0, each drawn by one bisect of a
-    uniform; the block law reads the float collapsed law that the table
-    was built from, cut at n - 1.  Depths are drawn on float tables only:
-    the size chain of sample_marked_depth is built on its first call, so
-    tree sampling never pays for it, and depth draws never build the block
-    law.  Root splits (split_measure) are exact only, and weigh parts by the
-    Lagrange integers of the count table (lagrange_ints), built on the
-    first split; tables that only draw trees never build them.  `stats()`
-    reports the sizes of the tree and depth caches.
+    An exact table walks the collapsed law once, at construction, and keeps
+    its states, the integer convolution powers of the collapsed law
+    (_BlockRows), off which exact.progeny_pmf reads `count` and every tau.
+    Trees are drawn by blocks in both modes.  Exact trees draw on those rows
+    and keep one CDF of the next block value per (values left, their sum)
+    and one interior CDF per remaining value, integer lists drawn by exact
+    dyadic inversion that grow only as far as draws reach.  Float trees
+    keep the block law and its per-value interior CDFs, arrays of doubles
+    that end at exactly 1.0, each drawn by one bisect of a uniform; the
+    block law reads the float collapsed law that the table was built from,
+    cut at n - 1.  Depths are drawn on float tables only: the size chain of
+    sample_marked_depth is built on its first call, so tree sampling never
+    pays for it, and depth draws never build the block law.  Root splits
+    (split_measure) are exact only, and weigh parts by the Lagrange integers
+    of the count table (lagrange_ints), derived from `count` on the first
+    split; tables that only draw trees never build them.  `stats()` reports
+    the sizes of the rows and of the tree and depth caches.
     """
 
     def __init__(self, dist: OffspringDist, marks: DegreeSet, n: int, exact: bool = True):
@@ -312,7 +312,9 @@ class SamplerTables:
         self.n = n
         self.exact = exact
         if exact:
-            self.count = marked_count_pmf(dist, marks, n)
+            # the table's one walk: its states are the block rows
+            self._rows = _block_rows(dist, marks, n)
+            self.count = self.tau(1)
             self._admissible = [bool(c > 0) for c in self.count]
         else:
             # one run of the collapsed coefficients serves the table and,
@@ -335,8 +337,7 @@ class SamplerTables:
             raise ValueError(f"marked count {n} has probability zero")
         # split_measure's Lagrange integers (t, D, E), built on its first call
         self._lagrange: tuple[list[int], int, int] | None = None
-        # exact trees: the block rows and the value CDFs, built on the first tree
-        self._rows: _BlockRows | None = None
+        # exact trees: the value CDFs, built as draws reach them
         self._value_cum: dict[int, tuple] = {}
         # float trees: the block law, built on the first tree
         self._blocks: _BlockLaw | None = None
@@ -352,33 +353,23 @@ class SamplerTables:
     def admissible(self, m: int) -> bool:
         return 1 <= m <= self.n and self._admissible[m]
 
-    def block_rows(self) -> _BlockRows:
-        """The block rows of exact trees and tau, built on the first call and
-        cached.  Exact tables only."""
-        if not self.exact:
-            raise ValueError("block rows need exact tables")
-        if self._rows is None:
-            self._rows = _block_rows(self.dist, self.marks, self.n)
-        return self._rows
-
     def lagrange_ints(self) -> tuple[list[int], int, int]:
         """(t, D, E) with count[j] == t[j] / (D^j E^(j-1)) for j = 1..n,
         built from the count table on the first call and cached.  Exact
         tables only.
 
-        D and E are the denominator and base of the first exact._walk state
-        of the collapsed law zeta, so psi(y) = D zeta(E y) has the integer
-        coefficients of that state, and t_j = (1/j)[y^(j-1)] psi(y)^j is an
-        integer by Lagrange inversion over the integers.  The state must run
-        to order n - 1: the gcd of a shorter one can divide out a factor
-        that a later coefficient keeps.  A count entry with no integer t_j
-        raises AssertionError; t[0] is 0.
+        D and E are the denominator and base of block row 1, the first walk
+        state of the collapsed law zeta, so psi(y) = D zeta(E y) has its
+        integer coefficients, and t_j = (1/j)[y^(j-1)] psi(y)^j is an integer
+        by Lagrange inversion over the integers.  The state runs to order
+        n - 1: the gcd of a shorter one can divide out a factor that a later
+        coefficient keeps.  A count entry with no integer t_j raises
+        AssertionError; t[0] is 0.
         """
         if not self.exact:
             raise ValueError("Lagrange integers need exact tables")
         if self._lagrange is None:
-            zeta = collapsed_offspring(self.dist, self.marks, self.n - 1)
-            _state, d, e = next(_walk(zeta, 1, self.n - 1))
+            d, e = self._rows.dens[1], self._rows.base
             t, scale = [0], d
             for j, c in enumerate(self.count[1:], start=1):
                 v, r = divmod(c.numerator * scale, c.denominator)
@@ -390,32 +381,23 @@ class SamplerTables:
         return self._lagrange
 
     def tau(self, p: int) -> list[Fraction]:
-        """P(sum of p independent marked counts = s), s = 0..n.  Exact
-        tables only.
-
-        p independent marked counts are the sizes of p independent trees of
-        the collapsed law zeta, so by the generalised Otter-Dwass formula
-        they sum to s with probability (p / s) zeta^{*s}[s - p], read from
-        the block rows: p rows[s][s-p] / (s dens[s] base^(s-p)).  tau_0 is
-        the point mass at 0, and tau_p(s) = 0 for s < p.
-        """
-        blocks = self.block_rows()
-        n = self.n
-        if not p:
-            return [Fraction(1)] + [Fraction(0)] * n
-        rows, dens, base = blocks.rows, blocks.dens, blocks.base
-        return [Fraction(0)] * min(p, n + 1) + [
-            Fraction(p * rows[s][s - p], s * dens[s] * base ** (s - p)) for s in range(p, n + 1)
-        ]
+        """P(sum of p independent marked counts = s), s = 0..n, read off the
+        block rows by exact.progeny_pmf: the counts are the sizes of p trees
+        of the collapsed law.  tau_0 is the point mass at 0 and tau_1 is
+        `count`.  Exact tables only."""
+        if not self.exact:
+            raise ValueError("tau needs exact tables")
+        blocks = self._rows
+        return progeny_pmf(zip(blocks.rows[1:], blocks.dens[1:], itertools.repeat(blocks.base)), p)
 
     def stats(self) -> dict[str, int]:
         """Sizes of the caches, read from them on demand.
 
-        `rows` counts the block rows of exact tables, n + 1 of n entries once
-        a tree or tau is drawn on them; `*_cdfs` count the cached CDFs
-        (block-value, size-chain and block-interior) and `*_entries` their
-        entries; `cache_bytes` counts 8 bytes per row and CDF entry, which
-        is what float mode's doubles take and a lower bound for exact mode's
+        `rows` counts the block rows, n + 1 of n entries on exact tables and
+        none on float tables; `*_cdfs` count the cached CDFs (block-value,
+        size-chain and block-interior) and `*_entries` their entries;
+        `cache_bytes` counts 8 bytes per row and CDF entry, which is what
+        float mode's doubles take and a lower bound for exact mode's
         integers.  Nothing on the draw path counts.
         """
         cdfs = {
@@ -423,7 +405,7 @@ class SamplerTables:
             "chain": self._chain_cum.values(),
             "interior": self._interior_cum.values(),
         }
-        stats = {"rows": 0 if self._rows is None else len(self._rows.rows)}
+        stats = {"rows": len(self._rows.rows) if self.exact else 0}
         for kind, cums in cdfs.items():
             stats[f"{kind}_cdfs"] = len(cums)
             stats[f"{kind}_entries"] = sum(map(len, cums))
@@ -469,9 +451,8 @@ class SamplerTables:
         They are drawn one at a time, each from its conditional given the
         values before it (_value_cdf), by exact inversion.  Once the values
         left sum to 0 they are all 0, and the last value is what is left, so
-        neither takes bits.  The block rows are built on the first call.
+        neither takes bits.
         """
-        self.block_rows()
         n = self.n
         cdfs = self._value_cum
         values: list[int] = []

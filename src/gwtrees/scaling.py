@@ -31,6 +31,7 @@ __all__ = [
     "ks_one_sample",
     "depth_law",
     "ecdf",
+    "chi_square_sf",
     "chi_square_test",
     "DepthArm",
     "depth_experiment",
@@ -244,14 +245,25 @@ def depth_law(dist: OffspringDist, marks: DegreeSet, n: int) -> np.ndarray:
     return law / law.sum()
 
 
+def chi_square_sf(x: float, df: int) -> float:
+    """P(chi-square > x) for an integer df >= 1, in closed form (Abramowitz
+    and Stegun 1964, 26.4.4-5): with h = x/2 and a = 1/2 for odd df, else 0,
+    it is [df odd] erfc(sqrt h) plus e^-h h^(k+a) / Gamma(k+a+1) summed over
+    k < df // 2, each term taken in log space so that none overflows."""
+    if x <= 0.0:
+        return 1.0
+    h, a = x / 2, (df % 2) / 2
+    terms = [math.exp((k + a) * math.log(h) - h - math.lgamma(k + a + 1)) for k in range(df // 2)]
+    # the rounded sum can land an ulp above 1 at small x
+    return min(1.0, math.fsum(terms) + (math.erfc(math.sqrt(h)) if df % 2 else 0.0))
+
+
 def chi_square_test(observed: dict, expected_probs: dict, total: int):
     """Goodness-of-fit statistic and p-value, merging cells expected below 5.
 
     `expected_probs` may sum to less than one; the remainder becomes an
     "other" cell collecting observations outside the listed keys.
     """
-    from scipy.stats import chi2 as chi2_dist  # not at module level: it costs ~1 s and 65 MB
-
     keys = sorted(expected_probs, key=repr)
     exp = [float(expected_probs[k]) * total for k in keys]
     obs = [float(observed.get(k, 0)) for k in keys]
@@ -282,7 +294,7 @@ def chi_square_test(observed: dict, expected_probs: dict, total: int):
         return 0.0, 0, 1.0
     stat = sum((o - e) ** 2 / e for o, e in zip(m_obs, m_exp))
     df = len(m_exp) - 1
-    return stat, df, float(chi2_dist.sf(stat, df))
+    return stat, df, chi_square_sf(stat, df)
 
 
 # ---------------------------------------------------------------------------

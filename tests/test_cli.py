@@ -127,8 +127,8 @@ def test_transform_hat_stdin():
 
 
 def test_cli_import_loads_no_scipy_submodule():
-    # scipy costs about 1 s and 65 MB to import; only the chi-square checks
-    # and the dislocation integral load it, on first call
+    # scipy costs about 1 s and 65 MB to import; the package computes the
+    # chi-square tail in closed form and never loads it
     code = (
         "import sys\n"
         "import gwtrees.cli\n"
@@ -140,7 +140,7 @@ def test_cli_import_loads_no_scipy_submodule():
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["[]", "True"]
+    assert proc.stdout.splitlines() == ["[]", "False"]
 
 
 def test_transform_check_stdin():

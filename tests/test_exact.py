@@ -52,6 +52,11 @@ def _fraction_walk(dist, k, top):
     return states
 
 
+def _progeny(dist, max_n):
+    """The total-progeny law of one tree of `dist` to max_n, by the walk."""
+    return progeny_pmf(_walk(dist, max_n, max_n - 1), 1)
+
+
 def _reference_progeny(dist, max_n):
     states = _fraction_walk(dist, max_n, max_n - 1)
     return [Fraction(0)] + [st.get(-1, Fraction(0)) / n for n, st in enumerate(states, start=1)]
@@ -79,15 +84,23 @@ def test_walk_rejects_short_prefix():
     zeta = collapsed_offspring(binary_dist(), A0, 3)
     assert zeta.truncated
     with pytest.raises(ValueError, match="prefix too short"):
-        progeny_pmf(zeta, 10)
+        _progeny(zeta, 10)
 
 
 def test_progeny_pmf_examples():
-    pg = progeny_pmf(geometric_dist(), 4)
+    pg = _progeny(geometric_dist(), 4)
     assert pg[1] == Fraction(1, 2)
     assert pg[2] == Fraction(1, 8)
-    pd = progeny_pmf(from_probs([Fraction(1)]), 4)
+    pd = _progeny(from_probs([Fraction(1)]), 4)
     assert pd[1] == 1 and pd[2] == pd[3] == pd[4] == 0
+
+
+def test_progeny_pmf_of_no_tree_is_the_point_mass():
+    # p = 0 reads no state entry, whatever order the states run to
+    for dist in (binary_dist(), geometric_dist(), COPRIME):
+        assert progeny_pmf(_walk(dist, 6, 5), 0) == [1, 0, 0, 0, 0, 0, 0]
+        assert progeny_pmf(_walk(dist, 6, -1), 0) == [1] + [0] * 6
+    assert progeny_pmf(iter(()), 0) == [1]
 
 
 def test_marked_count_binary_leaves_catalan():
@@ -121,10 +134,10 @@ def test_leaf_routes_agree():
 def test_integer_walk_matches_fraction_walk(dist):
     for marks in (*SETS, *WIDE_SETS):
         zeta = collapsed_offspring(dist, marks, 40)
-        assert progeny_pmf(zeta, 40) == _reference_progeny(zeta, 40)
+        assert _progeny(zeta, 40) == _reference_progeny(zeta, 40)
         for k, top in ((40, 40), (20, 30), (1, 1), (0, 0)):
             assert _integer_states(zeta, k, top) == _fraction_walk(zeta, k, top)
-    assert progeny_pmf(dist, 40) == _reference_progeny(dist, 40)
+    assert _progeny(dist, 40) == _reference_progeny(dist, 40)
 
 
 @cache
@@ -223,7 +236,7 @@ def test_support_parity_of_binary_total_progeny():
 
 def test_integer_walk_degenerate_law():
     one = from_probs([1])
-    assert progeny_pmf(one, 12) == _reference_progeny(one, 12) == [0, 1] + [0] * 11
+    assert _progeny(one, 12) == _reference_progeny(one, 12) == [0, 1] + [0] * 11
     assert _integer_states(one, 5, 5) == _fraction_walk(one, 5, 5) == [{-j: 1} for j in range(1, 6)]
 
 

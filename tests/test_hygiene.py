@@ -68,7 +68,7 @@ PACKAGE = ROOT / "src" / "gwtrees"
 # Names that stay although no module under src/ reads them, each with its
 # reason.  A name leaves this list when it is deleted or gains a reader.
 KEPT_UNREAD = {
-    "exact.forest_leaf_pmf": "the paper's forest formula on one walk state, as tau reads the block rows; an oracle for tests",
+    "exact.forest_leaf_pmf": "the paper's forest formula, one entry of progeny_pmf on the leaf walk; an oracle for tests",
     "partitions.partitions_of": "enumeration oracle for tests",
     "samplers.sample_conditioned_rejection": "rejection oracle for the conditioned sampler",
     "trees.root_partition": "oracle for the root-split law",

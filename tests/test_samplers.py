@@ -389,6 +389,43 @@ def test_lagrange_ints_scale_the_count_table(law):
             assert e == {"geometric": 24, "geometric-3/5": 2375}[law]
 
 
+@pytest.mark.parametrize("law", sorted(LAGRANGE_LAWS))
+def test_exact_count_equals_the_functional_equation(law):
+    # the count read off the table's block rows against the route that never
+    # builds the collapsed law
+    dist = LAGRANGE_LAWS[law]
+    for spec in ("0", "0,1", "0,2", "all", "not:1,3", "0,3"):
+        marks = DegreeSet.parse(spec)
+        table = marked_count_fixed_point(dist, marks, 24)
+        n = max(m for m in range(25) if table[m])
+        assert SamplerTables(dist, marks, n).count == table[: n + 1], spec
+
+
+def test_an_exact_table_walks_the_collapsed_law_once(monkeypatch):
+    # count, tau, the Lagrange integers, trees and root splits all read the
+    # states of the one walk the table makes at construction
+    walks = []
+    walk = samplers._walk
+
+    def counting(dist, k, top):
+        walks.append((k, top))
+        return walk(dist, k, top)
+
+    monkeypatch.setattr(samplers, "_walk", counting)
+    monkeypatch.setattr("gwtrees.exact._walk", counting)
+    n = 12
+    tables = SamplerTables(geometric_dist(), A0, n)
+    s = stream(8)
+    for _ in range(3):
+        assert count_marked(sample_conditioned(tables, s), A0) == n
+    tables.tau(2)
+    tables.lagrange_ints()
+    for m in range(1, n + 1):
+        if tables.admissible(m):
+            split_measure(tables, m)
+    assert walks == [(n, n - 1)]
+
+
 def test_lagrange_ints_need_the_whole_first_state():
     # the gcd of the first state cut at order 0 leaves D = 2 on coprime/all,
     # where the state to order n - 1 has D = 30: then t_2 = 2/5
@@ -401,28 +438,25 @@ def test_lagrange_ints_need_the_whole_first_state():
     assert t[2] == tables.count[2] * d**2 * e
 
 
-def test_split_measure_rejects_a_count_table_perturbed_in_lagrange_form(monkeypatch):
+def test_split_measure_rejects_a_count_table_perturbed_in_lagrange_form():
     # count[3] + 1/(D^3 E^2) keeps t_3 an integer, so only the sum-to-one
-    # check can see it
-    tables = SamplerTables(geometric_dist(), A0, 8)
-    t, d, e = tables.lagrange_ints()
-    table = list(tables.count)
-    table[3] += Fraction(1, d**3 * e**2)
-    monkeypatch.setattr(samplers, "marked_count_pmf", lambda *args: list(table))
+    # check can see it; the Lagrange integers are derived from the count
+    # table on the first split, so a table perturbed before it carries them
+    t, d, e = SamplerTables(geometric_dist(), A0, 8).lagrange_ints()
     perturbed = SamplerTables(geometric_dist(), A0, 8)
+    perturbed.count[3] += Fraction(1, d**3 * e**2)
     assert perturbed.lagrange_ints()[0][3] == t[3] + 1
     with pytest.raises(AssertionError, match="split weights at 8 sum to"):
         split_measure(perturbed, 8)
 
 
 @pytest.mark.parametrize("entry, m", [(3, 8), (8, 8), (1, 2)])
-def test_split_measure_rejects_a_perturbed_count_table(monkeypatch, entry, m):
+def test_split_measure_rejects_a_perturbed_count_table(entry, m):
     # one count entry off by a factor 1001/1000, in a part (3, 1) or in the
-    # size's own probability (8): the weights no longer sum to one
-    table = marked_count_pmf(geometric_dist(), A0, 8)
-    table[entry] *= Fraction(1001, 1000)
-    monkeypatch.setattr(samplers, "marked_count_pmf", lambda *args: list(table))
+    # size's own probability (8), before the first split: it no longer
+    # scales to a Lagrange integer, or the weights no longer sum to one
     tables = SamplerTables(geometric_dist(), A0, 8)
+    tables.count[entry] *= Fraction(1001, 1000)
     with pytest.raises(AssertionError, match="split weights"):
         split_measure(tables, m)
 
@@ -1038,7 +1072,10 @@ def test_stats_follow_the_caches():
     n = 60
     tab = SamplerTables(geometric_dist(), A0, n)
     empty = tab.stats()
-    assert empty["rows"] == empty["value_cdfs"] == empty["interior_cdfs"] == empty["cache_bytes"] == 0
+    # the block rows are the table's one walk, kept from construction
+    assert empty["rows"] == len(tab._rows.rows) == n + 1
+    assert empty["value_cdfs"] == empty["interior_cdfs"] == 0
+    assert empty["cache_bytes"] == 8 * (n + 1) * n
     s = stream(5)
     for _ in range(5):
         sample_conditioned(tab, s)
@@ -1053,11 +1090,11 @@ def test_stats_follow_the_caches():
     assert tab.stats() == stats  # reading them changes nothing
     entries = stats["rows"] * n + stats["value_entries"] + stats["interior_entries"]
     assert stats["cache_bytes"] == 8 * entries
-    # tau builds the block rows that trees then draw on, and nothing else
+    # tau reads the block rows that trees draw on, and builds nothing
     shared = SamplerTables(geometric_dist(), A0, n)
-    shared.tau(3)
     rows = shared._rows
-    assert shared.stats() == {**empty, "rows": n + 1, "cache_bytes": 8 * (n + 1) * n}
+    shared.tau(3)
+    assert shared.stats() == empty
     sample_conditioned(shared, s)
     assert shared._rows is rows
     float_tab = SamplerTables(geometric_dist(), A0, n, exact=False)

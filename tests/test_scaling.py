@@ -13,6 +13,7 @@ from gwtrees.scaling import (
     SplitMeasure,
     TestFunction,
     block_count_marginal,
+    chi_square_sf,
     chi_square_test,
     damped_mean,
     depth_experiment,
@@ -171,6 +172,41 @@ def test_chi_square_detects_mismatch():
     _s2, _d2, p_bad = chi_square_test(obs, {"a": 0.3, "b": 0.7}, 20000)
     assert p_good > 0.001
     assert p_bad < 1e-6
+
+
+# (x, df, Q) with Q = scipy.stats.chi2.sf(x, df) from scipy 1.17.1
+CHI_SQUARE_SF = [
+    (0.5, 1, 0.47950012218695337),
+    (3.84, 1, 0.05004352124870519),
+    (10.0, 1, 0.001565402258002549),
+    (0.1, 2, 0.951229424500714),
+    (5.99, 2, 0.05003662708658629),
+    (30.0, 2, 3.0590232050182594e-07),
+    (7.81, 3, 0.05010605635000589),
+    (2.0, 4, 0.7357588823428847),
+    (11.07, 5, 0.050009618622405425),
+    (18.3, 10, 0.050109061411462506),
+    (3.0, 11, 0.9907258863657353),
+    (60.0, 25, 0.00010455486131526446),
+    (100.0, 59, 0.0006869731108532106),
+    (124.3, 100, 0.050266398300158416),
+    (250.0, 200, 0.009379131668826098),
+    (916.0, 400, 1.8021673643927733e-42),
+]
+
+
+@pytest.mark.parametrize("x, df, q", CHI_SQUARE_SF)
+def test_chi_square_sf_matches_scipy(x, df, q):
+    assert chi_square_sf(x, df) == pytest.approx(q, rel=1e-12)
+
+
+def test_chi_square_sf_closed_forms():
+    # one degree of freedom is erfc(sqrt(x/2)), two are exp(-x/2); a
+    # statistic of zero has tail one
+    for x in (1e-9, 0.3, 1.0, 4.0, 25.0, 300.0):
+        assert chi_square_sf(x, 1) == pytest.approx(math.erfc(math.sqrt(x / 2)), rel=1e-14)
+        assert chi_square_sf(x, 2) == pytest.approx(math.exp(-x / 2), rel=1e-14)
+    assert [chi_square_sf(0.0, df) for df in (1, 2, 7)] == [1.0, 1.0, 1.0]
 
 
 def test_depth_experiment_trivial_size():
