@@ -3,6 +3,10 @@ in a fixed set, together with the exact combinatorial machinery around them:
 depth-first-queue encodings, first-passage (Otter-Dwass style) identities,
 excursion block transforms, Markov branching samplers, and numerical checks
 of the Brownian-tree scaling behaviour.
+
+numpy serves the float work only (float tables, float trees, depths and the
+test statistics), and the functions that do it import it themselves, so the
+package and its exact paths run without loading it.
 """
 
 __version__ = "0.1.0"

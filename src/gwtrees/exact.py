@@ -28,8 +28,6 @@ from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from math import gcd
 
-import numpy as np
-
 from .degree_sets import DegreeSet, require_zero
 from .offspring import OffspringDist, collapsed_coeffs_float, collapsed_offspring, degree_masks, sums_closure
 from .trees import canonical_key, decode
@@ -176,6 +174,7 @@ def marked_count_support(dist: OffspringDist, marks: DegreeSet, max_n: int) -> l
     generators d in supp xi & A and d - 1 for d in supp xi - A, which
     offspring.sums_closure collects for every n - 1 < max_n at once.
     """
+    import numpy as np
     require_zero(marks)
     if not dist.pmf(0) > 0:
         return [False] * (max_n + 1)
@@ -230,6 +229,7 @@ def spectral_count(coeffs: np.ndarray, max_n: int) -> np.ndarray:
     matrix-vector products, and about n/B + B roundings per power where
     sequential powering takes n - 1.
     """
+    import numpy as np
     m = coeffs.size
     f = np.fft.rfft(coeffs, m)
     g = f * np.exp(2j * np.pi * np.arange(f.size) / m)

@@ -20,8 +20,6 @@ from functools import cached_property
 from itertools import accumulate
 from math import gcd
 
-import numpy as np
-
 from .degree_sets import DegreeSet, require_zero
 from .streams import common_denominator
 
@@ -219,6 +217,7 @@ def float_pmf(dist: OffspringDist, order: int) -> np.ndarray:
     Fraction.__float__ is.  Float powers p (1 - p)^k would drift by hundreds
     of ulps at k ~ 4000.
     """
+    import numpy as np
     out = np.zeros(order + 1)
     if dist.family == "finite":
         head = [float(p) for p in dist.probs[: order + 1]]
@@ -299,6 +298,7 @@ def collapsed_offspring(dist: OffspringDist, marks: DegreeSet, order: int) -> Of
 
 def degree_masks(dist: OffspringDist, marks: DegreeSet, top: int) -> tuple[np.ndarray, np.ndarray]:
     """Two bool arrays over the degrees 0..top: positive mass, and marked."""
+    import numpy as np
     if dist.family == "geometric":
         supp = np.ones(top + 1, dtype=bool)
     else:
@@ -320,6 +320,7 @@ def sums_closure(start: np.ndarray, gens: np.ndarray) -> np.ndarray:
     nothing, and once every value from the current generator on is a sum,
     so is every later generator: the scan stops there.
     """
+    import numpy as np
     size = start.size
     reach = np.zeros(size, dtype=bool)  # <generators so far>
     reach[:1] = True
@@ -356,6 +357,7 @@ def collapsed_coeffs_float(dist: OffspringDist, marks: DegreeSet, order: int) ->
     zeta = a (1 + u + u^2 + ...) is a sum of non-negative terms (supp u
     holds d - 1 for the unmarked d).
     """
+    import numpy as np
     require_zero(marks)
     if marks.covers_support(dist):
         return float_pmf(dist, order)

@@ -32,8 +32,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, exp, lgamma, log
 
-import numpy as np
-
 from .degree_sets import DegreeSet, require_zero
 from .exact import (
     FLOAT_TABLE_ATOL,
@@ -114,17 +112,12 @@ class _BlockRows:
     rows[j][e] / (dens[j] * base^e) is zeta^{*j}[e], the j-th convolution
     power of the collapsed law zeta at e, for j = 0..n and e = 0..n-1: row 0
     is the point mass at 0 and rows 1..n are the states of exact._walk on
-    zeta.  xi[u] / xi_den is the law's mass at degree u = 0..n, for the steps
-    inside a block; `interiors` is False when the set covers the law's
-    support and every block is one vertex.
+    zeta.
     """
 
     rows: list[list[int]]
     dens: list[int]
     base: int
-    xi: list[int]
-    xi_den: int
-    interiors: bool
 
 
 def _block_rows(dist: OffspringDist, marks: DegreeSet, n: int) -> _BlockRows:
@@ -137,8 +130,19 @@ def _block_rows(dist: OffspringDist, marks: DegreeSet, n: int) -> _BlockRows:
     for row, den, base in _walk(zeta, n, n - 1):
         rows.append(row)
         dens.append(den)
-    xi, xi_den = common_denominator(dist.coeffs(n))
-    return _BlockRows(rows, dens, base, xi, xi_den, not marks.covers_support(dist))
+    return _BlockRows(rows, dens, base)
+
+
+@dataclass(eq=False)
+class _StepInts:
+    """Integer law of the steps inside the blocks of exact trees with n
+    marked vertices: xi[u] / xi_den is the law's mass at degree u = 0..n;
+    `interiors` is False when the set covers the law's support and every
+    block is one vertex."""
+
+    xi: list[int]
+    xi_den: int
+    interiors: bool
 
 
 @dataclass(eq=False)
@@ -206,6 +210,7 @@ def _block_law(dist: OffspringDist, marks: DegreeSet, hat: np.ndarray, pmf: list
     unchanged, so theta only sets the acceptance rate of the proposal (see
     _two_cell).  log theta is found by bisection; the mean grows with it.
     """
+    import numpy as np
     n = hat.size
     values = np.flatnonzero(hat)
     log_hat = np.log(hat[values])
@@ -247,6 +252,7 @@ def _two_cell(values: np.ndarray, probs: np.ndarray, n: int) -> _TwoCell:
     tail starts at the first other value from which the others' mass times
     n^2 is at most 1, so a tail value enters about one proposal in n.
     """
+    import numpy as np
     top = np.sort(np.argsort(probs, kind="stable")[-2:])
     a, b = values[top].tolist()
     pi_ab = probs[top].sum()
@@ -289,7 +295,9 @@ class SamplerTables:
     Trees are drawn by blocks in both modes.  Exact trees draw on those rows
     and keep one CDF of the next block value per (values left, their sum)
     and one interior CDF per remaining value, integer lists drawn by exact
-    dyadic inversion that grow only as far as draws reach.  Float trees
+    dyadic inversion that grow only as far as draws reach; the law's integer
+    masses that weigh the interiors (_StepInts) are built on the first
+    tree.  Float trees
     keep the block law and its per-value interior CDFs, arrays of doubles
     that end at exactly 1.0, each drawn by one bisect of a uniform; the
     block law reads the float collapsed law that the table was built from,
@@ -317,6 +325,8 @@ class SamplerTables:
             self.count = self.tau(1)
             self._admissible = [bool(c > 0) for c in self.count]
         else:
+            import numpy as np
+
             # one run of the collapsed coefficients serves the table and,
             # cut at n - 1, the block law
             coeffs = collapsed_coeffs_float(dist, marks, fft_points(n) - 1)
@@ -337,8 +347,10 @@ class SamplerTables:
             raise ValueError(f"marked count {n} has probability zero")
         # split_measure's Lagrange integers (t, D, E), built on its first call
         self._lagrange: tuple[list[int], int, int] | None = None
-        # exact trees: the value CDFs, built as draws reach them
+        # exact trees: the value CDFs, built as draws reach them, and the
+        # law's integers for the block interiors, built on the first tree
         self._value_cum: dict[int, tuple] = {}
+        self._steps: _StepInts | None = None
         # float trees: the block law, built on the first tree
         self._blocks: _BlockLaw | None = None
         # interior CDFs of either mode's trees, per remaining block value
@@ -515,17 +527,25 @@ class SamplerTables:
         with one positive weight is kept as [its index] instead, and is
         taken without a draw.
         """
-        blocks = self._rows
-        first, base, xi = blocks.rows[1], blocks.base, blocks.xi
+        blocks, law = self._rows, self._step_ints()
+        first, base, xi = blocks.rows[1], blocks.base, law.xi
         weights = [xi[r] * blocks.dens[1] * base**r if self.marked_degree[r] else 0]
         weights += [0 if self.marked_degree[u] else xi[u] * first[r - u + 1] * base ** (u - 1) for u in range(1, r + 2)]
         cum = list(itertools.accumulate(weights))
-        if cum[-1] != blocks.xi_den * first[r]:
+        if cum[-1] != law.xi_den * first[r]:
             raise AssertionError(f"block weights at value {r} do not sum to zeta[{r}]")
         positive = [u for u, w in enumerate(weights) if w]
         steps = positive if len(positive) == 1 else cum[: positive[-1] + 1]
         self._interior_cum[r] = steps
         return steps
+
+    def _step_ints(self) -> _StepInts:
+        """The integer step law of exact trees, built on the first tree and
+        cached, so that tables that only count or split never build it."""
+        if self._steps is None:
+            xi, xi_den = common_denominator(self.dist.coeffs(self.n))
+            self._steps = _StepInts(xi, xi_den, not self.marks.covers_support(self.dist))
+        return self._steps
 
     def block_law(self) -> _BlockLaw:
         """The block law of float trees, built on the first call and cached.
@@ -550,6 +570,7 @@ class SamplerTables:
         of (c - 1) above -1 until its last step, the one that starts just
         after the walk's first minimum.
         """
+        import numpy as np
         law = self.block_law()
         pair = law.pair
         if pair is None:
@@ -592,6 +613,7 @@ class SamplerTables:
         CDFs it is a unit CDF (_unit_cdf): it ends at exactly 1.0 at the
         last positive weight, so a uniform in [0, 1) indexes it directly.
         """
+        import numpy as np
         law = self.block_law()
         weights = np.empty(r + 2)
         weights[0] = self._pmf_f[r] if self.marked_degree[r] else 0.0
@@ -612,6 +634,7 @@ class SamplerTables:
         the last positive weight and divided by that sum, so it ends at
         exactly 1.0 (_unit_cdf) and one bisect of a uniform draws a step.
         """
+        import numpy as np
         if self._chain is None:
             self._chain = marked_vertex_series(self)
         w, g, stop = self._chain
@@ -631,7 +654,7 @@ def _unit_cdf(weights: np.ndarray, want: float, tol: float, what: str, name: str
     entry exactly 1.0.  A uniform u in [0, 1) then indexes it as
     bisect_right(cdf, u), which never passes the last entry and never
     lands on a zero weight."""
-    cum = np.cumsum(weights)
+    cum = weights.cumsum()
     if abs(cum[-1] - want) > tol:
         raise ArithmeticError(f"{what} sum to {cum[-1]}, not {name} = {want}")
     last = len(weights) - 1
@@ -652,6 +675,8 @@ def sample_conditioned(tables: SamplerTables, stream: RandomStream) -> OrderedTr
     if tables.exact:
         degrees = _exact_block_degrees(tables, stream)
     else:
+        import numpy as np
+
         gen = np.random.default_rng(stream.getrandbits(128))
         degrees = _block_degrees(tables, tables.draw_block_values(gen), gen)
     t = OrderedTree.from_degrees(degrees)
@@ -679,7 +704,7 @@ def _exact_block_degrees(tables: SamplerTables, stream: RandomStream) -> list[in
         if walk < low:
             low, start = walk, i
     values = values[start:] + values[:start]
-    if not tables._rows.interiors:
+    if not tables._step_ints().interiors:
         return values
     cdfs = tables._interior_cum
     build = tables._interior_steps
@@ -751,6 +776,7 @@ def marked_vertex_series(tables: SamplerTables) -> tuple:
     tables give numpy arrays of Fractions, float tables of doubles, with G
     clipped at zero against rounding.
     """
+    import numpy as np
     n = tables.n
     marks = tables.marks
     if tables.exact:

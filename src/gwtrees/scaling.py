@@ -9,8 +9,6 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
 from .degree_sets import DegreeSet
 from .offspring import OffspringDist
 from .partitions import Partition, block_count
@@ -145,12 +143,14 @@ def block_count_marginal(measure: SplitMeasure) -> dict[int, Fraction]:
 
 
 def ecdf(xs) -> tuple[np.ndarray, np.ndarray]:
+    import numpy as np
     xs = np.sort(np.asarray(xs, dtype=float))
     return xs, np.arange(1, len(xs) + 1) / len(xs)
 
 
 def ks_two_sample(xs, ys) -> float:
     """Sup distance between the two empirical CDFs."""
+    import numpy as np
     xs = np.sort(np.asarray(xs, dtype=float))
     ys = np.sort(np.asarray(ys, dtype=float))
     if len(xs) == 0 or len(ys) == 0:
@@ -180,6 +180,7 @@ def sup_distance(xa, pa, xb, pb) -> float:
     on the union of atoms covers every atom and every left limit: the left
     limit at an atom is the value at the previous atom of the union, or 0.
     """
+    import numpy as np
     xa, pa = np.asarray(xa, dtype=float), np.asarray(pa, dtype=float)
     xb, pb = np.asarray(xb, dtype=float), np.asarray(pb, dtype=float)
     grid = np.union1d(xa, xb)
@@ -195,6 +196,7 @@ def sup_distance(xa, pa, xb, pb) -> float:
 def ks_one_sample(values, law) -> float:
     """One-sample KS statistic of integer samples against a pmf on 0, 1, ...;
     `law[k]` is the probability of k."""
+    import numpy as np
     atoms, counts = np.unique(np.asarray(values, dtype=np.int64), return_counts=True)
     law = np.asarray(law, dtype=float)
     return sup_distance(atoms, counts / counts.sum(), np.arange(len(law)), law)
@@ -223,6 +225,7 @@ def depth_law(dist: OffspringDist, marks: DegreeSet, n: int) -> np.ndarray:
     remaining mass is below 1e-13 of the total, which ends the loop also
     when unmarked degree-one stalks make the support unbounded.
     """
+    import numpy as np
     tables = SamplerTables(dist, marks, n, exact=False)
     w, g, h = marked_vertex_series(tables)
     total = w[n]
@@ -313,9 +316,11 @@ class DepthArm:
 
     @property
     def mean(self) -> float:
+        import numpy as np
         return float(np.mean(self.samples)) if self.samples else 0.0
 
     def rescaled(self, by_mass: bool = True, by_sigma: bool = False) -> np.ndarray:
+        import numpy as np
         out = np.asarray(self.samples)
         if by_mass:
             out = out * math.sqrt(self.marked_mass)
@@ -325,10 +330,12 @@ class DepthArm:
 
     def depths(self) -> np.ndarray:
         """The integer depths behind the samples (each is depth / sqrt(n))."""
+        import numpy as np
         return np.rint(np.asarray(self.samples) * math.sqrt(self.n)).astype(np.int64)
 
     def ecdf_grid(self) -> list[list[float]]:
         """The empirical CDF, thinned to at most 257 evenly spaced points."""
+        import numpy as np
         xs, fs = ecdf(self.samples)
         if len(xs) <= 257:
             return [[float(x), float(v)] for x, v in zip(xs, fs)]

@@ -12,8 +12,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-import numpy as np
-
 from . import __version__
 from .degree_sets import DegreeSet
 from .exact import enumerate_mass, marked_count_fixed_point, marked_count_pmf, marked_count_support
@@ -462,6 +460,7 @@ def depth_convergence(a: RescaledLaw, b: RescaledLaw, n: int, threshold: float, 
     which cancels a c / sqrt(n) term and so estimates the limit distance, is
     below `threshold`.  `law(dist, marks, size)` supplies the exact laws.
     """
+    import numpy as np
     distances = []
     sizes = []
     for q in CONVERGENCE_DIVISORS:
@@ -492,6 +491,7 @@ def run_universality(seed: int, n: int = 2000, samples: int = 5000) -> SuiteResu
     sampled two-sample KS statistic kept in the details; the fully rescaled
     mean of each arm must be near the common limit sqrt(pi/2).
     """
+    import numpy as np
     res = SuiteResult("universality", seed)
     t0 = time.time()
     binary = binary_dist()

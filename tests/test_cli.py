@@ -143,6 +143,37 @@ def test_cli_import_loads_no_scipy_submodule():
     assert proc.stdout.splitlines() == ["[]", "False"]
 
 
+def test_import_and_exact_commands_load_no_numpy():
+    # numpy serves the float work only: importing the package and running
+    # the exact commands in one fresh interpreter never loads it, and the
+    # first float table does
+    code = (
+        "import io, sys\n"
+        "from contextlib import redirect_stdout\n"
+        "import gwtrees, gwtrees.cli, gwtrees.samplers, gwtrees.scaling, gwtrees.suites\n"
+        "loaded = ['numpy' in sys.modules]\n"
+        "b = '{\"family\":\"binary\"}'\n"
+        "runs = [\n"
+        "    ['exact', '--dist', b, '--set', '0', '--max-n', '20'],\n"
+        "    ['root-partition', '--dist', b, '--set', '0', '--n', '20'],\n"
+        "    ['sample', '--dist', b, '--set', '0', '--n', '50', '--seed', '1'],\n"
+        "    ['transform', 'check'],\n"
+        "    ['verify', 'otter-dwass', '--max-n', '12'],\n"
+        "]\n"
+        "sys.stdin = io.StringIO('(()())\\n')\n"
+        "for argv in runs:\n"
+        "    with redirect_stdout(io.StringIO()):\n"
+        "        assert gwtrees.cli.main(argv) == 0, argv\n"
+        "    loaded.append('numpy' in sys.modules)\n"
+        "gwtrees.samplers.SamplerTables(gwtrees.binary_dist(), gwtrees.DegreeSet.of(0), 50, exact=False)\n"
+        "loaded.append('numpy' in sys.modules)\n"
+        "print(loaded)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [str([False] * 6 + [True])]
+
+
 def test_transform_check_stdin():
     proc = run_cli(["transform", "check"], stdin="(()())\n")
     assert proc.returncode == 0

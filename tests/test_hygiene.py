@@ -342,3 +342,126 @@ def test_every_unread_name_is_kept_on_purpose():
     stale = sorted(set(KEPT_UNREAD) - set(unread))
     assert not extra, f"defined under src/ but read by no module there: {extra}"
     assert not stale, f"kept as unread, but now read or gone: {stale}"
+
+
+# ---------------------------------------------------------------------------
+# numpy is imported inside the functions that use it, so that importing the
+# package, and its exact paths, never load it
+
+def numpy_at_module_level(source: str) -> list[int]:
+    """Lines of the imports of numpy that run when the module is imported:
+    any outside a function body, class bodies included."""
+    lines = []
+    todo = list(ast.parse(source).body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, _FUNCTIONS):
+            continue
+        if isinstance(node, ast.Import):
+            if any(a.name.partition(".")[0] == "numpy" for a in node.names):
+                lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").partition(".")[0] == "numpy":
+            lines.append(node.lineno)
+        todo.extend(ast.iter_child_nodes(node))
+    return sorted(lines)
+
+
+class _UnboundReads(ast.NodeVisitor):
+    """Reads of one name in functions where neither the function nor an
+    enclosing function binds it.  Annotations are skipped when the module
+    has `from __future__ import annotations`, which keeps them unevaluated
+    strings."""
+
+    def __init__(self, name: str, lazy_annotations: bool):
+        self.name = name
+        self.lazy = lazy_annotations
+        self.scopes: list[tuple[str, set[str]]] = []
+        self.found: list[str] = []
+
+    def _annotation(self, node) -> None:
+        if node is not None and not self.lazy:
+            self.visit(node)
+
+    def visit_FunctionDef(self, node):
+        args = node.args
+        for part in (*node.decorator_list, *args.defaults, *filter(None, args.kw_defaults)):
+            self.visit(part)
+        for a in (*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg):
+            if a is not None:
+                self._annotation(a.annotation)
+        self._annotation(node.returns)
+        self.scopes.append((node.name, _local_names(node)))
+        for stmt in node.body:
+            self.visit(stmt)
+        self.scopes.pop()
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def visit_Lambda(self, node):
+        for part in (*node.args.defaults, *filter(None, node.args.kw_defaults)):
+            self.visit(part)
+        self.scopes.append(("<lambda>", _local_names(node)))
+        self.visit(node.body)
+        self.scopes.pop()
+
+    def visit_AnnAssign(self, node):
+        self.visit(node.target)
+        self._annotation(node.annotation)
+        if node.value is not None:
+            self.visit(node.value)
+
+    def visit_Name(self, node):
+        if node.id == self.name and isinstance(node.ctx, ast.Load):
+            if not any(node.id in names for _, names in self.scopes):
+                where = ".".join(name for name, _ in self.scopes) or "<module>"
+                self.found.append(f"{where}:{node.lineno}")
+
+
+def unbound_reads(source: str, name: str) -> list[str]:
+    """`function:line` of each read of `name` that no enclosing function
+    binds (`<module>:line` outside any function)."""
+    tree = ast.parse(source)
+    lazy = any(
+        isinstance(stmt, ast.ImportFrom) and stmt.module == "__future__" and any(a.name == "annotations" for a in stmt.names)
+        for stmt in tree.body
+    )
+    reads = _UnboundReads(name, lazy)
+    reads.visit(tree)
+    return reads.found
+
+
+def test_numpy_scans_flag_module_imports_and_unbound_reads():
+    source = (
+        "from __future__ import annotations\n"
+        "import numpy.fft\n"
+        "class Law:\n"
+        "    from numpy import ndarray\n"
+        "    values: np.ndarray\n"
+        "def bound(x: np.ndarray) -> np.ndarray:\n"
+        "    import numpy as np\n"
+        "    def inner():\n"
+        "        return np.zeros(1), [np.ones(k) for k in x], lambda: np.pi\n"
+        "    return inner()\n"
+        "def unbound(x):\n"
+        "    return np.asarray(x)\n"
+        "def hidden():\n"
+        "    def inner():\n"
+        "        import numpy as np\n"
+        "        return np\n"
+        "    return inner, np\n"
+    )
+    assert numpy_at_module_level(source) == [2, 4]
+    assert unbound_reads(source, "np") == ["unbound:12", "hidden:17"]
+    # evaluated annotations read the name
+    assert unbound_reads(source.partition("\n")[2], "np") == ["<module>:4", "<module>:5", "<module>:5", "unbound:11", "hidden:16"]
+
+
+def test_numpy_is_imported_only_where_it_is_used():
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        source = path.read_text()
+        issues = [f"module-level import at line {n}" for n in numpy_at_module_level(source)]
+        issues += [f"np read unbound in {where}" for where in unbound_reads(source, "np")]
+        if issues:
+            found[path.name] = issues
+    assert not found, f"numpy must be imported inside the functions that read it: {found}"

@@ -7,6 +7,12 @@ seed draws finite laws on at most 6 degrees below 8, with denominators up to
 12, critical about 60% of the time and subcritical otherwise, and finite or
 cofinite sets that contain 0.  A case that fails here is fixed in src/; the
 generator is not narrowed to hide it.
+
+The float half takes the critical laws of the same generator through every
+float route: the float table at n near 300 against the exact one, and at n
+near 2000 float trees, depths and, for the first draws of each seed, the
+exact depth law the depths must fall on.  Subcritical laws are left out there, as
+their float masses at such sizes fall below the FFT's absolute error.
 """
 
 import random
@@ -15,9 +21,10 @@ from fractions import Fraction
 import pytest
 
 from gwtrees.degree_sets import DegreeSet
-from gwtrees.exact import marked_count_fixed_point, marked_count_support
+from gwtrees.exact import FLOAT_TABLE_ATOL, FLOAT_TABLE_RTOL, marked_count_fixed_point, marked_count_support
 from gwtrees.offspring import from_probs
-from gwtrees.samplers import SamplerTables, sample_conditioned, split_measure
+from gwtrees.samplers import SamplerTables, sample_conditioned, sample_marked_depth, split_measure
+from gwtrees.scaling import depth_law
 from gwtrees.streams import RandomStream
 from gwtrees.trees import count_marked
 
@@ -26,6 +33,12 @@ CASES = 80  # per seed
 MAX_N = 24
 MAX_SPLIT = 9
 TREES = 3
+FLOAT_CASES = 16  # draws per seed, of which the critical ones run
+FLOAT_N = range(260, 341)  # sizes of the float table checked against the exact one
+LARGE_N = range(1960, 2041)  # sizes of the float trees and depths
+FLOAT_TREES = 2
+DEPTHS = 3
+DEPTH_LAWS = 4  # the first draws of a seed also check their depths against depth_law
 
 
 def random_law(rng: random.Random):
@@ -85,3 +98,33 @@ def test_random_laws_through_the_exact_routes(seed):
         for m in range(1, min(n, MAX_SPLIT) + 1):
             if tables.admissible(m):
                 assert sum(split_measure(tables, m).values()) == 1, (*where, m)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_random_critical_laws_through_the_float_routes(seed):
+    rng = random.Random(100 + seed)
+    for case in range(FLOAT_CASES):
+        dist, marks = random_law(rng), random_set(rng)
+        if dist.mean() != 1:
+            continue
+        where = (seed, case, dist.probs, marks.spec())
+        support = marked_count_support(dist, marks, LARGE_N[-1])
+        n = rng.choice([m for m in FLOAT_N if support[m]])
+        exact = SamplerTables(dist, marks, n).count
+        got = SamplerTables(dist, marks, n, exact=False).count
+        for m, (x, y) in enumerate(zip(exact, got.tolist())):
+            assert abs(y - float(x)) <= FLOAT_TABLE_RTOL * float(x) + FLOAT_TABLE_ATOL, (*where, n, m)
+            assert (y > 0) == support[m], (*where, n, m)
+        n = rng.choice([m for m in LARGE_N if support[m]])
+        tables = SamplerTables(dist, marks, n, exact=False)
+        s = RandomStream(1000 * seed + case)
+        for _ in range(FLOAT_TREES):
+            assert count_marked(sample_conditioned(tables, s), marks) == n, (*where, n)
+        # an ancestor with one child is unmarked only on a stalk; any other
+        # ancestor is marked or has a sibling subtree with a marked leaf
+        stalks = dist.pmf(1) > 0 and 1 not in marks
+        depths = [sample_marked_depth(tables, s) for _ in range(DEPTHS)]
+        assert all(d >= 0 and (stalks or d < n) for d in depths), (*where, n, depths)
+        if case < DEPTH_LAWS:
+            law = depth_law(dist, marks, n)
+            assert all(d < law.size and law[d] > 0 for d in depths), (*where, n, depths)

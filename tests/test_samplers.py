@@ -1090,13 +1090,17 @@ def test_stats_follow_the_caches():
     assert tab.stats() == stats  # reading them changes nothing
     entries = stats["rows"] * n + stats["value_entries"] + stats["interior_entries"]
     assert stats["cache_bytes"] == 8 * entries
-    # tau reads the block rows that trees draw on, and builds nothing
+    # tau and root splits read the block rows that trees draw on, and build
+    # nothing; the integer step law of the interiors waits for a tree
     shared = SamplerTables(geometric_dist(), A0, n)
     rows = shared._rows
     shared.tau(3)
+    split_measure(shared, 7)
     assert shared.stats() == empty
+    assert shared._steps is None
     sample_conditioned(shared, s)
     assert shared._rows is rows
+    assert shared._steps.interiors
     float_tab = SamplerTables(geometric_dist(), A0, n, exact=False)
     for _ in range(5):
         sample_conditioned(float_tab, s)
