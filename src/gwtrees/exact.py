@@ -29,7 +29,15 @@ from fractions import Fraction
 from math import gcd
 
 from .degree_sets import DegreeSet, require_zero
-from .offspring import OffspringDist, collapsed_coeffs_float, collapsed_offspring, degree_masks, sums_closure
+from .offspring import (
+    OffspringDist,
+    bit_indices,
+    bit_list,
+    collapsed_coeffs_float,
+    collapsed_offspring,
+    degree_masks,
+    sums_closure,
+)
 from .trees import canonical_key, decode
 
 MAX_ENUM_VERTICES = 16
@@ -172,19 +180,16 @@ def marked_count_support(dist: OffspringDist, marks: DegreeSet, max_n: int) -> l
     iff n - 1 is a sum of nonzero values of zeta (the rest are zeros, which
     exist because xi_0 > 0 and 0 is marked).  Those sums are the sums of the
     generators d in supp xi & A and d - 1 for d in supp xi - A, which
-    offspring.sums_closure collects for every n - 1 < max_n at once.
+    offspring.sums_closure collects for every n - 1 < max_n at once, on
+    the bits of a Python int.
     """
-    import numpy as np
     require_zero(marks)
     if not dist.pmf(0) > 0:
         return [False] * (max_n + 1)
     supp, marked = degree_masks(dist, marks, max_n)
-    degrees = np.flatnonzero(supp)
     # d or d - 1 for increasing d: a non-decreasing list of generators
-    gens = degrees - ~marked[degrees]
-    start = np.zeros(max_n, dtype=bool)
-    start[:1] = True
-    return [False] + sums_closure(start, gens).tolist()
+    gens = (d - (not marked >> d & 1) for d in bit_indices(supp))
+    return [False] + bit_list(sums_closure(1, gens, max_n), max_n)
 
 
 # Relative error of marked_count_pmf_float against the exact tables, which

@@ -296,47 +296,53 @@ def collapsed_offspring(dist: OffspringDist, marks: DegreeSet, order: int) -> Of
     return OffspringDist("finite", probs, truncated=True, rational=(num, den))
 
 
-def degree_masks(dist: OffspringDist, marks: DegreeSet, top: int) -> tuple[np.ndarray, np.ndarray]:
-    """Two bool arrays over the degrees 0..top: positive mass, and marked."""
-    import numpy as np
+def degree_masks(dist: OffspringDist, marks: DegreeSet, top: int) -> tuple[int, int]:
+    """Two bit sets over the degrees 0..top, bit k for degree k: positive
+    mass, and marked."""
+    full = (1 << (top + 1)) - 1
     if dist.family == "geometric":
-        supp = np.ones(top + 1, dtype=bool)
+        supp = full
     else:
-        supp = np.zeros(top + 1, dtype=bool)
-        head = [p != 0 for p in dist.probs[: top + 1]]
-        supp[: len(head)] = head
-    marked = np.full(top + 1, marks.cofinite)
-    marked[[k for k in marks.members if k <= top]] = not marks.cofinite
-    return supp, marked
+        supp = sum(1 << k for k, p in enumerate(dist.probs[: top + 1]) if p)
+    members = sum(1 << k for k in marks.members if k <= top)
+    return supp, full ^ members if marks.cofinite else members
 
 
-def sums_closure(start: np.ndarray, gens: np.ndarray) -> np.ndarray:
-    """start + <gens> inside the index range of the bool array `start`.
+def bit_indices(bits: int):
+    """The positions of the set bits of bits >= 0, in increasing order."""
+    return (k for k, c in enumerate(bin(bits)[:1:-1]) if c == "1")
 
-    <G> is the set of sums of elements of G, 0 included; `gens` must be
-    non-decreasing.  Each generator closes the set by doubling shifts, so
-    that after the shifts by g, 2g, ..., 2^(k-1) g it holds up to 2^k - 1
-    copies of g.  A generator that is already a sum of earlier ones adds
-    nothing, and once every value from the current generator on is a sum,
-    so is every later generator: the scan stops there.
+
+def bit_list(bits: int, size: int) -> list[bool]:
+    """Bits 0..size-1 of bits >= 0 as bools."""
+    return [c == "1" for c in bin(bits)[:1:-1].ljust(size, "0")[:size]]
+
+
+def sums_closure(start: int, gens, size: int) -> int:
+    """start + <gens> on the bits 0..size-1 of the bit set `start`.
+
+    <G> is the set of sums of elements of G, 0 included; `gens` must be a
+    non-decreasing iterable, read only as far as needed.  Each generator
+    closes the set by doubling shifts, so that after the shifts by g, 2g,
+    ..., 2^(k-1) g it holds up to 2^k - 1 copies of g.  A generator that is
+    already a sum of earlier ones adds nothing, and once every value from
+    the current generator on is a sum, so is every later generator: the
+    scan stops there.
     """
-    import numpy as np
-    size = start.size
-    reach = np.zeros(size, dtype=bool)  # <generators so far>
-    reach[:1] = True
-    out = start.copy()
-    for g in gens.tolist():
+    full = (1 << size) - 1
+    reach = 1  # <generators so far>
+    out = start & full
+    for g in gens:
         if g >= size:
             break
-        if reach[g]:
+        if reach >> g & 1:
             continue
         step = g
         while step < size:
-            reach[step:] |= reach[:-step]
-            out[step:] |= out[:-step]
+            reach |= reach << step & full
+            out |= out << step & full
             step *= 2
-        unreached = np.flatnonzero(~reach)
-        if not unreached.size or unreached[-1] < g:
+        if reach >> g == full >> g:
             break
     return out
 
@@ -377,7 +383,9 @@ def collapsed_coeffs_float(dist: OffspringDist, marks: DegreeSet, order: int) ->
         out[e] = v / head
     out = np.array(out)
     supp, marked = degree_masks(dist, marks, order + 1)
-    out[~sums_closure(supp[:-1] & marked[:-1], np.flatnonzero(supp & ~marked) - 1)] = 0.0
+    reach = sums_closure(supp & marked, (d - 1 for d in bit_indices(supp & ~marked)), order + 1)
+    bits = np.frombuffer(reach.to_bytes(order // 8 + 1, "little"), dtype=np.uint8)
+    out[~np.unpackbits(bits, count=order + 1, bitorder="little").astype(bool)] = 0.0
     return np.clip(out, 0.0, None)
 
 

@@ -30,7 +30,7 @@ from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, exp, lgamma, log
+from math import comb, exp, gcd, lgamma, log
 
 from .degree_sets import DegreeSet, require_zero
 from .exact import (
@@ -973,87 +973,124 @@ def split_measure(tables: SamplerTables, m: int) -> dict[Partition, Fraction]:
     count, updated from the run of equal parts that ends it, and the
     product of its parts' t; an atom's integer v is the two multiplied, and
     its weight is v K_p, with K_p = xi_p E^p / ((D E)^s count[m]) one
-    reduced Fraction per degree.  The same v, summed per degree, give the
-    exact sum-to-one check with one Fraction per degree.
+    reduced fraction per degree, computed on integers from the law's masses
+    over one denominator.  The degrees 0 and 1 have one atom each at most,
+    () at size 1 and (s,), with v = 1 and t_s in the same formula.  The
+    v summed per degree give the exact sum-to-one check, on integers too.
+
+    Per call, a target's wanted degrees are three flat lists indexed by part
+    count (the bucket, and K_p's numerator and denominator, None where the
+    degree is not wanted), and the completions by r ones read the tuples
+    (1,)*r and the powers t_1^r from two lists built for r up to the
+    largest wanted degree.  No completion tests t_1: validate requires
+    xi_0 > 0, so count[1] >= xi_0 and t_1 = D count[1] > 0.
     """
     if not tables.exact:
         raise ValueError("split_measure needs exact tables")
     if not tables.admissible(m):
         raise ValueError(f"size {m} has probability zero")
-    count = tables.count
     ints, d, e = tables.lagrange_ints()  # zero marks an inadmissible part
-    z = count[m]
-    consts: dict[int, Fraction] = {}  # K_p per degree p >= 2
-    buckets: dict[int, dict[Partition, Fraction]] = {}  # per degree, in support order
+    dist = tables.dist
+    if dist.family == "geometric":
+        # xi_p = xs[p] / x_den; for the geometric law a (b - a)^p / b^(p + 1)
+        a, b = dist.param.numerator, dist.param.denominator
+        xs, x_den = [a * (b - a) ** p * b ** (m - p) for p in range(m + 1)], b ** (m + 1)
+    else:
+        xs, x_den = common_denominator(dist.probs[: m + 1])
+    z = tables.count[m]
+    de = d * e
+    marked = tables.marked_degree
+    buckets: dict[int, dict[Partition, Fraction]] = {}  # per degree in consts, in support order
     by_target: dict[int, list[int]] = {}  # target size -> the degrees p >= 2 that split it
-    mass = Fraction(0)
-    for p in tables.dist.support_iter(m):
-        xi = tables.dist.pmf(p)
-        if xi == 0:
-            continue
-        target = m - 1 if tables.marked_degree[p] else m
-        buckets[p] = {}
-        if p >= 2:
-            if target >= p:
-                consts[p] = Fraction(xi.numerator * e**p * z.denominator, xi.denominator * (d * e) ** target * z.numerator)
-                by_target.setdefault(target, []).append(p)
-        elif (ints[target] if p == 1 else target == 0):
-            # the single part (target,), or () at size 1
-            w = (xi * count[target] if p == 1 else xi) / z
-            buckets[p][(target,) * p] = w
-            mass += w
+    consts: dict[int, tuple[int, int]] = {}  # K_p per degree that can have atoms, reduced
     sums = [0] * (m + 1)  # per degree: the atoms' integers v, summed
+    for p, x in enumerate(xs):
+        if not x:
+            continue
+        target = m - 1 if marked[p] else m
+        if p > target or (p == 1 and not ints[target]) or (p == 0 and target):
+            continue
+        buckets[p] = {}
+        kn, kd = x * e**p * z.denominator, x_den * de**target * z.numerator
+        g = gcd(kn, kd)
+        kn, kd = kn // g, kd // g
+        consts[p] = (kn, kd)
+        if p >= 2:
+            by_target.setdefault(target, []).append(p)
+        else:
+            # the single part (target,), or () at size 1
+            sums[p] = ints[target] if p else 1
+            buckets[p][(target,) * p] = Fraction(sums[p] * kn, kd)
+    # a completion by r ones has r <= top parts
+    r_top = max((degrees[-1] for degrees in by_target.values()), default=0)
+    ones = [(1,) * r for r in range(r_top + 1)]
+    t1_pow = [ints[1] ** r for r in range(r_top + 1)]
 
     def walk(prefix, i, rest, prev, run, arr, prod) -> None:
         """Add the wanted atoms below prefix, whose i parts end in `run`
         copies of prev and leave rest >= 1 to place."""
+        i1 = i + 1
+        i2 = i + 2
         # the next part leaves room for `low` parts in all, and at most
         # top - i parts no larger than it must cover rest
-        for first in range(min(prev, rest, i + 1 + rest - low), max(1, (rest - 1) // (top - i)), -1):
+        hi = i1 + rest - low
+        if prev < hi:
+            hi = prev
+        if rest < hi:
+            hi = rest
+        lo = (rest - 1) // (top - i)
+        if lo < 1:
+            lo = 1
+        for first in range(hi, lo, -1):
             c = ints[first]
             if not c:
                 continue
             r = run + 1 if first == prev else 1
-            a = arr * (i + 1) // r
+            a = arr * i1 // r
             last = rest - first
             if not last:
                 # first closes the partition
-                if want[i + 1]:
-                    bucket, kn, kd = want[i + 1]
+                bucket = bucket_at[i1]
+                if bucket is not None:
                     v = a * prod * c
-                    bucket[prefix + (first,)] = Fraction(v * kn, kd)
-                    sums[i + 1] += v
-            elif last == 1 or i + 2 == top:
+                    bucket[prefix + (first,)] = Fraction(v * kn_at[i1], kd_at[i1])
+                    sums[i1] += v
+            elif last == 1 or i2 == top:
                 # exactly one part is left, and it is last <= first
                 c_last = ints[last]
-                if c_last and want[i + 2]:
-                    bucket, kn, kd = want[i + 2]
-                    a = a * (i + 2) // (r + 1 if last == first else 1)
-                    v = a * prod * c * c_last
-                    bucket[prefix + (first, last)] = Fraction(v * kn, kd)
-                    sums[i + 2] += v
+                if c_last:
+                    bucket = bucket_at[i2]
+                    if bucket is not None:
+                        v = a * i2 // (r + 1 if last == first else 1) * prod * c * c_last
+                        bucket[prefix + (first, last)] = Fraction(v * kn_at[i2], kd_at[i2])
+                        sums[i2] += v
             else:
-                walk(prefix + (first,), i + 1, last, first, r, a, prod * c)
+                walk(prefix + (first,), i1, last, first, r, a, prod * c)
         p = i + rest
-        if p <= top and want[p] and ints[1]:
-            bucket, kn, kd = want[p]
-            v = arr * comb(p, rest) * prod * ints[1] ** rest
-            bucket[prefix + (1,) * rest] = Fraction(v * kn, kd)
-            sums[p] += v
+        if p <= top:
+            bucket = bucket_at[p]
+            if bucket is not None:
+                v = arr * comb(p, rest) * prod * t1_pow[rest]
+                bucket[prefix + ones[rest]] = Fraction(v * kn_at[p], kd_at[p])
+                sums[p] += v
 
     for target, degrees in by_target.items():
         top, low = degrees[-1], degrees[0]
-        want = [None] * (top + 1)
+        bucket_at, kn_at, kd_at = [None] * (top + 1), [None] * (top + 1), [None] * (top + 1)
         for p in degrees:
-            want[p] = (buckets[p], consts[p].numerator, consts[p].denominator)
+            bucket_at[p] = buckets[p]
+            kn_at[p], kd_at[p] = consts[p]
         walk((), 0, target, target, 0, 1, 1)
     # walk reaches itself through its closure; breaking that cycle frees the
     # closure, and the atoms it holds, as soon as the caller drops them
     del walk
-    for p, k in consts.items():
-        mass += k * sums[p]
-    if mass != 1:
-        raise AssertionError(f"split weights at {m} sum to {mass}")
+    # sum_p K_p S_p == 1 with count[m] = zn / zd, times x_den (D E)^m zn:
+    # degree p adds xs[p] E^p S_p (D E)^(m - s) zd, and m - s is 1 on a
+    # marked degree and 0 otherwise
+    total = sum(xs[p] * e**p * sums[p] * (de if marked[p] else 1) for p in consts) * z.denominator
+    whole = x_den * de**m * z.numerator
+    if total != whole:
+        raise AssertionError(f"split weights at {m} sum to {Fraction(total, whole)}")
     atoms: dict[Partition, Fraction] = {}
     for bucket in buckets.values():
         atoms.update(bucket)

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import io
 import json
 import subprocess
@@ -159,6 +160,7 @@ def test_import_and_exact_commands_load_no_numpy():
         "    ['sample', '--dist', b, '--set', '0', '--n', '50', '--seed', '1'],\n"
         "    ['transform', 'check'],\n"
         "    ['verify', 'otter-dwass', '--max-n', '12'],\n"
+        "    ['verify', 'root-limit'],\n"
         "]\n"
         "sys.stdin = io.StringIO('(()())\\n')\n"
         "for argv in runs:\n"
@@ -171,7 +173,7 @@ def test_import_and_exact_commands_load_no_numpy():
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == [str([False] * 6 + [True])]
+    assert proc.stdout.splitlines() == [str([False] * 7 + [True])]
 
 
 def test_transform_check_stdin():
@@ -380,6 +382,26 @@ def test_root_partition_subcommand():
     rows = json.loads(proc.stdout)
     assert rows[0]["n"] == 1
     assert abs(rows[2]["statistic"] - 3**0.5 / 3) < 1e-9
+
+
+# SHA-256 of root-partition stdout in each format: every root-split law to
+# n, through its statistics, byte for byte
+ROOT_PARTITION_DIGESTS = {
+    ("geometric", "all", "24", "text"): "a68ad24a95763a6262aaeea0c9176334f830e1c569182f8df0f3767428827273",
+    ("geometric", "all", "24", "json"): "b1b876e3c4f6c39c79b8a33c14ce52b38675b303515c5af3e1fe94f2c2ddeb15",
+    ("geometric", "all", "24", "csv"): "0bfcd116ef6ffcddb8e4d3d1b62ea7557a324e29fc058218963e218f7b22767e",
+    ("binary", "0", "40", "text"): "6023d4584987f2a181663c7f57afecc615276d7bf4c1166e923ff3379071514d",
+    ("binary", "0", "40", "json"): "48283afa9d3626763457cdc4b2b6176fedd8f6bd005350495d6a016d58ee3ac4",
+    ("binary", "0", "40", "csv"): "ec439e85db1d7d733dd4ab051b03204063ac43a1a9d167b875fec973590381e3",
+}
+
+
+@pytest.mark.parametrize("law, marks, n, fmt", sorted(ROOT_PARTITION_DIGESTS))
+def test_root_partition_output_is_pinned(law, marks, n, fmt):
+    dist = json.dumps({"family": law})
+    code, out, err = _main(["root-partition", "--dist", dist, "--set", marks, "--n", n, "--format", fmt])
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == ROOT_PARTITION_DIGESTS[law, marks, n, fmt]
 
 
 def test_root_partition_csv_rows_match_json():

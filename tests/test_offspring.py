@@ -1,3 +1,4 @@
+import random
 import sys
 from fractions import Fraction
 
@@ -8,12 +9,16 @@ from gwtrees.offspring import (
     InvalidDistribution,
     OffspringDist,
     binary_dist,
+    bit_indices,
+    bit_list,
     collapsed_coeffs_float,
     collapsed_moments,
     collapsed_offspring,
+    degree_masks,
     float_pmf,
     from_probs,
     geometric_dist,
+    sums_closure,
     validate,
 )
 
@@ -279,3 +284,29 @@ def test_float_pmf_is_the_float_of_each_mass(dist):
     # bit for bit, so float tables built from it match those built from Fractions
     order = 4096
     assert float_pmf(dist, order).tolist() == [float(dist.pmf(k)) for k in range(order + 1)]
+
+
+def test_sums_closure_on_int_bit_sets_matches_a_set_closure():
+    # start + <gens> below size, against adding one generator at a time
+    rng = random.Random(7)
+    for _ in range(300):
+        size = rng.randint(0, 40)
+        start = {k for k in range(size) if rng.random() < 0.2}
+        gens = sorted(rng.randint(0, 45) for _ in range(rng.randint(0, 4)))
+        want = set(start)
+        for g in gens:
+            if g:
+                for k in range(size):
+                    if k - g in want:
+                        want.add(k)
+        got = sums_closure(sum(1 << k for k in start), iter(gens), size)
+        assert bit_list(got, size) == [k in want for k in range(size)], (start, gens, size)
+        assert list(bit_indices(got)) == sorted(want)
+
+
+def test_degree_masks_are_int_bit_sets():
+    law = from_probs([Fraction(13, 20), 0, Fraction(1, 4), 0, 0, Fraction(1, 10)])
+    assert degree_masks(law, DegreeSet.parse("0,2"), 3) == (0b0101, 0b0101)
+    assert degree_masks(law, DegreeSet.parse("not:1,3"), 6) == (0b100101, 0b1110101)
+    assert degree_masks(geometric_dist(), A0, 2) == (0b111, 0b001)
+    assert bit_list(0, 0) == [] and bit_list(0b10, 3) == [False, True, False]

@@ -95,6 +95,9 @@ def test_random_laws_through_the_exact_routes(seed):
         s = RandomStream(1000 * seed + case)
         for _ in range(TREES):
             assert count_marked(sample_conditioned(tables, s), marks) == n, where
+        # split_measure completes prefixes by ones without testing t_1:
+        # xi_0 > 0 makes count[1] and so t_1 positive
+        assert tables.lagrange_ints()[0][1] > 0, where
         for m in range(1, min(n, MAX_SPLIT) + 1):
             if tables.admissible(m):
                 assert sum(split_measure(tables, m).values()) == 1, (*where, m)

@@ -365,6 +365,27 @@ def test_split_measure_matches_partition_enumeration_on_the_benchmark_sweep():
         assert got == list(_reference_split_measure(tables, m).items()), m
 
 
+def test_split_measure_matches_partition_enumeration_on_the_statistics_arm():
+    # binary/{0}, the criterion-5 statistics arm of the benchmark, at its
+    # size: one degree, so every partition ends in the two-parts-left branch
+    tables = SamplerTables(binary_dist(), A0, 100)
+    for m in range(1, 101):
+        if tables.admissible(m):
+            got = list(split_measure(tables, m).items())
+            assert got == list(_reference_split_measure(tables, m).items()), m
+
+
+@pytest.mark.parametrize("spec", ["0", "0,2", "all"])
+def test_split_measure_matches_partition_enumeration_on_the_gapped_law_to_40(spec):
+    marks = DegreeSet.parse(spec)
+    table = marked_count_pmf(SPLIT_LAWS["gapped"], marks, 40)
+    tables = SamplerTables(SPLIT_LAWS["gapped"], marks, max(m for m in range(41) if table[m]))
+    for m in range(1, tables.n + 1):
+        if tables.admissible(m):
+            got = list(split_measure(tables, m).items())
+            assert got == list(_reference_split_measure(tables, m).items()), m
+
+
 LAGRANGE_LAWS = {**SPLIT_LAWS, "geometric-2/3": geometric_dist(Fraction(2, 3)), "geometric-3/5": geometric_dist(Fraction(3, 5))}
 
 
