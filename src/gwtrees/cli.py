@@ -14,11 +14,12 @@ import math
 import os
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
 from .degree_sets import DegreeSet, require_zero
-from .exact import marked_count_pmf
+from .exact import marked_count_pmf, marked_count_support
 from .offspring import OffspringDist, format_rational, validate
 from .samplers import SamplerTables, sample_conditioned
 from .scaling import root_split_measure, top_share_mean
@@ -142,11 +143,8 @@ def cmd_exact(cfg: argparse.Namespace) -> int:
         tag = f"exact-{json.dumps(dist.to_json(), sort_keys=True)}-{marks.spec()}-{cfg.max_n}"
         safe = "".join(c if c.isalnum() or c in ".,-" else "_" for c in tag)
         cache_file = Path(cfg.cache_dir) / f"{safe}.json"
-        try:
-            values = json.loads(cache_file.read_text())["values"]
-        except (OSError, ValueError, KeyError, TypeError):
-            values = None  # missing, or a file of another shape: a miss
-        if isinstance(values, list) and len(values) == cfg.max_n and all(isinstance(v, str) for v in values):
+        values = _cached_values(cache_file, dist, marks, cfg.max_n)
+        if values is not None:
             _emit_exact(cfg, values)
             return 0
     table = marked_count_pmf(dist, marks, cfg.max_n)
@@ -162,6 +160,35 @@ def cmd_exact(cfg: argparse.Namespace) -> int:
             raise ConfigError(f"cannot write to --cache-dir: {exc}") from exc
     _emit_exact(cfg, values)
     return 0
+
+
+def _cached_values(cache_file: Path, dist: OffspringDist, marks: DegreeSet, max_n: int) -> list[str] | None:
+    """The values of an `exact` cache file that can be this request's table,
+    else None, a miss.
+
+    A hit names the request's law, set and max_n; each of its max_n values
+    is the canonical spelling (format_rational) of a non-negative rational;
+    they sum to at most 1, so each lies in [0, 1]; and a value is zero
+    exactly where the integer support rule (exact.marked_count_support) says
+    so.  A missing file, or one of another shape, is a miss too.
+    """
+    try:
+        payload = json.loads(cache_file.read_text())
+        same = (payload["dist"], payload["set"], payload["max_n"]) == (dist.to_json(), marks.spec(), max_n)
+        values = payload["values"]
+    except (OSError, ValueError, KeyError, TypeError):
+        return None
+    if not (same and isinstance(values, list) and len(values) == max_n and all(isinstance(v, str) for v in values)):
+        return None
+    try:
+        probs = [Fraction(v) for v in values]
+    except (ValueError, ZeroDivisionError):
+        return None
+    support = marked_count_support(dist, marks, max_n)[1:]
+    for p, v, positive in zip(probs, values, support):
+        if format_rational(p) != v or p < 0 or (p > 0) != positive:
+            return None
+    return values if sum(probs) <= 1 else None
 
 
 def _emit_exact(cfg: argparse.Namespace, values: list[str]) -> None:

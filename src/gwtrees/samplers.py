@@ -3,22 +3,23 @@ Markov branching families.
 
 Offspring laws and branching families hold exact rationals, so plain trees
 and Markov branching trees are drawn by exact inversion;
-SamplerTables(exact=) is the one switch between exact and float work.
+SamplerTables(exact=) returns exact tables (ExactTables) or float tables
+(FloatTables), each with only its own mode's state.
 Conditioned trees are drawn by the cycle lemma on blocks in both modes: the
 depth-first degrees cut into n runs that each end at a marked degree, whose
 collapsed values are i.i.d. given their sum and whose interiors are
 independent given their values.  Exact tables draw the values one at a time
 from their sequential conditionals, on the integer convolution powers of the
-collapsed law (SamplerTables._draw_values), and each interior step by exact
+collapsed law (ExactTables._draw_values), and each interior step by exact
 inversion; a draw with one possible outcome takes no bits.  Float tables draw
 the values by an exact rejection that proposes the counts of all but the two
 likeliest values and lets the sum fix those two, a few proposals per tree
-whatever n (SamplerTables.draw_block_values).  Both are unbiased at every
+whatever n (FloatTables.draw_block_values).  Both are unbiased at every
 size, unlike rejection with a vertex cap (kept here only as a
 cross-validation oracle for small sizes), and so are the recursive root-degree
 and split draws kept as oracles, which read the convolution powers of the
 marked-count law off the same integer rows by the generalised Otter-Dwass
-formula (SamplerTables.tau).  The depth of a uniform marked vertex needs
+formula (ExactTables.tau).  The depth of a uniform marked vertex needs
 no tree: it is drawn, on float tables only, as a Markov chain on the sizes of
 the subtrees along the vertex's path (sample_marked_depth).
 """
@@ -105,47 +106,6 @@ def sample_hat_offspring(dist: OffspringDist, marks: DegreeSet, stream: RandomSt
 
 
 @dataclass(eq=False)
-class _BlockRows:
-    """Integer state of an exact table with n marked vertices: its count,
-    tau, Lagrange integers and trees by blocks.
-
-    rows[j][e] / (dens[j] * base^e) is zeta^{*j}[e], the j-th convolution
-    power of the collapsed law zeta at e, for j = 0..n and e = 0..n-1: row 0
-    is the point mass at 0 and rows 1..n are the states of exact._walk on
-    zeta.
-    """
-
-    rows: list[list[int]]
-    dens: list[int]
-    base: int
-
-
-def _block_rows(dist: OffspringDist, marks: DegreeSet, n: int) -> _BlockRows:
-    """The block rows of `dist` and `marks` at n marked vertices.
-
-    n values summing to n - 1 are all below n, so every row stops at n - 1.
-    """
-    zeta = collapsed_offspring(dist, marks, n - 1)
-    rows, dens, base = [[1] + [0] * (n - 1)], [1], 1
-    for row, den, base in _walk(zeta, n, n - 1):
-        rows.append(row)
-        dens.append(den)
-    return _BlockRows(rows, dens, base)
-
-
-@dataclass(eq=False)
-class _StepInts:
-    """Integer law of the steps inside the blocks of exact trees with n
-    marked vertices: xi[u] / xi_den is the law's mass at degree u = 0..n;
-    `interiors` is False when the set covers the law's support and every
-    block is one vertex."""
-
-    xi: list[int]
-    xi_den: int
-    interiors: bool
-
-
-@dataclass(eq=False)
 class _TwoCell:
     """Exact rejection proposal for the block values, fixing two cells.
 
@@ -181,8 +141,7 @@ class _BlockLaw:
     normalised; `pair` draws n values from it given their sum n - 1, and is
     None at n = 1, whose one block has value 0.  `hat` is the untilted
     collapsed law on 0..n-1 and `free[u]` the mass of an unmarked degree u,
-    which weigh the steps inside a block; `interiors` is False when the set
-    covers the law's support and every block is one vertex.
+    which weigh the steps inside a block.
     """
 
     values: np.ndarray
@@ -191,7 +150,6 @@ class _BlockLaw:
     pair: _TwoCell | None
     hat: np.ndarray
     free: np.ndarray
-    interiors: bool
 
 
 def _log_binomial(log_fact, m, k, log_q: tuple[float, float]):
@@ -199,9 +157,9 @@ def _log_binomial(log_fact, m, k, log_q: tuple[float, float]):
     return log_fact[m] - log_fact[k] - log_fact[m - k] + k * log_q[0] + (m - k) * log_q[1]
 
 
-def _block_law(dist: OffspringDist, marks: DegreeSet, hat: np.ndarray, pmf: list[float]) -> _BlockLaw:
-    """The block law of `dist` and `marks` at n = hat.size marked vertices;
-    `hat` holds the float collapsed law at 0..n-1 and `pmf` the law's float
+def _block_law(marks: DegreeSet, hat: np.ndarray, pmf: list[float]) -> _BlockLaw:
+    """The block law of a law and `marks` at n = hat.size marked vertices;
+    `hat` holds the law's float collapsed law at 0..n-1 and `pmf` its float
     masses at 0..n.
 
     n values summing to n - 1 are all below n, so the collapsed law is cut
@@ -237,11 +195,11 @@ def _block_law(dist: OffspringDist, marks: DegreeSet, hat: np.ndarray, pmf: list
     values, probs = values[keep], probs[keep] / probs[keep].sum()
     pair = _two_cell(values, probs, n) if n > 1 else None
     free = np.where([k not in marks for k in range(n + 1)], pmf[: n + 1], 0.0)
-    return _BlockLaw(values, probs, exp(hi), pair, hat, free, not marks.covers_support(dist))
+    return _BlockLaw(values, probs, exp(hi), pair, hat, free)
 
 
 def _two_cell(values: np.ndarray, probs: np.ndarray, n: int) -> _TwoCell:
-    """The proposal of SamplerTables.draw_block_values for n >= 2 values.
+    """The proposal of FloatTables.draw_block_values for n >= 2 values.
 
     Given M and the other values' counts, the sum n - 1 fixes N_b = k, so
     the target law of (M, others) is Binomial(n, pi_ab)(M) times the
@@ -289,26 +247,18 @@ class SamplerTables:
     """Marked-count law for one (law, set, size), and the state its trees,
     depths and root splits are drawn from.
 
-    An exact table walks the collapsed law once, at construction, and keeps
-    its states, the integer convolution powers of the collapsed law
-    (_BlockRows), off which exact.progeny_pmf reads `count` and every tau.
-    Trees are drawn by blocks in both modes.  Exact trees draw on those rows
-    and keep one CDF of the next block value per (values left, their sum)
-    and one interior CDF per remaining value, integer lists drawn by exact
-    dyadic inversion that grow only as far as draws reach; the law's integer
-    masses that weigh the interiors (_StepInts) are built on the first
-    tree.  Float trees
-    keep the block law and its per-value interior CDFs, arrays of doubles
-    that end at exactly 1.0, each drawn by one bisect of a uniform; the
-    block law reads the float collapsed law that the table was built from,
-    cut at n - 1.  Depths are drawn on float tables only: the size chain of
-    sample_marked_depth is built on its first call, so tree sampling never
-    pays for it, and depth draws never build the block law.  Root splits
-    (split_measure) are exact only, and weigh parts by the Lagrange integers
-    of the count table (lagrange_ints), derived from `count` on the first
-    split; tables that only draw trees never build them.  `stats()` reports
-    the sizes of the rows and of the tree and depth caches.
+    SamplerTables(dist, marks, n, exact=) is the one constructor: it returns
+    an ExactTables, or a FloatTables when exact is False, and each holds only
+    its own mode's state, built by its `_build`.  Trees are drawn by blocks
+    in both modes (sample_conditioned), with one interior CDF per remaining
+    block value.  `stats()` reports the sizes of the rows and of the tree and
+    depth caches.
     """
+
+    def __new__(cls, dist: OffspringDist, marks: DegreeSet, n: int, exact: bool = True) -> SamplerTables:
+        if cls is SamplerTables:
+            cls = ExactTables if exact else FloatTables
+        return super().__new__(cls)
 
     def __init__(self, dist: OffspringDist, marks: DegreeSet, n: int, exact: bool = True):
         require_zero(marks)
@@ -318,57 +268,86 @@ class SamplerTables:
         self.dist = dist
         self.marks = marks
         self.n = n
-        self.exact = exact
-        if exact:
-            # the table's one walk: its states are the block rows
-            self._rows = _block_rows(dist, marks, n)
-            self.count = self.tau(1)
-            self._admissible = [bool(c > 0) for c in self.count]
-        else:
-            import numpy as np
-
-            # one run of the collapsed coefficients serves the table and,
-            # cut at n - 1, the block law
-            coeffs = collapsed_coeffs_float(dist, marks, fft_points(n) - 1)
-            self.count = spectral_count(coeffs, n)
-            self._hat = coeffs[:n]
-            # the FFT returns structural zeros as noise around 1e-17; the
-            # integer support decides which sizes are zero
-            self._admissible = marked_count_support(dist, marks, n)
-            support = np.array(self._admissible)
-            self.count[~support] = 0.0
-            lost = np.flatnonzero(support & (self.count <= 0.0))
-            if lost.size:
-                raise ValueError(
-                    f"float table cannot resolve the marked count at sizes {lost[:5].tolist()}: "
-                    f"their mass is below its absolute error {FLOAT_TABLE_ATOL}; use a smaller n"
-                )
+        self.marked_degree = [k in marks for k in range(n + 2)]
+        # False when the set covers the law's support: every block is then
+        # one vertex, and trees draw no interior step
+        self._interiors = not marks.covers_support(dist)
+        # interior CDFs of the trees, per remaining block value
+        self._interior_cum: dict[int, array | list[int]] = {}
+        self._build()
         if not self._admissible[n]:
             raise ValueError(f"marked count {n} has probability zero")
-        # split_measure's Lagrange integers (t, D, E), built on its first call
-        self._lagrange: tuple[list[int], int, int] | None = None
-        # exact trees: the value CDFs, built as draws reach them, and the
-        # law's integers for the block interiors, built on the first tree
-        self._value_cum: dict[int, tuple] = {}
-        self._steps: _StepInts | None = None
-        # float trees: the block law, built on the first tree
-        self._blocks: _BlockLaw | None = None
-        # interior CDFs of either mode's trees, per remaining block value
-        self._interior_cum: dict[int, array | list[int]] = {}
-        # the size chain of sample_marked_depth, built on its first call
-        self._chain: tuple | None = None
-        self._chain_cum: dict[int, array] = {}
-        self.marked_degree = [k in marks for k in range(n + 2)]
-        if not exact:
-            self._pmf_f = float_pmf(dist, n + 1)
 
     def admissible(self, m: int) -> bool:
         return 1 <= m <= self.n and self._admissible[m]
 
+    def stats(self) -> dict[str, int]:
+        """Sizes of the caches, read from them on demand.
+
+        `rows` counts the block rows, n + 1 of n entries on exact tables and
+        none on float tables; `*_cdfs` count the cached CDFs (block-value,
+        size-chain and block-interior) and `*_entries` their entries;
+        `cache_bytes` counts 8 bytes per row and CDF entry, which is what
+        float mode's doubles take and a lower bound for exact mode's
+        integers.  Nothing on the draw path counts.
+        """
+        rows, cdfs = self._caches()
+        cdfs["interior"] = self._interior_cum.values()
+        stats = {"rows": rows}
+        for kind in ("value", "chain", "interior"):
+            cums = cdfs.get(kind, ())
+            stats[f"{kind}_cdfs"] = len(cums)
+            stats[f"{kind}_entries"] = sum(map(len, cums))
+        entries = rows * self.n + sum(stats[f"{kind}_entries"] for kind in cdfs)
+        stats["cache_bytes"] = 8 * entries
+        return stats
+
+
+class ExactTables(SamplerTables):
+    """Exact tables: `count` as Fractions, read with every tau off the one
+    walk of the collapsed law zeta that the table makes at construction.
+
+    Its states are the block rows: _rows[j][e] / (_dens[j] * _base^e) is
+    zeta^{*j}[e], the j-th convolution power of zeta at e, for j = 0..n and
+    e = 0..n-1; row 0 is the point mass at 0 and rows 1..n are the states of
+    exact._walk on zeta.  n values summing to n - 1 are all below n, so every
+    row stops at n - 1.  Trees draw on those rows and keep one CDF of the
+    next block value per (values left, their sum) and one interior CDF per
+    remaining value, integer lists drawn by exact dyadic inversion that grow
+    only as far as draws reach; the law's integer masses that weigh the
+    interiors are built on the first tree.  Root splits (split_measure) weigh
+    parts by the Lagrange integers of the count table (lagrange_ints),
+    derived from `count` on the first split; tables that only draw trees
+    never build them.
+    """
+
+    def _build(self) -> None:
+        n = self.n
+        # the table's one walk: its states are the block rows
+        zeta = collapsed_offspring(self.dist, self.marks, n - 1)
+        rows, dens, base = [[1] + [0] * (n - 1)], [1], 1
+        for row, den, base in _walk(zeta, n, n - 1):
+            rows.append(row)
+            dens.append(den)
+        self._rows, self._dens, self._base = rows, dens, base
+        self.count = self.tau(1)
+        self._admissible = [bool(c > 0) for c in self.count]
+        # split_measure's Lagrange integers (t, D, E), built on its first call
+        self._lagrange: tuple[list[int], int, int] | None = None
+        # the value CDFs, built as draws reach them, and the law's integer
+        # masses (xi, xi_den) at degrees 0..n, built on the first tree
+        self._value_cum: dict[int, tuple] = {}
+        self._steps: tuple[list[int], int] | None = None
+
+    def _caches(self) -> tuple[int, dict]:
+        return len(self._rows), {"value": [cum for cum, _total, _extend in self._value_cum.values()]}
+
+    def _mass(self, k: int) -> Fraction:
+        return self.dist.pmf(k)
+
     def lagrange_ints(self) -> tuple[list[int], int, int]:
         """(t, D, E) with count[j] == t[j] / (D^j E^(j-1)) for j = 1..n,
-        built from the count table on the first call and cached.  Exact
-        tables only.
+        built from the count table on the first call and cached.
 
         D and E are the denominator and base of block row 1, the first walk
         state of the collapsed law zeta, so psi(y) = D zeta(E y) has its
@@ -378,10 +357,8 @@ class SamplerTables:
         coefficient keeps.  A count entry with no integer t_j raises
         AssertionError; t[0] is 0.
         """
-        if not self.exact:
-            raise ValueError("Lagrange integers need exact tables")
         if self._lagrange is None:
-            d, e = self._rows.dens[1], self._rows.base
+            d, e = self._dens[1], self._base
             t, scale = [0], d
             for j, c in enumerate(self.count[1:], start=1):
                 v, r = divmod(c.numerator * scale, c.denominator)
@@ -396,34 +373,8 @@ class SamplerTables:
         """P(sum of p independent marked counts = s), s = 0..n, read off the
         block rows by exact.progeny_pmf: the counts are the sizes of p trees
         of the collapsed law.  tau_0 is the point mass at 0 and tau_1 is
-        `count`.  Exact tables only."""
-        if not self.exact:
-            raise ValueError("tau needs exact tables")
-        blocks = self._rows
-        return progeny_pmf(zip(blocks.rows[1:], blocks.dens[1:], itertools.repeat(blocks.base)), p)
-
-    def stats(self) -> dict[str, int]:
-        """Sizes of the caches, read from them on demand.
-
-        `rows` counts the block rows, n + 1 of n entries on exact tables and
-        none on float tables; `*_cdfs` count the cached CDFs (block-value,
-        size-chain and block-interior) and `*_entries` their entries;
-        `cache_bytes` counts 8 bytes per row and CDF entry, which is what
-        float mode's doubles take and a lower bound for exact mode's
-        integers.  Nothing on the draw path counts.
-        """
-        cdfs = {
-            "value": [cum for cum, _total, _extend in self._value_cum.values()],
-            "chain": self._chain_cum.values(),
-            "interior": self._interior_cum.values(),
-        }
-        stats = {"rows": len(self._rows.rows) if self.exact else 0}
-        for kind, cums in cdfs.items():
-            stats[f"{kind}_cdfs"] = len(cums)
-            stats[f"{kind}_entries"] = sum(map(len, cums))
-        entries = stats["rows"] * self.n
-        stats["cache_bytes"] = 8 * (entries + sum(stats[f"{k}_entries"] for k in cdfs))
-        return stats
+        `count`."""
+        return progeny_pmf(zip(self._rows[1:], self._dens[1:], itertools.repeat(self._base)), p)
 
     # -- draws ---------------------------------------------------------------
 
@@ -432,10 +383,8 @@ class SamplerTables:
         degree p has weight xi_p * tau_p(s - [p marked]).
 
         An uncached oracle of the recursive route, for tests: trees are drawn
-        by blocks.  Exact tables only.
+        by blocks.
         """
-        if not self.exact:
-            raise ValueError("root-degree draws need exact tables")
         degrees = list(self.dist.support_iter(s))
         weights = [self.dist.pmf(p) * self.tau(p)[s - 1 if self.marked_degree[p] else s] for p in degrees]
         return degrees[draw_weights(weights, self.count[s], stream)]
@@ -444,9 +393,7 @@ class SamplerTables:
         """Marked counts of p subtrees with total `target`, drawn one at a
         time: with k subtrees left that hold r, the next holds m with weight
         count[m] * tau_{k-1}(r - m).  An uncached oracle, like
-        draw_root_degree.  Exact tables only."""
-        if not self.exact:
-            raise ValueError("split draws need exact tables")
+        draw_root_degree."""
         sizes: list[int] = []
         r = target
         for k in range(p, 1, -1):
@@ -455,6 +402,42 @@ class SamplerTables:
             sizes.append(m)
             r -= m
         return sizes + [r] if p else sizes
+
+    def _degrees(self, stream: RandomStream) -> list[int]:
+        """Depth-first degrees of an exactly conditioned tree.
+
+        The values of _draw_values are rotated to start just after the first
+        minimum of the walk of (c - 1), the one rotation that the cycle lemma
+        leaves a tree (see FloatTables.draw_block_values).  A block of value
+        r is then a run of unmarked degrees closed by a marked one, drawn step
+        by step from _interior_steps by draw_weights_int; a step with one
+        positive weight takes no bits, so binary/{0} trees draw their values
+        only.  When the set covers the law's support every block is one
+        vertex of degree r.
+        """
+        values = self._draw_values(stream)
+        walk = low = start = 0
+        for i, c in enumerate(values, 1):
+            walk += c - 1
+            if walk < low:
+                low, start = walk, i
+        values = values[start:] + values[:start]
+        if not self._interiors:
+            return values
+        cdfs = self._interior_cum
+        build = self._interior_steps
+        degrees: list[int] = []
+        append = degrees.append
+        for r in values:
+            while True:
+                steps = cdfs.get(r) or build(r)
+                u = steps[0] if len(steps) == 1 else draw_weights_int(steps, steps[-1], stream)
+                if not u:
+                    append(r)
+                    break
+                append(u)
+                r += 1 - u
+        return degrees
 
     def _draw_values(self, stream: RandomStream) -> list[int]:
         """Collapsed values of the n blocks of an exact tree, before their
@@ -491,8 +474,7 @@ class SamplerTables:
         values 0..c; each call of `extend` appends the next value's, and
         once every value is in, the CDF must end exactly at the total.
         """
-        blocks = self._rows
-        rows, dens = blocks.rows, blocks.dens
+        rows, dens = self._rows, self._dens
         total, rem = divmod(rows[k][r] * dens[1] * dens[k - 1], dens[k])
         if rem:
             raise AssertionError(f"block value weights at {k} values summing to {r} have no integer total")
@@ -515,7 +497,8 @@ class SamplerTables:
     def _interior_steps(self, r: int) -> list[int]:
         """Exact CDF of one step inside a block whose remaining value is r,
         built on the first visit to r and cached: the exact twin of
-        _interior_cdf.
+        FloatTables._interior_cdf.  The first call builds the law's integer
+        masses, xi[u] / xi_den at degree u = 0..n.
 
         Entry 0 closes the block with marked degree r, with weight
         xi_r [r in A]; entry u >= 1 is an unmarked degree u, with weight
@@ -527,33 +510,90 @@ class SamplerTables:
         with one positive weight is kept as [its index] instead, and is
         taken without a draw.
         """
-        blocks, law = self._rows, self._step_ints()
-        first, base, xi = blocks.rows[1], blocks.base, law.xi
-        weights = [xi[r] * blocks.dens[1] * base**r if self.marked_degree[r] else 0]
+        if self._steps is None:
+            self._steps = common_denominator(self.dist.coeffs(self.n))
+        xi, xi_den = self._steps
+        first, base = self._rows[1], self._base
+        weights = [xi[r] * self._dens[1] * base**r if self.marked_degree[r] else 0]
         weights += [0 if self.marked_degree[u] else xi[u] * first[r - u + 1] * base ** (u - 1) for u in range(1, r + 2)]
         cum = list(itertools.accumulate(weights))
-        if cum[-1] != law.xi_den * first[r]:
+        if cum[-1] != xi_den * first[r]:
             raise AssertionError(f"block weights at value {r} do not sum to zeta[{r}]")
         positive = [u for u, w in enumerate(weights) if w]
         steps = positive if len(positive) == 1 else cum[: positive[-1] + 1]
         self._interior_cum[r] = steps
         return steps
 
-    def _step_ints(self) -> _StepInts:
-        """The integer step law of exact trees, built on the first tree and
-        cached, so that tables that only count or split never build it."""
-        if self._steps is None:
-            xi, xi_den = common_denominator(self.dist.coeffs(self.n))
-            self._steps = _StepInts(xi, xi_den, not self.marks.covers_support(self.dist))
-        return self._steps
+
+class FloatTables(SamplerTables):
+    """Float tables: `count` as doubles, from the float collapsed law, and
+    the state that float trees and depths draw from.
+
+    Trees keep the block law and its per-value interior CDFs, arrays of
+    doubles that end at exactly 1.0, each drawn by one bisect of a uniform;
+    the block law reads the float collapsed law that the table was built
+    from, cut at n - 1.  Depths are drawn on float tables only: the size
+    chain of sample_marked_depth is built on its first call, so tree
+    sampling never pays for it, and depth draws never build the block law.
+    """
+
+    def _build(self) -> None:
+        import numpy as np
+
+        dist, marks, n = self.dist, self.marks, self.n
+        # one run of the collapsed coefficients serves the table and, cut at
+        # n - 1, the block law
+        coeffs = collapsed_coeffs_float(dist, marks, fft_points(n) - 1)
+        self.count = spectral_count(coeffs, n)
+        self._hat = coeffs[:n]
+        # the FFT returns structural zeros as noise around 1e-17; the integer
+        # support decides which sizes are zero
+        self._admissible = marked_count_support(dist, marks, n)
+        support = np.array(self._admissible)
+        self.count[~support] = 0.0
+        lost = np.flatnonzero(support & (self.count <= 0.0))
+        if lost.size:
+            raise ValueError(
+                f"float table cannot resolve the marked count at sizes {lost[:5].tolist()}: "
+                f"their mass is below its absolute error {FLOAT_TABLE_ATOL}; use a smaller n"
+            )
+        self._pmf_f = float_pmf(dist, n + 1)
+        # the block law, built on the first tree
+        self._blocks: _BlockLaw | None = None
+        # the size chain of sample_marked_depth, built on its first call
+        self._chain: tuple | None = None
+        self._chain_cum: dict[int, array] = {}
+
+    def _caches(self) -> tuple[int, dict]:
+        return 0, {"chain": self._chain_cum.values()}
+
+    def _mass(self, k: int) -> float:
+        return self._pmf_f[k]
+
+    def tau(self, p: int) -> np.ndarray:
+        """P(sum of p independent marked counts = s), s = 0..n: the p-th
+        convolution power of `count`, cut at z^n, by repeated np.convolve.
+        tau_0 is the point mass at 0 and tau_1 a copy of `count`."""
+        import numpy as np
+        if not p:
+            return np.eye(1, self.n + 1)[0]
+        power = self.count.copy()
+        for _ in range(p - 1):
+            power = np.convolve(power, self.count)[: self.n + 1]
+        return power
+
+    # The recursive oracles are exact only.  The benchmark's tracer reads
+    # both names on every table, so they stay until its refresh (ROADMAP
+    # item 1) deletes the oracles.
+    def draw_root_degree(self, *args) -> None:
+        raise ValueError("root-degree and split draws need exact tables")
+
+    draw_split_sizes = draw_root_degree
 
     def block_law(self) -> _BlockLaw:
-        """The block law of float trees, built on the first call and cached.
-        Float tables only."""
-        if self.exact:
-            raise ValueError("block draws need float tables")
+        """The block law of float trees, built on the first call and cached."""
         if self._blocks is None:
-            self._blocks = _block_law(self.dist, self.marks, self._hat, self._pmf_f)
+            self._blocks = _block_law(self.marks, self._hat, self._pmf_f)
         return self._blocks
 
     def draw_block_values(self, gen: np.random.Generator) -> np.ndarray:
@@ -600,6 +640,43 @@ class SamplerTables:
         start = int(np.argmin(np.cumsum(values - 1))) + 1
         return np.concatenate((values[start:], values[:start]))
 
+    def _degrees(self, stream: RandomStream) -> list[int]:
+        """Depth-first degrees of a conditioned tree, drawn with a numpy
+        Generator seeded from 128 bits of the stream.
+
+        The block values come from draw_block_values.  A block of value r is
+        a run of unmarked degrees closed by a marked one, drawn step by step
+        from _interior_cdf, one uniform per vertex; the uniforms come from
+        the Generator in chunks of n.  When the set covers the law's support
+        every block is one vertex of degree r.
+        """
+        import numpy as np
+
+        gen = np.random.default_rng(stream.getrandbits(128))
+        values = self.draw_block_values(gen)
+        if not self._interiors:
+            return values.tolist()
+        n = self.n
+        cdfs = self._interior_cum
+        build = self._interior_cdf
+        uniforms: list[float] = []
+        k = 0
+        degrees: list[int] = []
+        append = degrees.append
+        for r in values.tolist():
+            while True:
+                if k == len(uniforms):
+                    uniforms = gen.random(n).tolist()
+                    k = 0
+                u = bisect_right(cdfs.get(r) or build(r), uniforms[k])
+                k += 1
+                if not u:
+                    append(r)
+                    break
+                append(u)
+                r += 1 - u
+        return degrees
+
     def _interior_cdf(self, r: int) -> array:
         """CDF of one step inside a block whose remaining value is r, built on
         the first visit to r and cached.
@@ -625,7 +702,7 @@ class SamplerTables:
 
     def _chain_cdf(self, s: int) -> array:
         """CDF of one step of sample_marked_depth's size chain from size s,
-        built on the first visit to s and cached.  Float tables only.
+        built on the first visit to s and cached.
 
         Entry 0 is the stop, with weight Phi_A[s]; entry s' in [1, s] is the
         step into a subtree of size s', with weight G[s - s'] * W(s') (see
@@ -665,93 +742,14 @@ def _unit_cdf(weights: np.ndarray, want: float, tol: float, what: str, name: str
 
 def sample_conditioned(tables: SamplerTables, stream: RandomStream) -> OrderedTree:
     """A tree conditioned to have exactly the tables' marked count, drawn by
-    blocks.
-
-    Exact tables draw every value and step from the stream by exact
-    inversion (_exact_block_degrees); float tables draw the values by
-    SamplerTables.draw_block_values, with a numpy Generator seeded from 128
-    bits of the stream per tree.
+    blocks: exact tables draw every value and step from the stream by exact
+    inversion (ExactTables._degrees), float tables with a numpy Generator
+    seeded from 128 bits of the stream per tree (FloatTables._degrees).
     """
-    if tables.exact:
-        degrees = _exact_block_degrees(tables, stream)
-    else:
-        import numpy as np
-
-        gen = np.random.default_rng(stream.getrandbits(128))
-        degrees = _block_degrees(tables, tables.draw_block_values(gen), gen)
-    t = OrderedTree.from_degrees(degrees)
+    t = OrderedTree.from_degrees(tables._degrees(stream))
     if count_marked(t, tables.marks) != tables.n:
         raise AssertionError("conditioned sampler produced a wrong marked count")
     return t
-
-
-def _exact_block_degrees(tables: SamplerTables, stream: RandomStream) -> list[int]:
-    """Depth-first degrees of an exactly conditioned tree.
-
-    The values of SamplerTables._draw_values are rotated to start just after
-    the first minimum of the walk of (c - 1), the one rotation that the cycle
-    lemma leaves a tree (see draw_block_values).  A block of value r is then
-    a run of unmarked degrees closed by a marked one, drawn step by step from
-    SamplerTables._interior_steps by draw_weights_int; a step with one
-    positive weight takes no bits, so binary/{0} trees draw their values
-    only.  When the set covers the law's support every block is one vertex
-    of degree r.
-    """
-    values = tables._draw_values(stream)
-    walk = low = start = 0
-    for i, c in enumerate(values, 1):
-        walk += c - 1
-        if walk < low:
-            low, start = walk, i
-    values = values[start:] + values[:start]
-    if not tables._step_ints().interiors:
-        return values
-    cdfs = tables._interior_cum
-    build = tables._interior_steps
-    degrees: list[int] = []
-    append = degrees.append
-    for r in values:
-        while True:
-            steps = cdfs.get(r) or build(r)
-            u = steps[0] if len(steps) == 1 else draw_weights_int(steps, steps[-1], stream)
-            if not u:
-                append(r)
-                break
-            append(u)
-            r += 1 - u
-    return degrees
-
-
-def _block_degrees(tables: SamplerTables, values: np.ndarray, gen: np.random.Generator) -> list[int]:
-    """Depth-first degrees of the blocks with the given values.
-
-    A block of value r is a run of unmarked degrees closed by a marked one,
-    drawn step by step from SamplerTables._interior_cdf, one uniform per
-    vertex; the uniforms come from `gen` in chunks of n.  When the set
-    covers the law's support every block is one vertex of degree r.
-    """
-    if not tables.block_law().interiors:
-        return values.tolist()
-    n = tables.n
-    cdfs = tables._interior_cum
-    build = tables._interior_cdf
-    uniforms: list[float] = []
-    k = 0
-    degrees: list[int] = []
-    append = degrees.append
-    for r in values.tolist():
-        while True:
-            if k == len(uniforms):
-                uniforms = gen.random(n).tolist()
-                k = 0
-            u = bisect_right(cdfs.get(r) or build(r), uniforms[k])
-            k += 1
-            if not u:
-                append(r)
-                break
-            append(u)
-            r += 1 - u
-    return degrees
 
 
 def marked_vertex_series(tables: SamplerTables) -> tuple:
@@ -768,48 +766,31 @@ def marked_vertex_series(tables: SamplerTables) -> tuple:
     vertices they hold, k of them.
 
     G is found by series division, G = 1 - Phi_z / F'.  Phi_z comes from
-    the rows F^j of the marked degrees of a finite set, or as
-    (F - sum_{j not in A} xi_j F^j) / z for a cofinite one; F^j is
-    SamplerTables.tau(j) on exact tables and the j-th power of the float
-    count, by repeated np.convolve, on float tables.  F' is known to
-    z^(n-1) only, so G has entries 0..n-1; W and Phi_A have 0..n.  Exact
-    tables give numpy arrays of Fractions, float tables of doubles, with G
-    clipped at zero against rounding.
+    the rows F^j = tables.tau(j) of the marked degrees of a finite set, or
+    as (F - sum_{j not in A} xi_j F^j) / z for a cofinite one, with xi_j the
+    tables' own law mass.  F' is known to z^(n-1) only, so G has entries
+    0..n-1; W and Phi_A have 0..n.  Exact tables give numpy arrays of
+    Fractions, float tables of doubles, with G clipped at zero against
+    rounding.
     """
     import numpy as np
     n = tables.n
     marks = tables.marks
-    if tables.exact:
-        count = np.array(tables.count, dtype=object)
-
-        def row(p: int) -> np.ndarray:
-            return np.array(tables.tau(p), dtype=object)
-
-        xi = tables.dist.pmf
-    else:
-        count = tables.count
-        powers = [np.zeros(n + 1), count]
-        powers[0][0] = 1.0
-
-        def row(p: int) -> np.ndarray:
-            while len(powers) <= p:
-                powers.append(np.convolve(powers[-1], count)[: n + 1])
-            return powers[p]
-
-        xi = tables._pmf_f.__getitem__
+    count = np.asarray(tables.count)
+    xi = tables._mass
     zero = count[0]  # no tree has no marked vertex
     # the marked part of Phi over z, to z^(n-1); F^j starts at z^j
     if marks.cofinite:
         rest = count.copy()
         for j in sorted(marks.members):
             if j <= n and xi(j):
-                rest -= xi(j) * row(j)
+                rest -= xi(j) * np.asarray(tables.tau(j))
         phi_z = rest[1:]
     else:
         phi_z = np.zeros(n, dtype=count.dtype)
         for j in sorted(marks.members):
             if j < n and xi(j):
-                phi_z += xi(j) * row(j)[:n]
+                phi_z += xi(j) * np.asarray(tables.tau(j))[:n]
     deriv = np.arange(1, n + 1) * count[1:]  # F', to z^(n-1)
     # quotient = phi_z / deriv, one coefficient at a time
     quotient = np.empty_like(phi_z)
@@ -817,7 +798,7 @@ def marked_vertex_series(tables: SamplerTables) -> tuple:
         quotient[k] = (phi_z[k] - np.dot(quotient[:k], deriv[k:0:-1])) / deriv[0]
     g = -quotient
     g[0] = zero if 1 in marks else xi(1)  # 1 - quotient[0], without its rounding
-    if not tables.exact:
+    if g.dtype != object:
         np.maximum(g, 0.0, out=g)
     return np.arange(n + 1) * count, g, np.concatenate([[zero], phi_z])
 
@@ -832,12 +813,12 @@ def sample_marked_depth(tables: SamplerTables, stream: RandomStream) -> int:
     vertex, or steps into a child subtree of size s' <= s, where s' = s is
     an unmarked degree-one stalk.  The depth is the number of steps: one
     bisect of one uniform per level, on one cached CDF per size that ends
-    at 1.0 (SamplerTables._chain_cdf), and no root degree or sibling size
+    at 1.0 (FloatTables._chain_cdf), and no root degree or sibling size
     is drawn.  At n about 2000 a depth takes about 39, 55 and 78 uniforms on
     geometric/all, binary/all and binary/{0}.  A size whose only weight is
     the stop returns without a draw.
     """
-    if tables.exact:
+    if not isinstance(tables, FloatTables):
         raise ValueError("depth draws need float tables")
     cdfs = tables._chain_cum
     build = tables._chain_cdf
@@ -967,7 +948,7 @@ def split_measure(tables: SamplerTables, m: int) -> dict[Partition, Fraction]:
     its partition without another call.
 
     The parts are weighed by the Lagrange integers of the count table
-    (SamplerTables.lagrange_ints), count[j] = t_j / (D^j E^(j-1)), so p
+    (ExactTables.lagrange_ints), count[j] = t_j / (D^j E^(j-1)), so p
     parts summing to the target s have count product
     prod t_(lambda_i) E^p / (D E)^s.  A prefix carries its arrangement
     count, updated from the run of equal parts that ends it, and the
@@ -985,7 +966,7 @@ def split_measure(tables: SamplerTables, m: int) -> dict[Partition, Fraction]:
     largest wanted degree.  No completion tests t_1: validate requires
     xi_0 > 0, so count[1] >= xi_0 and t_1 = D count[1] > 0.
     """
-    if not tables.exact:
+    if not isinstance(tables, ExactTables):
         raise ValueError("split_measure needs exact tables")
     if not tables.admissible(m):
         raise ValueError(f"size {m} has probability zero")

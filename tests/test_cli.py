@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gwtrees import cli
 from gwtrees.cli import OPTIONS, build_parser, main
 from gwtrees.degree_sets import DegreeSet
 from gwtrees.trees import count_marked, parse_tree
@@ -121,6 +122,44 @@ def test_exact_cache_of_another_shape_is_a_miss(tmp_path, corrupt):
     assert json.loads(repaired)["values"] == json.loads(plain.stdout)
 
 
+# each edits the payload of a valid binary/all cache file at max_n = 9,
+# whose values are 1/2, 0, 1/8, 0, 1/16, 0, 5/128, 0, 7/256
+CORRUPT_PAYLOADS = {
+    "other-law": lambda p: p.update(dist={"family": "geometric", "p": "1/2"}),
+    "other-set": lambda p: p.update(set="0"),
+    "other-max-n": lambda p: p.update(max_n=8),
+    "short": lambda p: p["values"].pop(),
+    "not-a-string": lambda p: p["values"].__setitem__(0, 0.5),
+    "not-a-rational": lambda p: p["values"].__setitem__(0, "banana"),
+    "zero-denominator": lambda p: p["values"].__setitem__(0, "7/0"),
+    "not-canonical": lambda p: p["values"].__setitem__(0, "2/4"),
+    "negative": lambda p: p["values"].__setitem__(1, "-1"),
+    "above-one": lambda p: p["values"].__setitem__(0, "3/2"),
+    "sum-above-one": lambda p: p["values"].__setitem__(0, "1"),
+    "zero-inside-the-support": lambda p: p["values"].__setitem__(2, "0"),
+    "mass-outside-the-support": lambda p: p["values"].__setitem__(1, "1/1024"),
+}
+
+
+@pytest.mark.parametrize("corrupt", CORRUPT_PAYLOADS)
+def test_exact_cache_that_cannot_be_the_table_is_a_miss(tmp_path, monkeypatch, corrupt):
+    # a file of the right shape whose payload is not this request's table,
+    # or no table at all, is recomputed and rewritten, never printed
+    args = ["exact", "--dist", BINARY, "--set", "all", "--max-n", "9", "--cache-dir", str(tmp_path)]
+    code, cached, _err = _main(args)
+    assert code == 0
+    (cache_file,) = tmp_path.iterdir()
+    repaired = cache_file.read_text()
+    payload = json.loads(repaired)
+    CORRUPT_PAYLOADS[corrupt](payload)
+    cache_file.write_text(json.dumps(payload))
+    assert _main(args) == (0, cached, "")
+    assert cache_file.read_text() == repaired
+    # a valid hit computes nothing and prints what the miss printed
+    monkeypatch.setattr(cli, "marked_count_pmf", None)
+    assert _main(args) == (0, cached, "")
+
+
 def test_transform_hat_stdin():
     proc = run_cli(["transform", "hat", "--set", "0"], stdin="1,-1,-1\n")
     assert proc.returncode == 0
@@ -144,10 +183,11 @@ def test_cli_import_loads_no_scipy_submodule():
     assert proc.stdout.splitlines() == ["[]", "False"]
 
 
-def test_import_and_exact_commands_load_no_numpy():
+def test_import_and_exact_commands_load_no_numpy(tmp_path):
     # numpy serves the float work only: importing the package and running
-    # the exact commands in one fresh interpreter never loads it, and the
-    # first float table does
+    # the exact commands in one fresh interpreter never loads it, a cache
+    # miss and a checked cache hit included, and the first float table does
+    cache = ['exact', '--dist', BINARY, '--set', '0', '--max-n', '20', '--cache-dir', str(tmp_path)]
     code = (
         "import io, sys\n"
         "from contextlib import redirect_stdout\n"
@@ -161,6 +201,8 @@ def test_import_and_exact_commands_load_no_numpy():
         "    ['transform', 'check'],\n"
         "    ['verify', 'otter-dwass', '--max-n', '12'],\n"
         "    ['verify', 'root-limit'],\n"
+        f"    {cache!r},\n"
+        f"    {cache!r},\n"
         "]\n"
         "sys.stdin = io.StringIO('(()())\\n')\n"
         "for argv in runs:\n"
@@ -173,7 +215,8 @@ def test_import_and_exact_commands_load_no_numpy():
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == [str([False] * 7 + [True])]
+    assert proc.stdout.splitlines() == [str([False] * 9 + [True])]
+    assert len(list(tmp_path.iterdir())) == 1
 
 
 def test_transform_check_stdin():

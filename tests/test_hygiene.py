@@ -80,10 +80,12 @@ KEPT_UNREAD = {
     "offspring.InvalidDistribution.code": "public error code of an invalid law, which tests read",
     "samplers._BlockLaw.theta": "the tilt that sets the block proposal's acceptance rate, which a test checks",
     # bound by benchmarks/ until its refresh (ROADMAP item 1); deleted after
-    # it.  The two oracles read streams.draw_weights, which goes with them;
-    # SamplerTables.tau stays, read by marked_vertex_series on exact tables
-    "samplers.SamplerTables.draw_root_degree": "bound by the benchmark",
-    "samplers.SamplerTables.draw_split_sizes": "bound by the benchmark",
+    # it.  The two oracles read streams.draw_weights, which goes with them,
+    # and so does the one float stub that stands for both; tau stays, read
+    # by marked_vertex_series in both modes
+    "samplers.ExactTables.draw_root_degree": "bound by the benchmark",
+    "samplers.ExactTables.draw_split_sizes": "bound by the benchmark",
+    "samplers.FloatTables.draw_root_degree": "bound by the benchmark; the float stub of both oracles, which raises ValueError",
     "exact.leaf_pmf_fixed_point": "bound by the benchmark",
     "exact.marked_count_pmf_float": "bound by the benchmark; the float table of one law and set, which tests certify",
     "partitions.partitions_into": "bound by the benchmark",

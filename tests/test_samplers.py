@@ -795,7 +795,7 @@ def test_completed_value_cdfs_end_at_their_total():
     for dist, marks, n in [(mixed, A0, 13), (geometric_dist(), DegreeSet.of(0, 2), 12), (binary_dist(), A0, 12)]:
         tab = SamplerTables(dist, marks, n)
         tab._draw_values(stream(3))
-        rows = tab._rows
+        dens, base = tab._dens, tab._base
         zeta = collapsed_offspring(dist, marks, n - 1).coeffs(n - 1)
         power = [Fraction(1)] + [Fraction(0)] * (n - 1)
         powers = [power]
@@ -810,7 +810,7 @@ def test_completed_value_cdfs_end_at_their_total():
                 while extend() is not None:
                     pass
                 assert cum[-1] == total
-                assert Fraction(total, rows.dens[1] * rows.dens[k - 1] * rows.base**r) == powers[k][r]
+                assert Fraction(total, dens[1] * dens[k - 1] * base**r) == powers[k][r]
 
 
 TAU_CASES = {
@@ -827,17 +827,22 @@ TAU_CASES = {
 
 @pytest.mark.parametrize("case", TAU_CASES)
 def test_exact_tau_rows_are_convolution_powers(case):
-    # tau reads the block rows by the generalised Otter-Dwass formula; the
-    # powers it must equal come from the functional equation, which builds
-    # neither the walk nor the collapsed law
+    # exact tau reads the block rows by the generalised Otter-Dwass formula;
+    # the powers it must equal come from the functional equation, which
+    # builds neither the walk nor the collapsed law
     dist, spec = TAU_CASES[case]
     marks = DegreeSet.parse(spec)
     n = 25
     tab = SamplerTables(dist, marks, n)
+    # float tau powers the float count by np.convolve
+    floats = SamplerTables(dist, marks, n, exact=False)
     count = marked_count_fixed_point(dist, marks, n)
     row = [Fraction(1)] + [Fraction(0)] * n
     for p in range(n + 2):
         assert tab.tau(p) == row, p
+        if p <= 4:
+            want = np.array(row, dtype=float)
+            assert (abs(floats.tau(p) - want) <= FLOAT_TABLE_RTOL * want + FLOAT_TABLE_ATOL).all(), p
         row = [sum((row[i] * count[s - i] for i in range(s + 1)), Fraction(0)) for s in range(n + 1)]
 
 
@@ -1094,14 +1099,14 @@ def test_stats_follow_the_caches():
     tab = SamplerTables(geometric_dist(), A0, n)
     empty = tab.stats()
     # the block rows are the table's one walk, kept from construction
-    assert empty["rows"] == len(tab._rows.rows) == n + 1
+    assert empty["rows"] == len(tab._rows) == n + 1
     assert empty["value_cdfs"] == empty["interior_cdfs"] == 0
     assert empty["cache_bytes"] == 8 * (n + 1) * n
     s = stream(5)
     for _ in range(5):
         sample_conditioned(tab, s)
     stats = tab.stats()
-    assert stats["rows"] == len(tab._rows.rows) == n + 1
+    assert stats["rows"] == len(tab._rows) == n + 1
     assert stats["value_cdfs"] == len(tab._value_cum) > 0
     assert stats["value_entries"] == sum(len(cum) for cum, _total, _extend in tab._value_cum.values())
     assert stats["interior_cdfs"] == len(tab._interior_cum) > 0
@@ -1121,7 +1126,7 @@ def test_stats_follow_the_caches():
     assert shared._steps is None
     sample_conditioned(shared, s)
     assert shared._rows is rows
-    assert shared._steps.interiors
+    assert shared._interiors and shared._steps is not None
     float_tab = SamplerTables(geometric_dist(), A0, n, exact=False)
     for _ in range(5):
         sample_conditioned(float_tab, s)
@@ -1137,32 +1142,41 @@ def test_stats_follow_the_caches():
     assert stats["cache_bytes"] == 8 * (stats["interior_entries"] + stats["chain_entries"])
 
 
-@pytest.mark.parametrize(
-    "exact, draw",
-    [
-        (False, lambda tab: tab.draw_root_degree(5, stream())),
-        (False, lambda tab: tab.draw_split_sizes(2, 4, stream())),
-        (False, lambda tab: split_measure(tab, 5)),
-        (True, lambda tab: tab.block_law()),
-        (True, lambda tab: tab.draw_block_values(np.random.default_rng(1))),
-        (True, lambda tab: sample_marked_depth(tab, stream())),
-        (False, lambda tab: tab.tau(1)),
-        (False, lambda tab: tab.lagrange_ints()),
-    ],
-    ids=[
-        "draw_root_degree", "draw_split_sizes", "split_measure", "block_law", "draw_block_values",
-        "sample_marked_depth", "tau", "lagrange_ints",
-    ],
-)
-def test_draws_of_the_other_mode_are_value_errors(exact, draw):
-    # each mode-only entry point fails one way on tables of the other mode,
-    # and before it builds anything
+# each id names an entry point of one mode, tried on tables of the other:
+# (exact, the call), with None for a method that the other mode lacks
+OTHER_MODE = {
+    "draw_root_degree": (False, lambda tab: tab.draw_root_degree(5, stream())),
+    "draw_split_sizes": (False, lambda tab: tab.draw_split_sizes(2, 4, stream())),
+    "split_measure": (False, lambda tab: split_measure(tab, 5)),
+    "sample_marked_depth": (True, lambda tab: sample_marked_depth(tab, stream())),
+    "block_law": (True, None),
+    "draw_block_values": (True, None),
+    "_chain_cdf": (True, None),
+    "lagrange_ints": (False, None),
+    "_draw_values": (False, None),
+}
+
+
+@pytest.mark.parametrize("name", OTHER_MODE)
+def test_draws_of_the_other_mode_are_value_errors(name):
+    # SamplerTables returns one class per mode, and a method of the other
+    # mode is absent; the two module functions of one mode and the float
+    # stubs of the exact oracles raise ValueError before they build anything
+    exact, draw = OTHER_MODE[name]
     tab = SamplerTables(binary_dist(), A0, 5, exact=exact)
+    assert isinstance(tab, samplers.ExactTables if exact else samplers.FloatTables)
+    assert isinstance(tab, SamplerTables)
+    # the benchmark times every whole build by wrapping SamplerTables.__init__,
+    # so the subclasses build in _build and define no __init__ of their own
+    assert "__init__" not in vars(type(tab))
+    if draw is None:
+        assert not hasattr(tab, name)
+        return
     before = tab.stats()
     with pytest.raises(ValueError, match="need"):
         draw(tab)
     assert tab.stats() == before
-    assert tab._chain is None and tab._blocks is None and tab._lagrange is None
+    assert all(vars(tab).get(cache) is None for cache in ("_chain", "_blocks", "_lagrange"))
 
 
 def test_float_depths_build_only_chain_cdfs():
