@@ -13,13 +13,14 @@ The first is the one exact engine, with one reader, `progeny_pmf`, for
 `marked_count_pmf`, `forest_leaf_pmf` and the count and every convolution
 power of exact sampler tables, off their one walk.  Every law and set
 handled here has a collapsed law with a rational generating function N/M of
-small integer polynomials, so one walk step multiplies the state's series by
-N and divides it by M: O(n) integer operations per step and O(n^2) for a
-table, with one gcd pass per step instead of one per Fraction operation.
+small integer polynomials (offspring.collapsed_pair), and the walk reads
+nothing but that pair: one walk step multiplies the state's series by N and
+divides it by M, O(n) integer operations per step and O(n^2) for a table,
+with one gcd pass per step instead of one per Fraction operation.
 The other two are oracles for the suites and tests.  The float table for
 large-size sampling evaluates the same formula on the FFT spectrum of the
-collapsed law, powered by blocks of sizes: one matrix-vector product per
-block.
+collapsed law, powered by blocks of sizes: one matrix product per
+STACK blocks.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .offspring import (
     bit_indices,
     bit_list,
     collapsed_coeffs_float,
-    collapsed_offspring,
+    collapsed_pair,
     degree_masks,
     sums_closure,
 )
@@ -43,12 +44,14 @@ from .trees import canonical_key, decode
 MAX_ENUM_VERTICES = 16
 
 
-def _walk(dist: OffspringDist, k: int, top: int) -> Iterator[tuple[list[int], int, int]]:
-    """Walk states after steps 1..k as (numerators c, denominator D, base E).
+def _walk(pair: tuple[tuple[int, ...], tuple[int, ...]], k: int, top: int) -> Iterator[tuple[list[int], int, int]]:
+    """Walk states after steps 1..k as (numerators c, denominator D, base E),
+    for the step law zeta whose generating function is pair = (N, M), two
+    integer polynomials with M[0] > 0 (offspring.collapsed_pair).
 
     After j steps the walk sits at s with probability [x^(s+j)] zeta(x)^j,
-    zeta the step law's generating function N/M, so a state is the series
-    zeta^j to order `top`: values above top - j cannot fall back to top - k.
+    so a state is the series zeta^j to order `top`: values above top - j
+    cannot fall back to top - k.
     Coefficient e is c[e] / (D * E^e).  One step multiplies by N and
     divides by M; with E = M[0] both stay on integers:
 
@@ -58,9 +61,7 @@ def _walk(dist: OffspringDist, k: int, top: int) -> Iterator[tuple[list[int], in
     and the step is the plain convolution with the law's numerators.  After
     each step D and the r_e are divided by their gcd.
     """
-    if dist.truncated and len(dist.probs) - 1 < top:
-        raise ValueError("distribution prefix too short for the requested window")
-    num, den = dist.generating_function
+    num, den = pair
     base = den[0] if len(den) > 1 else 1
     mul = [(i, x * base**i) for i, x in enumerate(num) if x]
     div = [(i, x * base ** (i - 1)) for i, x in enumerate(den) if i and x]
@@ -155,8 +156,7 @@ def marked_count_pmf(dist: OffspringDist, marks: DegreeSet, max_n: int) -> list[
     walk.  The functional-equation and enumeration routes are oracles for it
     in the otter-dwass suite and the tests.
     """
-    require_zero(marks)
-    return progeny_pmf(_walk(collapsed_offspring(dist, marks, max_n), max_n, max_n - 1), 1)
+    return progeny_pmf(_walk(collapsed_pair(dist, marks), max_n, max_n - 1), 1)
 
 
 def forest_leaf_pmf(dist: OffspringDist, n_trees: int, k: int) -> Fraction:
@@ -167,8 +167,7 @@ def forest_leaf_pmf(dist: OffspringDist, n_trees: int, k: int) -> Fraction:
     """
     if k < 1 or n_trees < 1:
         raise ValueError("need at least one tree and one leaf")
-    zeta = collapsed_offspring(dist, DegreeSet.of(0), k)
-    return progeny_pmf(_walk(zeta, k, k - n_trees), n_trees)[k]
+    return progeny_pmf(_walk(collapsed_pair(dist, DegreeSet.of(0)), k, k - n_trees), n_trees)[k]
 
 
 def marked_count_support(dist: OffspringDist, marks: DegreeSet, max_n: int) -> list[bool]:
@@ -200,8 +199,10 @@ FLOAT_TABLE_RTOL = 1e-12
 FLOAT_TABLE_ATOL = 1e-15
 
 
-# spectrum powers per matrix-vector product in spectral_count
+# spectrum powers per block of sizes in spectral_count, and blocks per
+# matrix product
 BLOCK = 8
+STACK = 16
 
 
 def fft_points(max_n: int) -> int:
@@ -230,9 +231,11 @@ def spectral_count(coeffs: np.ndarray, max_n: int) -> np.ndarray:
     conjugate symmetric, and the mean runs on the m/2 + 1 bins of the real
     FFT.  The powers go by blocks of B = BLOCK sizes: with P[r] = g^r for
     r < B and h_j = weight f g^(jB), block j's entries are the real parts
-    of P @ h_j, and h advances by g^B.  That is ceil(max_n / B)
-    matrix-vector products, and about n/B + B roundings per power where
-    sequential powering takes n - 1.
+    of P @ h_j, and h advances by g^B.  That is about n/B + B roundings per
+    power where sequential powering takes n - 1.  The h_j of STACK blocks
+    are stacked as the rows of H, and H @ P^T gives their entries in one
+    matrix product: ceil(max_n / (B STACK)) BLAS calls, where one per block
+    made ceil(max_n / B), whose time swung with OpenBLAS's thread count.
     """
     import numpy as np
     m = coeffs.size
@@ -248,11 +251,16 @@ def spectral_count(coeffs: np.ndarray, max_n: int) -> np.ndarray:
     h = f * (2.0 / m)
     h[0] /= 2
     h[-1] /= 2
-    out = np.zeros(max_n + 1)
-    for start in range(1, max_n + 1, BLOCK):
-        k = min(BLOCK, max_n + 1 - start)
-        out[start : start + k] = (powers[:k] @ h).real
-        h *= step
+    # whole stacks, the last one cut off at max_n
+    out = np.zeros(max_n + STACK * BLOCK)
+    hs = np.empty((STACK, f.size), dtype=complex)
+    for start in range(1, max_n + 1, STACK * BLOCK):
+        for row in hs:
+            row[:] = h
+            h *= step
+        # row j, column r: size start + j B + r
+        out[start : start + STACK * BLOCK] = (hs @ powers.T).real.ravel()
+    out = out[: max_n + 1]
     out[1:] /= np.arange(1, max_n + 1)
     np.clip(out, 0.0, None, out=out)
     return out

@@ -1,7 +1,8 @@
 """Offspring distributions on {0,1,2,...} and the collapsed offspring law.
 
 Every law is exact: its probabilities are rationals (a finite list or the
-geometric family), and float_pmf gives the float masses that float sampler
+geometric family), put over one denominator here alone (generating_function,
+integer_masses), and float_pmf gives the float masses that float sampler
 tables start from.  The collapsed offspring law is the child distribution of
 the tree obtained by block-summing a depth-first queue at successive first
 hits of a marked degree; its generating function is
@@ -9,12 +10,13 @@ hits of a marked degree; its generating function is
     z * a(z) / (z - u(z))
 
 where a collects the marked coefficients of the original law and u the
-unmarked ones.
+unmarked ones; collapsed_pair gives it as the integer pair that the exact
+engine walks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
@@ -48,18 +50,11 @@ class OffspringDist:
     """A pmf on child counts; either an explicit finite list or a geometric family.
 
     Every probability, and the geometric parameter, is an int or a Fraction.
-    `truncated` marks a distribution whose stored coefficients are only the
-    prefix of a longer law (as produced by collapsed_offspring); such objects
-    expose partial moments and are not valid sampling laws.  A truncated law
-    from collapsed_offspring carries the generating function of the whole law
-    in `rational`.
     """
 
     family: str  # "finite" or "geometric"
     probs: tuple = ()
     param: Fraction | None = None
-    truncated: bool = False
-    rational: tuple | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.family not in ("finite", "geometric"):
@@ -80,26 +75,37 @@ class OffspringDist:
     def integer_cdf(self) -> tuple[list[int], int]:
         """Cumulative probabilities of a finite law as integer
         numerators over the lcm of their denominators."""
-        nums, den = common_denominator(self.probs)
+        nums, (den,) = self.generating_function
         return list(accumulate(nums)), den
 
     @cached_property
     def generating_function(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """The generating function of a complete law as integer polynomials
-        (N, M), lowest degree first, with value N(s)/M(s) and M[0] > 0.
+        """The generating function of the law as integer polynomials (N, M),
+        lowest degree first, with value N(s)/M(s) and M[0] > 0.
 
         A finite law gives its numerators over their lcm and (lcm,); the
         geometric law with p = a/b gives (a,) and (b, a - b).
         """
-        if self.rational is not None:
-            return self.rational
-        if self.truncated:
-            raise ValueError("only a complete law has a rational generating function")
         if self.family == "geometric":
             a, b = self.param.numerator, self.param.denominator
             return (a,), (b, a - b)
         nums, den = common_denominator(self.probs)
         return tuple(nums), (den,)
+
+    def integer_masses(self, order: int) -> tuple[list[int], int]:
+        """The masses at degrees 0..order as integer numerators over one
+        denominator: nums[k] / den == pmf(k).
+
+        A finite law gives its generating function's numerators, cut or
+        padded with zeros to order + 1 entries, over their lcm; the
+        geometric law with p = a/b gives a (b - a)^k b^(order - k) over
+        b^(order + 1).
+        """
+        if self.family == "geometric":
+            a, b = self.param.numerator, self.param.denominator
+            return [a * (b - a) ** k * b ** (order - k) for k in range(order + 1)], b ** (order + 1)
+        nums, (den,) = self.generating_function
+        return [*nums[: order + 1], *[0] * (order + 1 - len(nums))], den
 
     def pmf(self, k: int):
         if k < 0:
@@ -140,7 +146,7 @@ class OffspringDist:
     # -- moments ------------------------------------------------------------
 
     def mean(self):
-        """Exact mean; for truncated laws this is the partial sum over the prefix."""
+        """Exact mean."""
         if self.family == "geometric":
             return (1 - self.param) / self.param
         return sum((k * p for k, p in enumerate(self.probs)), start=Fraction(0))
@@ -195,8 +201,6 @@ def from_probs(probs) -> OffspringDist:
 
 def validate(dist: OffspringDist) -> None:
     """Reject laws outside the (sub)critical regime handled here."""
-    if dist.truncated:
-        raise InvalidDistribution("truncated", "truncated coefficient prefix is not a full law")
     total = dist.total_mass()
     if total != 1:
         raise InvalidDistribution("not_normalized", f"probabilities sum to {total}")
@@ -247,8 +251,10 @@ def _poly_sub(a: list[int], b: list[int]) -> list[int]:
     return [x - y for x, y in zip(a, b)]
 
 
-def _collapsed_generating_function(dist: OffspringDist, marks: DegreeSet) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(N, M) of the collapsed law a / (1 - u) from the law's own pair.
+def collapsed_pair(dist: OffspringDist, marks: DegreeSet) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The collapsed law a / (1 - u) as an integer pair (N, M), the input of
+    the exact engine's walk (exact._walk): the law's own generating function
+    when the set covers its support, and otherwise built from that pair.
 
     P = Np / L is the polynomial of the degrees the set lists: the marked
     ones of a finite set, the unmarked ones of a cofinite set.  With
@@ -258,9 +264,12 @@ def _collapsed_generating_function(dist: OffspringDist, marks: DegreeSet) -> tup
     constant term in the first case, Np none in the second, because degree
     0 is always marked.  The pair is divided by the gcd of its coefficients.
     """
+    require_zero(marks)
+    if marks.covers_support(dist):
+        return dist.generating_function
     num, den = (list(p) for p in dist.generating_function)
-    top = max(marks.members, default=0)
-    listed, scale = common_denominator(dist.pmf(k) if k in marks.members else 0 for k in range(top + 1))
+    masses, scale = dist.integer_masses(max(marks.members, default=0))
+    listed = [x if k in marks.members else 0 for k, x in enumerate(masses)]
     rest = _poly_sub([x * scale for x in num], _poly_mul(den, listed))
     if marks.cofinite:
         num, den = rest, _poly_mul(den, _poly_sub([scale], listed[1:]))
@@ -270,30 +279,15 @@ def _collapsed_generating_function(dist: OffspringDist, marks: DegreeSet) -> tup
     return tuple(x // g for x in num), tuple(x // g for x in den)
 
 
-def collapsed_offspring(dist: OffspringDist, marks: DegreeSet, order: int) -> OffspringDist:
-    """First `order`+1 coefficients of the collapsed offspring law.
-
-    The law is a / (1 - u), with a the marked coefficients and u the
-    unmarked ones shifted down once.  It is the ratio N/M of two integer
-    polynomials built from the law's own pair; the returned truncated law
-    carries that pair, and its coefficients come from the series division
-    out * M = N.  When the set covers the whole support the law is unchanged
-    and the original distribution is returned.
+def collapsed_offspring(dist: OffspringDist, marks: DegreeSet, order: int) -> list[Fraction]:
+    """Coefficients 0..order of the collapsed offspring law a / (1 - u),
+    with a the marked coefficients and u the unmarked ones shifted down
+    once: the first state of the exact walk on collapsed_pair.
     """
-    require_zero(marks)
-    if marks.covers_support(dist):
-        return dist
-    num, den = _collapsed_generating_function(dist, marks)
-    # out[e] = vals[e] / den[0]^(e+1)
-    head = den[0]
-    vals: list[int] = []
-    for e in range(order + 1):
-        v = num[e] * head**e if e < len(num) else 0
-        for i in range(1, min(e, len(den) - 1) + 1):
-            v -= den[i] * head ** (i - 1) * vals[e - i]
-        vals.append(v)
-    probs = tuple(Fraction(v, head ** (e + 1)) for e, v in enumerate(vals))
-    return OffspringDist("finite", probs, truncated=True, rational=(num, den))
+    from .exact import _walk  # exact imports this module
+
+    cur, scale, base = next(_walk(collapsed_pair(dist, marks), 1, order))
+    return [Fraction(c, scale * base**e) for e, c in enumerate(cur)]
 
 
 def degree_masks(dist: OffspringDist, marks: DegreeSet, top: int) -> tuple[int, int]:
@@ -351,7 +345,7 @@ def collapsed_coeffs_float(dist: OffspringDist, marks: DegreeSet, order: int) ->
     """Float collapsed offspring coefficients to `order`; on a set covering
     the support, the law's own float masses (float_pmf), bit for bit.
 
-    Otherwise the integer pair N/M of _collapsed_generating_function gives
+    Otherwise the integer pair N/M of collapsed_pair gives
     them by the deg(M)-term recurrence
 
         out[e] = (N[e] - sum_(i>=1) M[i] out[e-i]) / M[0]
@@ -367,7 +361,7 @@ def collapsed_coeffs_float(dist: OffspringDist, marks: DegreeSet, order: int) ->
     require_zero(marks)
     if marks.covers_support(dist):
         return float_pmf(dist, order)
-    num, den = _collapsed_generating_function(dist, marks)
+    num, den = collapsed_pair(dist, marks)
     # a common power of two keeps the largest coefficient inside float range
     unit = 1 << max(0, max(abs(x) for x in num + den).bit_length() - 1000)
     head = den[0] / unit

@@ -43,7 +43,7 @@ from .exact import (
     progeny_pmf,
     spectral_count,
 )
-from .offspring import OffspringDist, collapsed_coeffs_float, collapsed_offspring, float_pmf, validate
+from .offspring import OffspringDist, collapsed_coeffs_float, collapsed_pair, float_pmf, validate
 from .partitions import Partition, block_count, iota
 from .streams import (
     RandomStream,
@@ -324,9 +324,8 @@ class ExactTables(SamplerTables):
     def _build(self) -> None:
         n = self.n
         # the table's one walk: its states are the block rows
-        zeta = collapsed_offspring(self.dist, self.marks, n - 1)
         rows, dens, base = [[1] + [0] * (n - 1)], [1], 1
-        for row, den, base in _walk(zeta, n, n - 1):
+        for row, den, base in _walk(collapsed_pair(self.dist, self.marks), n, n - 1):
             rows.append(row)
             dens.append(den)
         self._rows, self._dens, self._base = rows, dens, base
@@ -511,7 +510,7 @@ class ExactTables(SamplerTables):
         taken without a draw.
         """
         if self._steps is None:
-            self._steps = common_denominator(self.dist.coeffs(self.n))
+            self._steps = self.dist.integer_masses(self.n)
         xi, xi_den = self._steps
         first, base = self._rows[1], self._base
         weights = [xi[r] * self._dens[1] * base**r if self.marked_degree[r] else 0]
@@ -971,13 +970,7 @@ def split_measure(tables: SamplerTables, m: int) -> dict[Partition, Fraction]:
     if not tables.admissible(m):
         raise ValueError(f"size {m} has probability zero")
     ints, d, e = tables.lagrange_ints()  # zero marks an inadmissible part
-    dist = tables.dist
-    if dist.family == "geometric":
-        # xi_p = xs[p] / x_den; for the geometric law a (b - a)^p / b^(p + 1)
-        a, b = dist.param.numerator, dist.param.denominator
-        xs, x_den = [a * (b - a) ** p * b ** (m - p) for p in range(m + 1)], b ** (m + 1)
-    else:
-        xs, x_den = common_denominator(dist.probs[: m + 1])
+    xs, x_den = tables.dist.integer_masses(m)  # xi_p = xs[p] / x_den
     z = tables.count[m]
     de = d * e
     marked = tables.marked_degree

@@ -231,7 +231,7 @@ def run_hat_law(seed: int, samples: int = 100_000) -> SuiteResult:
         draws = [sample_hat_offspring(dist, marks, arm) for _ in range(samples)]
         top = max(draws)
         zeta = collapsed_offspring(dist, marks, max(top + 1, 64))
-        expected = {k: float(zeta.pmf(k)) for k in range(top + 2)}
+        expected = {k: float(zeta[k]) for k in range(top + 2)}
         observed: dict[int, int] = {}
         for v in draws:
             observed[v] = observed.get(v, 0) + 1

@@ -18,7 +18,7 @@ from gwtrees.exact import (
     marked_count_support,
     progeny_pmf,
 )
-from gwtrees.offspring import binary_dist, collapsed_offspring, from_probs, geometric_dist
+from gwtrees.offspring import binary_dist, collapsed_offspring, collapsed_pair, from_probs, geometric_dist
 
 A0 = DegreeSet.of(0)
 A02 = DegreeSet.of(0, 2)
@@ -34,10 +34,11 @@ COPRIME = from_probs([Fraction(1, 2), Fraction(1, 5), Fraction(1, 6), Fraction(2
 WIDE_SETS = tuple(DegreeSet.parse(spec) for spec in ("geq:3", "0,3,5", "not:1,3"))
 
 
-def _fraction_walk(dist, k, top):
-    """Reference walk in Fraction arithmetic: the states after steps 1..k,
-    keeping only values that can still fall back to top - k."""
-    steps = [(j - 1, dist.pmf(j)) for j in range(max(top - 1, -1) + 2) if dist.pmf(j) != 0]
+def _fraction_walk(coeffs, k, top):
+    """Reference walk in Fraction arithmetic on the step law with
+    coefficients `coeffs`: the states after steps 1..k, keeping only values
+    that can still fall back to top - k."""
+    steps = [(j - 1, coeffs[j]) for j in range(max(top - 1, -1) + 2) if coeffs[j] != 0]
     states = []
     cur = {0: Fraction(1)}
     for j in range(1, k + 1):
@@ -52,54 +53,47 @@ def _fraction_walk(dist, k, top):
     return states
 
 
-def _progeny(dist, max_n):
-    """The total-progeny law of one tree of `dist` to max_n, by the walk."""
-    return progeny_pmf(_walk(dist, max_n, max_n - 1), 1)
+def _progeny(pair, max_n):
+    """The total-progeny law of one tree of the law with generating function
+    `pair` to max_n, by the walk."""
+    return progeny_pmf(_walk(pair, max_n, max_n - 1), 1)
 
 
-def _reference_progeny(dist, max_n):
-    states = _fraction_walk(dist, max_n, max_n - 1)
+def _reference_progeny(coeffs, max_n):
+    states = _fraction_walk(coeffs, max_n, max_n - 1)
     return [Fraction(0)] + [st.get(-1, Fraction(0)) / n for n, st in enumerate(states, start=1)]
 
 
-def _integer_states(dist, k, top):
+def _integer_states(pair, k, top):
     """The states of the integer walk after steps 1..k, as _fraction_walk
     gives them: coefficient e of state j is the walk at e - j."""
     return [
         {e - j: Fraction(c, scale * base**e) for e, c in enumerate(cur) if c}
-        for j, (cur, scale, base) in enumerate(_walk(dist, k, top), start=1)
+        for j, (cur, scale, base) in enumerate(_walk(pair, k, top), start=1)
     ]
 
 
 def test_walk_examples():
-    states = _integer_states(geometric_dist(), 2, 2)
+    states = _integer_states(geometric_dist().generating_function, 2, 2)
     assert states[0][-1] == Fraction(1, 2)
     assert states[1][-1] == Fraction(1, 4)
     assert -3 not in states[1]
-    assert _integer_states(binary_dist(), 0, 0) == []
-
-
-def test_walk_rejects_short_prefix():
-    # a truncated coefficient prefix cannot cover the steps the table reaches
-    zeta = collapsed_offspring(binary_dist(), A0, 3)
-    assert zeta.truncated
-    with pytest.raises(ValueError, match="prefix too short"):
-        _progeny(zeta, 10)
+    assert _integer_states(binary_dist().generating_function, 0, 0) == []
 
 
 def test_progeny_pmf_examples():
-    pg = _progeny(geometric_dist(), 4)
+    pg = _progeny(geometric_dist().generating_function, 4)
     assert pg[1] == Fraction(1, 2)
     assert pg[2] == Fraction(1, 8)
-    pd = _progeny(from_probs([Fraction(1)]), 4)
+    pd = _progeny(from_probs([Fraction(1)]).generating_function, 4)
     assert pd[1] == 1 and pd[2] == pd[3] == pd[4] == 0
 
 
 def test_progeny_pmf_of_no_tree_is_the_point_mass():
     # p = 0 reads no state entry, whatever order the states run to
     for dist in (binary_dist(), geometric_dist(), COPRIME):
-        assert progeny_pmf(_walk(dist, 6, 5), 0) == [1, 0, 0, 0, 0, 0, 0]
-        assert progeny_pmf(_walk(dist, 6, -1), 0) == [1] + [0] * 6
+        assert progeny_pmf(_walk(dist.generating_function, 6, 5), 0) == [1, 0, 0, 0, 0, 0, 0]
+        assert progeny_pmf(_walk(dist.generating_function, 6, -1), 0) == [1] + [0] * 6
     assert progeny_pmf(iter(()), 0) == [1]
 
 
@@ -133,11 +127,11 @@ def test_leaf_routes_agree():
 )
 def test_integer_walk_matches_fraction_walk(dist):
     for marks in (*SETS, *WIDE_SETS):
-        zeta = collapsed_offspring(dist, marks, 40)
-        assert _progeny(zeta, 40) == _reference_progeny(zeta, 40)
+        pair, zeta = collapsed_pair(dist, marks), collapsed_offspring(dist, marks, 40)
+        assert _progeny(pair, 40) == _reference_progeny(zeta, 40)
         for k, top in ((40, 40), (20, 30), (1, 1), (0, 0)):
-            assert _integer_states(zeta, k, top) == _fraction_walk(zeta, k, top)
-    assert _progeny(dist, 40) == _reference_progeny(dist, 40)
+            assert _integer_states(pair, k, top) == _fraction_walk(zeta, k, top)
+    assert _progeny(dist.generating_function, 40) == _reference_progeny(dist.coeffs(40), 40)
 
 
 @cache
@@ -236,8 +230,9 @@ def test_support_parity_of_binary_total_progeny():
 
 def test_integer_walk_degenerate_law():
     one = from_probs([1])
-    assert _progeny(one, 12) == _reference_progeny(one, 12) == [0, 1] + [0] * 11
-    assert _integer_states(one, 5, 5) == _fraction_walk(one, 5, 5) == [{-j: 1} for j in range(1, 6)]
+    pair, coeffs = one.generating_function, one.coeffs(12)
+    assert _progeny(pair, 12) == _reference_progeny(coeffs, 12) == [0, 1] + [0] * 11
+    assert _integer_states(pair, 5, 5) == _fraction_walk(coeffs, 5, 5) == [{-j: 1} for j in range(1, 6)]
 
 
 def test_integer_walk_rejects_float_laws():

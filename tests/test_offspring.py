@@ -14,6 +14,7 @@ from gwtrees.offspring import (
     collapsed_coeffs_float,
     collapsed_moments,
     collapsed_offspring,
+    collapsed_pair,
     degree_masks,
     float_pmf,
     from_probs,
@@ -60,22 +61,19 @@ def test_validate_all_mass_on_one_child():
 
 def test_collapsed_offspring_binary_leaves():
     zeta = collapsed_offspring(binary_dist(), A0, 12)
-    assert zeta.truncated
-    assert zeta.coeffs(12) == [Fraction(1, 2 ** (k + 1)) for k in range(13)]
+    assert zeta == [Fraction(1, 2 ** (k + 1)) for k in range(13)]
 
 
 def test_collapsed_offspring_geometric_leaves():
     zeta = collapsed_offspring(geometric_dist(), A0, 12)
     expect = [Fraction(2, 3)] + [Fraction(1, 9) * Fraction(2, 3) ** (k - 1) for k in range(1, 13)]
-    assert list(zeta.probs) == expect
+    assert zeta == expect
 
 
 def test_collapsed_offspring_identity_when_covered():
-    assert collapsed_offspring(binary_dist(), ALL, 6) is binary_dist() or collapsed_offspring(
-        binary_dist(), ALL, 6
-    ) == binary_dist()
-    assert collapsed_offspring(binary_dist(), DegreeSet.of(0, 2), 6) == binary_dist()
-    assert collapsed_offspring(geometric_dist(), ALL, 6) == geometric_dist()
+    for dist, marks in ((binary_dist(), ALL), (binary_dist(), DegreeSet.of(0, 2)), (geometric_dist(), ALL)):
+        assert collapsed_pair(dist, marks) == dist.generating_function
+        assert collapsed_offspring(dist, marks, 6) == dist.coeffs(6)
 
 
 def test_collapsed_offspring_requires_zero():
@@ -122,14 +120,16 @@ def test_collapsed_offspring_matches_fraction_series(dist):
         marks = DegreeSet.parse(spec)
         zeta = collapsed_offspring(dist, marks, 40)
         if marks.covers_support(dist):
-            assert zeta is dist
+            assert zeta == dist.coeffs(40)
             # bit for bit, so float tables start from the law's own masses
             for order in (10, 4095, 8191):
                 got = collapsed_coeffs_float(dist, marks, order)
                 assert got.tobytes() == float_pmf(dist, order).tobytes(), (spec, order)
             continue
         want = _reference_collapsed(dist, marks, 40)
-        assert list(zeta.probs) == want, spec
+        assert zeta == want, spec
+        # the first walk state to any order is a prefix of the same series
+        assert all(collapsed_offspring(dist, marks, order) == want[: order + 1] for order in (0, 1, 2, 7)), spec
         floats = collapsed_coeffs_float(dist, marks, 40)
         assert all(abs(x - float(w)) <= 1e-12 * float(w) for x, w in zip(floats, want)), spec
 
@@ -143,7 +143,7 @@ def test_collapsed_coeffs_float_match_the_exact_law_to_order_1000(dist):
         marks = DegreeSet.parse(spec)
         if marks.covers_support(dist):
             continue
-        exact = collapsed_offspring(dist, marks, 1000).probs
+        exact = collapsed_offspring(dist, marks, 1000)
         floats = collapsed_coeffs_float(dist, marks, 1000)
         for e, (x, w) in enumerate(zip(floats.tolist(), exact)):
             if w == 0:
@@ -175,22 +175,40 @@ def _series_quotient(num, den, order):
     ids=["binary", "geometric", "geometric-1/3", "geometric-2/3", "mixed", "coprime"],
 )
 def test_generating_function_series_matches_pmf(dist):
-    pairs = [(dist, dist.coeffs(40))]
+    pairs = [(dist.generating_function, dist.coeffs(40))]
     for spec in ("0", "0,1", "0,2", "0,3", "0,3,5", "geq:3", "not:1,3", "all"):
         marks = DegreeSet.parse(spec)
-        pairs.append((collapsed_offspring(dist, marks, 40), _reference_collapsed(dist, marks, 40)))
-    for law, want in pairs:
-        num, den = law.generating_function
+        pairs.append((collapsed_pair(dist, marks), _reference_collapsed(dist, marks, 40)))
+    for (num, den), want in pairs:
         assert all(type(x) is int for x in (*num, *den)) and den[0] > 0
         assert _series_quotient(num, den, 40) == want
-        assert law.coeffs(40) == want
 
 
 def test_generating_function_needs_an_exact_complete_law():
     with pytest.raises(ValueError):
         OffspringDist("finite", (0.5, 0, 0.5)).generating_function
-    with pytest.raises(ValueError):
-        OffspringDist("finite", (Fraction(1, 2), Fraction(1, 4)), truncated=True).generating_function
+
+
+@pytest.mark.parametrize(
+    "dist",
+    [
+        binary_dist(),
+        from_probs([Fraction(7, 12), Fraction(1, 6), Fraction(0), Fraction(1, 4)]),
+        from_probs([Fraction(1, 2), Fraction(1, 5), Fraction(1, 6), Fraction(2, 15), Fraction(0)]),
+        geometric_dist(),
+        geometric_dist(Fraction(2, 3)),
+        geometric_dist(Fraction(3, 5)),
+    ],
+    ids=["binary", "mixed", "coprime-zero-tail", "geometric", "geometric-2/3", "geometric-3/5"],
+)
+def test_integer_masses(dist):
+    # a finite law below, at and above its last stored degree
+    last = len(dist.probs) - 1 if dist.family == "finite" else 5
+    for order in (0, 1, last - 1, last, last + 1, 12):
+        nums, den = dist.integer_masses(order)
+        assert len(nums) == order + 1 and all(type(x) is int for x in (*nums, den))
+        assert [Fraction(x, den) for x in nums] == dist.coeffs(order), order
+        assert sum(nums) <= den
 
 
 def test_moments():
@@ -209,8 +227,7 @@ def test_collapsed_moments():
 def test_collapsed_coefficients_are_subprobability():
     for dist in (binary_dist(), geometric_dist()):
         for marks in (A0, DegreeSet.of(0, 2), DegreeSet.of(0, 1)):
-            zeta = collapsed_offspring(dist, marks, 40)
-            coeffs = zeta.coeffs(40)
+            coeffs = collapsed_offspring(dist, marks, 40)
             assert all(c >= 0 for c in coeffs)
             running = Fraction(0)
             for c in coeffs:

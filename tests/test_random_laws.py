@@ -13,20 +13,31 @@ float route: the float table at n near 300 against the exact one, and at n
 near 2000 float trees, depths and, for the first draws of each seed, the
 exact depth law the depths must fall on.  Subcritical laws are left out there, as
 their float masses at such sizes fall below the FFT's absolute error.
+
+At n <= 4 the laws of unordered shapes of exact and float conditioned trees
+are checked against brute-force enumeration, on the pairs whose enumeration
+to at most SHAPE_CAP vertices covers at least 0.999 of the size's mass.
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from gwtrees.degree_sets import DegreeSet
-from gwtrees.exact import FLOAT_TABLE_ATOL, FLOAT_TABLE_RTOL, marked_count_fixed_point, marked_count_support
+from gwtrees.exact import (
+    FLOAT_TABLE_ATOL,
+    FLOAT_TABLE_RTOL,
+    enumerate_mass,
+    marked_count_fixed_point,
+    marked_count_support,
+)
 from gwtrees.offspring import from_probs
 from gwtrees.samplers import SamplerTables, sample_conditioned, sample_marked_depth, split_measure
-from gwtrees.scaling import depth_law
+from gwtrees.scaling import chi_square_test, depth_law
 from gwtrees.streams import RandomStream
-from gwtrees.trees import count_marked
+from gwtrees.trees import canonical_key, count_marked
 
 SEEDS = range(12)
 CASES = 80  # per seed
@@ -39,6 +50,10 @@ LARGE_N = range(1960, 2041)  # sizes of the float trees and depths
 FLOAT_TREES = 2
 DEPTHS = 3
 DEPTH_LAWS = 4  # the first draws of a seed also check their depths against depth_law
+SHAPE_CASES = 6  # draws per seed at tiny n
+SHAPE_N = 4
+SHAPE_CAP = 12  # vertex cap of the enumeration; a deeper one can take seconds
+SHAPE_TREES = 1000  # per mode
 
 
 def random_law(rng: random.Random):
@@ -131,3 +146,30 @@ def test_random_critical_laws_through_the_float_routes(seed):
         if case < DEPTH_LAWS:
             law = depth_law(dist, marks, n)
             assert all(d < law.size and law[d] > 0 for d in depths), (*where, n, depths)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_random_laws_tree_shapes_at_tiny_n(seed):
+    rng = random.Random(300 + seed)
+    for case in range(SHAPE_CASES):
+        dist, marks = random_law(rng), random_set(rng)
+        support = marked_count_support(dist, marks, SHAPE_N)
+        n = rng.choice([m for m in range(1, SHAPE_N + 1) if support[m]])
+        where = (seed, case, dist.probs, marks.spec(), n)
+        size = SamplerTables(dist, marks, n).count[n]
+        # the least cap that covers the mass: the enumeration's time grows
+        # exponentially with it, so the smaller caps add little
+        for cap in range(n, SHAPE_CAP + 1):
+            total, shapes = enumerate_mass(dist, marks, n, cap)
+            if total >= size * Fraction(999, 1000):
+                break
+        else:
+            continue
+        # shapes beyond the cap fall in the chi-square's "other" cell
+        expected = {k: float(w / size) for k, w in shapes.items()}
+        for exact in (True, False):
+            tables = SamplerTables(dist, marks, n, exact=exact)
+            s = RandomStream(1000 * seed + case)
+            observed = Counter(canonical_key(sample_conditioned(tables, s)) for _ in range(SHAPE_TREES))
+            _stat, _df, p = chi_square_test(observed, expected, SHAPE_TREES)
+            assert p > 0.001, (*where, exact, p)

@@ -13,7 +13,7 @@ import pytest
 from gwtrees import samplers
 from gwtrees.degree_sets import DegreeSet
 from gwtrees.exact import FLOAT_TABLE_ATOL, FLOAT_TABLE_RTOL, enumerate_mass, marked_count_fixed_point, marked_count_pmf
-from gwtrees.offspring import binary_dist, collapsed_offspring, from_probs, geometric_dist
+from gwtrees.offspring import binary_dist, collapsed_offspring, collapsed_pair, from_probs, geometric_dist
 from gwtrees.partitions import block_count, distinct_arrangements, partitions_into
 from gwtrees.samplers import (
     QFamily,
@@ -192,7 +192,7 @@ def test_exact_trees_match_enumerated_shape_laws(case):
 def _value_sequence_law(dist, marks, n) -> dict:
     """Law of n i.i.d. collapsed values given that they sum to n - 1, as
     ordered tuples, enumerated in exact arithmetic."""
-    zeta = collapsed_offspring(dist, marks, n - 1).coeffs(n - 1)
+    zeta = collapsed_offspring(dist, marks, n - 1)
     weights = {}
 
     def walk(prefix, rest, w):
@@ -400,7 +400,7 @@ def test_lagrange_ints_scale_the_count_table(law):
         tables = SamplerTables(dist, marks, max(m for m in range(25) if table[m]))
         n = tables.n
         t, d, e = tables.lagrange_ints()
-        _state, want_d, want_e = next(samplers._walk(collapsed_offspring(dist, marks, n - 1), 1, n - 1))
+        _state, want_d, want_e = next(samplers._walk(collapsed_pair(dist, marks), 1, n - 1))
         assert (d, e) == (want_d, want_e)
         assert len(t) == n + 1 and t[0] == 0
         for j in range(1, n + 1):
@@ -428,9 +428,9 @@ def test_an_exact_table_walks_the_collapsed_law_once(monkeypatch):
     walks = []
     walk = samplers._walk
 
-    def counting(dist, k, top):
+    def counting(pair, k, top):
         walks.append((k, top))
-        return walk(dist, k, top)
+        return walk(pair, k, top)
 
     monkeypatch.setattr(samplers, "_walk", counting)
     monkeypatch.setattr("gwtrees.exact._walk", counting)
@@ -453,7 +453,7 @@ def test_lagrange_ints_need_the_whole_first_state():
     dist = SPLIT_LAWS["coprime"]
     tables = SamplerTables(dist, ALL, 24)
     t, d, e = tables.lagrange_ints()
-    _state, short_d, short_e = next(samplers._walk(collapsed_offspring(dist, ALL, 0), 1, 0))
+    _state, short_d, short_e = next(samplers._walk(collapsed_pair(dist, ALL), 1, 0))
     assert (d, e, short_d, short_e) == (30, 1, 2, 1)
     assert tables.count[2] * short_d**2 * short_e == Fraction(2, 5)
     assert t[2] == tables.count[2] * d**2 * e
@@ -796,7 +796,7 @@ def test_completed_value_cdfs_end_at_their_total():
         tab = SamplerTables(dist, marks, n)
         tab._draw_values(stream(3))
         dens, base = tab._dens, tab._base
-        zeta = collapsed_offspring(dist, marks, n - 1).coeffs(n - 1)
+        zeta = collapsed_offspring(dist, marks, n - 1)
         power = [Fraction(1)] + [Fraction(0)] * (n - 1)
         powers = [power]
         for _ in range(n):
@@ -1022,7 +1022,7 @@ def test_one_block_value_matches_the_exact_marginal_at_n_60(spec):
     # probability pi_c tau_{n-1}(n-1-c) / tau_n(n-1), tau_j the j-th
     # convolution power of the collapsed law, here in exact integers
     n, marks = 60, DegreeSet.parse(spec)
-    nums, _den = common_denominator(collapsed_offspring(geometric_dist(), marks, n - 1).coeffs(n - 1))
+    nums, _den = common_denominator(collapsed_offspring(geometric_dist(), marks, n - 1))
     power = [1] + [0] * (n - 1)
     for _ in range(n - 1):
         power = [sum(power[i] * nums[s - i] for i in range(s + 1)) for s in range(n)]
