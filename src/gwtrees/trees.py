@@ -12,7 +12,6 @@ parent-child edges.
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -221,10 +220,13 @@ def format_queue(seq: Sequence[int]) -> str:
 def count_marked(t: OrderedTree, marks: DegreeSet) -> int:
     """Number of vertices whose out-degree lies in the set.
 
-    Counts the degree histogram and asks the set once per distinct degree.
+    One C-level `tuple.count` pass over the degrees per listed member: a
+    finite set sums the passes, a cofinite set takes them from the number of
+    vertices, so `all` makes none.
     """
     require_zero(marks)
-    return sum(k for d, k in Counter(t.degrees).items() if d in marks)
+    listed = sum(map(t.degrees.count, marks.members))
+    return len(t.degrees) - listed if marks.cofinite else listed
 
 
 def root_partition(t: OrderedTree, marks: DegreeSet) -> Partition:
@@ -272,28 +274,31 @@ def canonical_key(t: OrderedTree) -> str:
 
     The AHU form (Aho, Hopcroft and Ullman 1974): bottom up, a vertex's key
     is its children's keys, sorted, between one pair of parentheses.  One
-    reverse pass over the degrees keeps the keys of the subtrees read so far
-    on a stack; a vertex of degree d pops d of them.  Leaves and single
-    children need no sort, and two children are joined in order.
+    reverse pass over the degrees keeps the newest subtree's key in `top` and
+    the keys before it on a stack, over one "" sentinel; a vertex of degree d
+    takes `top` and d - 1 keys off the stack and builds one string.  Leaves
+    and single children need no sort, and two children are joined in order.
     """
     keys: list[str] = []
     push = keys.append
     pop = keys.pop
+    top = ""
     for d in reversed(t.degrees):
         if not d:
-            push("()")
+            push(top)
+            top = "()"
         elif d == 1:
-            keys[-1] = "(" + keys[-1] + ")"
+            top = f"({top})"
         elif d == 2:
             a = pop()
-            b = keys[-1]
-            keys[-1] = "(" + a + b + ")" if a <= b else "(" + b + a + ")"
+            top = f"({top}{a})" if top <= a else f"({a}{top})"
         else:
-            sub = keys[-d:]
-            del keys[-d:]
+            sub = keys[1 - d:]
+            del keys[1 - d:]
+            sub.append(top)
             sub.sort()
-            push("(" + "".join(sub) + ")")
-    return keys[0]
+            top = "(" + "".join(sub) + ")"
+    return top
 
 
 def iter_trees(max_vertices: int, degree_ok=None) -> Iterator[OrderedTree]:

@@ -428,7 +428,8 @@ def test_root_partition_subcommand():
 
 
 # SHA-256 of root-partition stdout in each format: every root-split law to
-# n, through its statistics, byte for byte
+# n, through its statistics, byte for byte; "geometric-3/5" is the geometric
+# law at p = 3/5, whose integer masses carry powers of b - a = 2
 ROOT_PARTITION_DIGESTS = {
     ("geometric", "all", "24", "text"): "a68ad24a95763a6262aaeea0c9176334f830e1c569182f8df0f3767428827273",
     ("geometric", "all", "24", "json"): "b1b876e3c4f6c39c79b8a33c14ce52b38675b303515c5af3e1fe94f2c2ddeb15",
@@ -436,12 +437,14 @@ ROOT_PARTITION_DIGESTS = {
     ("binary", "0", "40", "text"): "6023d4584987f2a181663c7f57afecc615276d7bf4c1166e923ff3379071514d",
     ("binary", "0", "40", "json"): "48283afa9d3626763457cdc4b2b6176fedd8f6bd005350495d6a016d58ee3ac4",
     ("binary", "0", "40", "csv"): "ec439e85db1d7d733dd4ab051b03204063ac43a1a9d167b875fec973590381e3",
+    ("geometric-3/5", "0", "24", "json"): "587286e43e9def288a53539e537f245e1cd127ec9b4fdaa7d9be9f91f053ba2d",
 }
 
 
 @pytest.mark.parametrize("law, marks, n, fmt", sorted(ROOT_PARTITION_DIGESTS))
 def test_root_partition_output_is_pinned(law, marks, n, fmt):
-    dist = json.dumps({"family": law})
+    family, _, p = law.partition("-")
+    dist = json.dumps({"family": family, **({"p": p} if p else {})})
     code, out, err = _main(["root-partition", "--dist", dist, "--set", marks, "--n", n, "--format", fmt])
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == ROOT_PARTITION_DIGESTS[law, marks, n, fmt]

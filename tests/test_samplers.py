@@ -1304,6 +1304,7 @@ PINNED_DIGESTS = {
     "mb.mixed/0": "8ed8ea3d8680ea60e7d0506ecfdb33c08eb88998a70aef96f741259d9ba997da",
     "blocks.mixed/0": "3dfa4cfc6b319a5f5b5e25fc32e1700c4436bf6d02c784ea30100e687959bdd4",
     "offspring.geometric-1/3": "f6124ed0ed37003781b4c8c1da9fc2c7bd33449ef19b3c5bf7990989980e5a4b",
+    "blocks.geometric-3/5/0": "89be7d86695ee2efd9c4fff6b1edba5ad0eeb39f03907e544c6a68c6b3453115",
 }
 # mb.binary/0 as pinned while every stalk took a draw, certain ones included
 MB_BINARY_WITH_CERTAIN_STALK_DRAWS = "edd9c8f362a729f8f96bc352c8fd30c6d780fd39f5d103cb933ac02783cc9002"
@@ -1402,6 +1403,11 @@ def test_seeded_exact_output_is_pinned():
         got.update(_pinned_exact_draws(name))
     s = RandomStream(62)
     got["offspring.geometric-1/3"] = _sha(draw_offspring(geometric_dist(Fraction(1, 3)), s) for _ in range(300))
+    # at p = 1/2 a geometric law's integer masses have b - a = 1, so only a
+    # law at another p sees their powers of b - a
+    tab = SamplerTables(geometric_dist(Fraction(3, 5)), A0, 25)
+    s = RandomStream(61).split("geometric-3/5/0", "blocks")
+    got["blocks.geometric-3/5/0"] = _sha(sample_conditioned(tab, s) for _ in range(20))
     changed = _changed(got, PINNED_DIGESTS)
     assert not changed, f"seeded exact output changed:{changed}"
 

@@ -241,6 +241,72 @@ def test_canonical_key_is_byte_identical_on_float_trees(float_trees):
         assert canonical_key(t) == _canonical_key_reference(t)
 
 
+def _complete_binary(height: int) -> OrderedTree:
+    # the depth-first degrees of the complete binary tree of this height
+    if not height:
+        return single_vertex()
+    sub = _complete_binary(height - 1).degrees
+    return OrderedTree((2, *sub, *sub))
+
+
+def _caterpillar(spine: int, legs_first: int = 1) -> OrderedTree:
+    # spine vertex i has i % 4 leaf legs and the next spine vertex as its
+    # children, the legs first on every other vertex; the spine ends in a leaf
+    degrees = [0]
+    for i in reversed(range(spine)):
+        legs = [0] * (i % 4)
+        degrees = [len(legs) + 1, *(legs + degrees if i % 2 == legs_first else degrees + legs)]
+    return OrderedTree(tuple(degrees))
+
+
+def _equal_subtrees(copies: int, start: int = 0) -> OrderedTree:
+    # a root over cherries, 3-paths and 3-stars in turn, from kind `start`,
+    # so that the sort at the root and at each star meets equal keys
+    kinds = ((2, 0, 0), (1, 1, 0), (3, 0, 0, 0))
+    return OrderedTree((copies, *(d for i in range(copies) for d in kinds[(start + i) % 3])))
+
+
+SHAPES = {
+    "path-3000": OrderedTree((1,) * 2999 + (0,)),
+    "star-3000": OrderedTree((3000,) + (0,) * 3000),
+    "binary-height-11": _complete_binary(11),
+    "caterpillar-500": _caterpillar(500),
+    "equal-subtrees-90": _equal_subtrees(90),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHAPES))
+def test_canonical_key_is_byte_identical_on_rare_shapes(name):
+    t = SHAPES[name]
+    assert canonical_key(t) == _canonical_key_reference(t)
+
+
+def test_canonical_key_of_rare_shapes():
+    assert SHAPES["binary-height-11"].n == 2**12 - 1
+    assert canonical_key(SHAPES["path-3000"]) == "(" * 3000 + ")" * 3000
+    assert canonical_key(SHAPES["star-3000"]) == "(" + "()" * 3000 + ")"
+    # the same unordered trees with their children in another order
+    mirrors = {"caterpillar-500": _caterpillar(500, 0), "equal-subtrees-90": _equal_subtrees(90, 1)}
+    for name, other in mirrors.items():
+        t = SHAPES[name]
+        assert other != t
+        assert canonical_key(other) == canonical_key(t)
+
+
+# sets with members that no tree here has, some above every degree it has
+@pytest.mark.parametrize("spec", ["0,50", "not:50", "geq:40", "0,3000", "not:2,3000"])
+def test_count_marked_matches_per_vertex_count_on_edge_sets(spec, float_trees):
+    marks = DegreeSet.parse(spec)
+    for t in [*iter_trees(6), *SHAPES.values(), *float_trees[::10]]:
+        assert count_marked(t, marks) == _count_marked_reference(t, marks)
+
+
+@pytest.mark.parametrize("spec", ["1", "2,50", "not:0", "not:0,3"])
+def test_count_marked_refuses_a_set_without_zero(spec):
+    with pytest.raises(ValueError, match="must contain 0"):
+        count_marked(SHAPES["star-3000"], DegreeSet.parse(spec))
+
+
 def test_from_children_inverts_children(float_trees):
     for t in list(iter_trees(8)) + float_trees:
         assert OrderedTree.from_children(t.children) == t
