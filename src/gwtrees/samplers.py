@@ -901,30 +901,28 @@ class QFamily:
                     raise ValueError(f"partition {lam} uses sizes without a split law")
 
     def _conditioned(self, n: int) -> tuple:
-        """(partitions, CDF, mass off the whole block) at size n.
+        """The cached entry (partitions, CDF, stalk) at size n.
 
-        The atoms' cumulative weights and the mass off (n,) are put over one
-        lcm denominator, so the CDF is integers ending at that mass.
+        The partitions are those off the whole block (n,) with positive
+        weight, sorted; the CDF is their cumulative weights as integers over
+        the lcm of their denominators and that of the mass off (n,), so it
+        ends at that mass.  `stalk` is that mass as its integer pair
+        (numerator, denominator), the success probability of the geometric
+        stalk above a branch vertex of size n, or None when no stalk is
+        drawn: the mass is 1, or degree one is marked.
         """
-        entry = self._cond_cum.get(n)
-        if entry is None:
-            atoms = sorted((lam, w) for lam, w in self.splits[n].items() if lam != (n,) and w > 0)
-            rest = 1 - self.whole_mass(n)
-            nums, _den = common_denominator([*(w for _, w in atoms), rest])
-            entry = ([lam for lam, _ in atoms], list(itertools.accumulate(nums[:-1])), rest)
-            self._cond_cum[n] = entry
+        atoms = sorted((lam, w) for lam, w in self.splits[n].items() if lam != (n,) and w > 0)
+        if not atoms:
+            raise ValueError(f"no admissible split at size {n}")
+        rest = 1 - self.whole_mass(n)
+        nums, _den = common_denominator([*(w for _, w in atoms), rest])
+        stalk = None if rest == 1 or 1 in self.marks else (rest.numerator, rest.denominator)
+        entry = self._cond_cum[n] = ([lam for lam, _ in atoms], list(itertools.accumulate(nums[:-1])), stalk)
         return entry
-
-    def split_mass(self, n: int):
-        """Mass off the undivided partition (n,): the success probability of
-        the stalk above a branch vertex of size n."""
-        return self._conditioned(n)[2]
 
     def draw_conditioned(self, n: int, stream: RandomStream) -> Partition:
         """Draw a partition at size n conditioned away from the whole block (n,)."""
-        lams, cum, _rest = self._conditioned(n)
-        if not lams:
-            raise ValueError(f"no admissible split at size {n}")
+        lams, cum, _stalk = self._cond_cum.get(n) or self._conditioned(n)
         return lams[draw_weights_int(cum, cum[-1], stream)]
 
 
@@ -1088,30 +1086,37 @@ def sample_markov_branching(q: QFamily, n: int, stream: RandomStream) -> Ordered
     vertex, and put a geometric stalk above it.  A stalk whose success
     probability is 1 (a law with no mass at degree one) is empty and takes
     no draw.  The degrees are appended in depth-first order, from a stack of
-    the subtree sizes still to draw.
+    the subtree sizes still to draw; each split's stalk pair is read from
+    the entry its draw leaves in the family's cache (QFamily._conditioned).
     """
-    marks = q.marks
-    stalks = 1 not in marks
+    if n != 1 and n not in q.splits:
+        raise ValueError(f"no split law at size {n}")
     q1 = q.q1_empty
-    leaf_stalks = stalks and q1 != 1
+    leaf = None if q1 == 1 or 1 in q.marks else (q1.numerator, q1.denominator)
+    draw = q.draw_conditioned  # looked up once: a wrap of the class method still sees every split
+    entries = q._cond_cum
     degrees: list[int] = []
+    append = degrees.append
     stack = [n]
+    push = stack.append
     while stack:
         s = stack.pop()
         if s == 1:
-            length = draw_geometric(q1.numerator, q1.denominator, stream) if leaf_stalks else 0
-            degrees += [1] * length + [0]
+            if leaf:
+                for _ in range(draw_geometric(leaf[0], leaf[1], stream)):
+                    append(1)
+            append(0)
             continue
-        lam = q.draw_conditioned(s, stream)
-        below = 1
-        if stalks:
-            rest = q.split_mass(s)
-            if rest != 1:
-                below += draw_geometric(rest.numerator, rest.denominator, stream)
-        degrees += [1] * (below - 1) + [len(lam)]
-        stack.extend(reversed(lam))
+        lam = draw(s, stream)
+        stalk = entries[s][2]
+        if stalk:
+            for _ in range(draw_geometric(stalk[0], stalk[1], stream)):
+                append(1)
+        append(len(lam))
+        for part in reversed(lam):
+            push(part)
     t = OrderedTree.from_degrees(degrees)
-    if count_marked(t, marks) != n:
+    if count_marked(t, q.marks) != n:
         raise AssertionError("branching sampler produced a wrong marked count")
     return t
 

@@ -519,6 +519,25 @@ def test_markov_branching_stalk_law_size_one():
     assert p > 0.001
 
 
+@pytest.mark.parametrize(
+    "dist, marks, built, n",
+    [(binary_dist(), A0, 10, 0), (binary_dist(), A0, 10, 11), (binary_dist(), ALL, 9, 4)],
+    ids=["size-0", "beyond-the-family", "even-size-of-binary-all"],
+)
+def test_markov_branching_refuses_a_size_without_split_law(dist, marks, built, n):
+    fam = family_from_tables(SamplerTables(dist, marks, built))
+    with pytest.raises(ValueError, match=f"no split law at size {n}$"):
+        sample_markov_branching(fam, n, stream(41))
+
+
+def test_conditioned_split_draw_refuses_a_size_without_admissible_split():
+    # an unvalidated family whose only atom is the whole block
+    fam = QFamily(ALL, {2: {(2,): Fraction(1)}}, Fraction(1))
+    for _ in range(2):  # the refusal is not cached as an entry
+        with pytest.raises(ValueError, match="no admissible split at size 2"):
+            fam.draw_conditioned(2, stream(43))
+
+
 def test_qfamily_validation_errors():
     with pytest.raises(ValueError):
         QFamily(A0, {2: {(1, 1): Fraction(1, 2)}}, Fraction(1)).validate()  # not normalised
@@ -1306,6 +1325,12 @@ PINNED_DIGESTS = {
     "offspring.geometric-1/3": "f6124ed0ed37003781b4c8c1da9fc2c7bd33449ef19b3c5bf7990989980e5a4b",
     "blocks.geometric-3/5/0": "89be7d86695ee2efd9c4fff6b1edba5ad0eeb39f03907e544c6a68c6b3453115",
 }
+# SHA-256 of 300 Markov branching trees at n=30 per arm, seed 69, pinned
+# while the sampler still read each stalk's mass as a Fraction
+MB_N30_DIGESTS = {
+    "binary/0": "2e843a7385b28d783d5bf98ddec2f3de2dfc413aaabaa288f58fc2fcfd183245",
+    "geometric/0": "082b6d6411fb4d53c032147d2a15a560fa89137e209ddeb81e791c2a1d4c9a1a",
+}
 # mb.binary/0 as pinned while every stalk took a draw, certain ones included
 MB_BINARY_WITH_CERTAIN_STALK_DRAWS = "edd9c8f362a729f8f96bc352c8fd30c6d780fd39f5d103cb933ac02783cc9002"
 # The hat, offspring and mb digests were pinned with 100 depths drawn between
@@ -1373,7 +1398,7 @@ def _stalk_draws_kept(q: QFamily, n: int, s, certain) -> OrderedTree:
             degrees += [1] * (stalk(q.q1_empty) if stalks else 0) + [0]
             continue
         lam = q.draw_conditioned(size, s)
-        degrees += [1] * (stalk(q.split_mass(size)) if stalks else 0) + [len(lam)]
+        degrees += [1] * (stalk(1 - q.whole_mass(size)) if stalks else 0) + [len(lam)]
         stack.extend(reversed(lam))
     return OrderedTree.from_degrees(degrees)
 
@@ -1427,6 +1452,44 @@ def test_markov_branching_skips_only_the_certain_stalk_draws():
         assert a.getrandbits(64) == b.getrandbits(64)
         # only binary has no mass at degree one, and so certain stalks
         assert (certain.getrandbits(64) != RandomStream(0).getrandbits(64)) == (name == "binary/0")
+
+
+def test_markov_branching_at_the_benchmark_size_is_pinned():
+    # 300 trees at n=30, the size tree-sample draws: binary/0 has no stalks,
+    # geometric/0 has split stalks and leaf stalks
+    got = {}
+    for name in MB_N30_DIGESTS:
+        dist, marks = DIGEST_ARMS[name]
+        fam = family_from_tables(SamplerTables(dist, marks, 30))
+        s = RandomStream(69).split(name)
+        got[name] = _sha(sample_markov_branching(fam, 30, s) for _ in range(300))
+    changed = _changed(got, MB_N30_DIGESTS)
+    assert not changed, f"seeded Markov branching output changed:{changed}"
+
+
+def test_markov_branching_draws_one_split_per_branch_size(monkeypatch):
+    # the benchmark counts samplers.draw_conditioned by wrapping the class
+    # method, so each split must reach it exactly once
+    calls = Counter()
+    draw = QFamily.draw_conditioned
+
+    def counted(self, n, s):
+        calls[n] += 1
+        return draw(self, n, s)
+
+    monkeypatch.setattr(QFamily, "draw_conditioned", counted)
+    for name in ("binary/0", "geometric/0"):
+        dist, marks = DIGEST_ARMS[name]
+        fam = family_from_tables(SamplerTables(dist, marks, 12))
+        a, b, certain = RandomStream(71).split(name), RandomStream(71).split(name), RandomStream(0)
+        calls.clear()
+        mb = [sample_markov_branching(fam, 12, a) for _ in range(40)]
+        by_sampler = dict(calls)
+        calls.clear()
+        kept = [_stalk_draws_kept(fam, 12, b, certain) for _ in range(40)]
+        # _stalk_draws_kept draws once for each size >= 2 that it pops
+        assert mb == kept
+        assert by_sampler == dict(calls) and sum(by_sampler.values()) >= 40
 
 
 def test_seeded_float_output_is_pinned():
